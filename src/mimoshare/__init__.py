@@ -5,7 +5,16 @@ capture or synthetic two-layer geometry), normalize it to a target average
 SNR, schedule users (random / semi-orthogonal / layered-quota), and evaluate
 zero-forcing SINR and spectral efficiency, with sweep harnesses over schedule
 sizes and per-layer quotas.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless it is already
+set: every matrix here is at most 64 x 64, where OpenBLAS spends more time
+starting threads than computing. This takes effect only if numpy has not
+been imported yet.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .csi import (
     CaptureError,

@@ -161,9 +161,13 @@ def _build_pool(cfg: dict) -> tuple[CsiDataset, str]:
         dataset = generate_synthetic(_scenario_from(cfg))
         mode = "generate"
     dataset = normalize_to_snr(dataset, cfg["snr_db"])
-    per_layer = tuple(None if c < 0 else c for c in (cfg["pool_terrestrial"], cfg["pool_aerial"]))
-    policy = PoolPolicy.SEEDED_UNIFORM if cfg["pool_policy"] == "uniform" else PoolPolicy.STRIDE
-    return subsample_pool(dataset, per_layer, policy, seed=cfg["seed"]), mode
+    per_layer = []
+    for key in ("pool_terrestrial", "pool_aerial"):
+        if cfg[key] < -1:
+            raise ValueError(f"{key} must be >= 0, or -1 to keep the whole layer; got {cfg[key]}")
+        per_layer.append(None if cfg[key] == -1 else cfg[key])
+    policy = PoolPolicy(cfg["pool_policy"])
+    return subsample_pool(dataset, tuple(per_layer), policy, seed=cfg["seed"]), mode
 
 
 def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:

@@ -325,10 +325,13 @@ def read_sidecar(path) -> tuple[FixedPointFormat, Layer, float]:
         m_antennas = int(values["m_antennas"])
     except KeyError:
         raise CaptureError(f"{path}: sidecar is missing m_antennas") from None
+    byteorder = values.get("byteorder", "little")
+    if byteorder not in ("little", "big"):
+        raise CaptureError(f"{path}: byteorder must be 'little' or 'big', got {byteorder!r}")
     fmt = FixedPointFormat(
         m_antennas=m_antennas,
         frac_bits=int(values.get("frac_bits", "15")),
-        little_endian=values.get("byteorder", "little") == "little",
+        little_endian=byteorder == "little",
     )
     layer = Layer(values.get("layer", "terrestrial"))
     interval = float(values.get("sample_interval_ms", "1"))
@@ -562,6 +565,8 @@ def subsample_pool(
         if count is None:
             keep_positions.extend(positions)
             continue
+        if count < 0:
+            raise ValueError(f"requested {count} {layer.value} records; counts must be >= 0")
         population = len(positions)
         if count > population:
             raise ValueError(

@@ -8,6 +8,7 @@ variant additionally caps how many users each layer may contribute.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -132,75 +133,83 @@ def correlation(h: np.ndarray, g: np.ndarray) -> float:
     return min(float(np.abs(np.vdot(h, g)) / (nh * ng)), 1.0)
 
 
-def _sus_engine(
-    pool: CsiDataset,
-    total: int,
-    params: SusParams,
-    caps: dict[Layer, int] | None,
-    method: SelectionMethod,
-) -> SelectionResult:
-    channels = pool.channel_matrix()  # (N, M)
-    ids = np.array([r.index for r in pool.records])
-    layers = np.array([r.layer is Layer.AERIAL for r in pool.records])  # False = terrestrial
-    norms = np.linalg.norm(channels, axis=1)
+class _SusRun:
+    """Resumable SUS state over one pool: one call to ``step`` adds one pick.
 
-    residuals = channels.copy()
-    unpruned = np.ones(len(pool), dtype=bool)
-    unselected = np.ones(len(pool), dtype=bool)
-    counts = {Layer.TERRESTRIAL: 0, Layer.AERIAL: 0}
-    chosen: list[int] = []
-    fallback_from: int | None = None
+    The state after n picks depends only on those picks, so a run for k users
+    is the first k picks of any longer run over the same pool and params, and
+    ``clone`` lets several continuations share one common prefix.
+    """
 
-    def open_mask() -> np.ndarray:
-        if caps is None:
-            return np.ones(len(pool), dtype=bool)
-        mask = np.zeros(len(pool), dtype=bool)
-        if counts[Layer.TERRESTRIAL] < caps.get(Layer.TERRESTRIAL, 0):
-            mask |= ~layers
-        if counts[Layer.AERIAL] < caps.get(Layer.AERIAL, 0):
-            mask |= layers
-        return mask
+    def __init__(self, pool: CsiDataset, params: SusParams):
+        self.pool = pool
+        self.params = params
+        self.channels = pool.channel_matrix()  # (N, M)
+        self.ids = np.array([r.index for r in pool.records])
+        aerial = np.array([r.layer is Layer.AERIAL for r in pool.records])
+        self.layer_mask = {Layer.TERRESTRIAL: ~aerial, Layer.AERIAL: aerial}
+        self.norms = np.linalg.norm(self.channels, axis=1)
+        self.residuals = self.channels.copy()
+        self.unpruned = np.ones(len(pool), dtype=bool)
+        self.unselected = np.ones(len(pool), dtype=bool)
+        self.counts = {Layer.TERRESTRIAL: 0, Layer.AERIAL: 0}
+        self.chosen: list[int] = []
+        self.fallback_from: int | None = None
 
-    while len(chosen) < total:
-        eligible = unselected & open_mask()
-        if fallback_from is None:
-            candidates = eligible & unpruned
+    def clone(self) -> _SusRun:
+        """Independent copy of the mutable state; the pool arrays stay shared."""
+        twin = copy.copy(self)
+        twin.residuals = self.residuals.copy()
+        twin.unpruned = self.unpruned.copy()
+        twin.unselected = self.unselected.copy()
+        twin.counts = dict(self.counts)
+        twin.chosen = list(self.chosen)
+        return twin
+
+    def step(self, open_mask: np.ndarray | None = None) -> None:
+        """Pick one user among the unselected records where ``open_mask`` is set."""
+        eligible = self.unselected if open_mask is None else self.unselected & open_mask
+        if self.fallback_from is None:
+            candidates = eligible & self.unpruned
             if not candidates.any():
-                if params.fallback is SusFallback.FAIL:
+                if self.params.fallback is SusFallback.FAIL:
                     raise SelectionError(
-                        f"candidates exhausted after {len(chosen)} of {total} selections "
-                        f"at alpha={params.alpha}"
+                        f"candidates exhausted after {len(self.chosen)} selections "
+                        f"at alpha={self.params.alpha}"
                     )
-                fallback_from = len(chosen)
+                self.fallback_from = len(self.chosen)
                 candidates = eligible
         else:
             candidates = eligible
         if not candidates.any():
             raise SelectionError("pool exhausted before the requested schedule size")
 
-        res_norms = np.linalg.norm(residuals[candidates], axis=1)
+        res_norms = np.linalg.norm(self.residuals[candidates], axis=1)
         cand_positions = np.flatnonzero(candidates)
         best = res_norms.max()
         tied = cand_positions[res_norms == best]
-        pick = tied[np.argmin(ids[tied])]  # deterministic tie-break: lowest record id
+        pick = tied[np.argmin(self.ids[tied])]  # deterministic tie-break: lowest record id
 
-        g = residuals[pick].copy()
-        chosen.append(int(ids[pick]))
-        unselected[pick] = False
-        counts[pool.records[pick].layer] += 1
+        g = self.residuals[pick].copy()
+        self.chosen.append(int(self.ids[pick]))
+        self.unselected[pick] = False
+        self.counts[self.pool.records[pick].layer] += 1
 
         norm_sq = float(np.vdot(g, g).real)
         if norm_sq > 0.0:
             # expand the basis: project everyone onto the new direction once
-            residuals -= np.outer(residuals @ g.conj() / norm_sq, g)
-            if fallback_from is None:
-                live = unpruned & unselected
-                denom = np.maximum(norms[live], 1e-300) * np.sqrt(norm_sq)
-                corr = np.abs(channels[live] @ g.conj()) / denom
-                drop = np.flatnonzero(live)[corr >= params.alpha]
-                unpruned[drop] = False
+            self.residuals -= np.outer(self.residuals @ g.conj() / norm_sq, g)
+            if self.fallback_from is None:
+                live = self.unpruned & self.unselected
+                denom = np.maximum(self.norms[live], 1e-300) * np.sqrt(norm_sq)
+                corr = np.abs(self.channels[live] @ g.conj()) / denom
+                drop = np.flatnonzero(live)[corr >= self.params.alpha]
+                self.unpruned[drop] = False
 
-    return SelectionResult(tuple(chosen), _counts_for(pool, chosen), method, fallback_from)
+    def result(self, method: SelectionMethod) -> SelectionResult:
+        """The schedule picked so far."""
+        chosen = tuple(self.chosen)
+        return SelectionResult(chosen, _counts_for(self.pool, chosen), method, self.fallback_from)
 
 
 def sus_select(pool: CsiDataset, k: int, params: SusParams = SusParams()) -> SelectionResult:
@@ -210,10 +219,17 @@ def sus_select(pool: CsiDataset, k: int, params: SusParams = SusParams()) -> Sel
     selected basis, add that residual to the basis, drop candidates whose
     correlation with the new basis vector is >= alpha. When pruning exhausts
     the candidates first, the configured fallback takes over.
+
+    Prefix property: for one pool and params, the schedule for k users is the
+    first k picks of the schedule for any larger k, and its fallback rank is
+    the larger run's rank when that rank is below k (None otherwise).
     """
     if not 1 <= k <= len(pool):
         raise ValueError(f"k must be in 1..{len(pool)}, got {k}")
-    return _sus_engine(pool, k, params, caps=None, method=SelectionMethod.SUS)
+    run = _SusRun(pool, params)
+    for _ in range(k):
+        run.step()
+    return run.result(SelectionMethod.SUS)
 
 
 def sus_select_layered(
@@ -239,4 +255,8 @@ def sus_select_layered(
                 f"quota {cap} exceeds the {populations[layer]} available "
                 f"{layer.value} records"
             )
-    return _sus_engine(pool, total, params, caps=caps, method=SelectionMethod.SUS_LAYERED)
+    run = _SusRun(pool, params)
+    for _ in range(total):
+        open_layers = [layer for layer in Layer if run.counts[layer] < caps[layer]]
+        run.step(None if len(open_layers) == 2 else run.layer_mask[open_layers[0]])
+    return run.result(SelectionMethod.SUS_LAYERED)

@@ -7,6 +7,7 @@ k_aerial, trial) regardless of how the grid was executed.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,12 +17,12 @@ import numpy as np
 
 from .csi import CsiDataset, Layer
 from .sched import (
+    SelectionError,
     SelectionMethod,
     SelectionResult,
     SusParams,
+    _SusRun,
     random_select,
-    sus_select,
-    sus_select_layered,
 )
 from .zfmetrics import IllConditionedError, evaluate_selection
 
@@ -105,6 +106,23 @@ def _base_meta(pool: CsiDataset, seed: int, params: SusParams) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _naming(cell: str):
+    """Re-raise a scheduling or conditioning failure with the sweep cell it hit."""
+    try:
+        yield
+    except (IllConditionedError, SelectionError) as exc:
+        raise type(exc)(f"{cell}: {exc}") from exc
+
+
+def _record_branches(run: _SusRun, quotas: dict, branches: dict) -> None:
+    """Clone ``run`` at each per-layer grid quota it meets for the first time."""
+    for layer in Layer:
+        key = (layer, run.counts[layer])
+        if key[1] in quotas[layer] and key not in branches:
+            branches[key] = run.clone()
+
+
 def _trial_seed(seed: int, k: int, trial: int) -> int:
     # stable per (run seed, schedule size, trial) so single rows can be replayed
     return int(np.random.SeedSequence([seed, k, trial]).generate_state(1)[0])
@@ -137,19 +155,23 @@ def sweep_total_users(
         raise ValueError(f"unsupported sweep methods: {sorted(m.value for m in unsupported)}")
 
     rows: list[SweepRow] = []
-    for method in (SelectionMethod.RANDOM, SelectionMethod.SUS):
-        if method not in methods:
-            continue
+    if SelectionMethod.RANDOM in methods:
         for k in ks:
-            if method is SelectionMethod.SUS:
-                selection = sus_select(pool, k, params)
-                rows.append(_row_from(selection, evaluate_selection(pool, selection, tx_power), 0))
-            else:
-                for trial in range(trials):
+            for trial in range(trials):
+                with _naming(f"cell (method=random, k={k}, trial={trial})"):
                     selection = random_select(pool, k, _trial_seed(seed, k, trial))
                     rows.append(
                         _row_from(selection, evaluate_selection(pool, selection, tx_power), trial)
                     )
+    if SelectionMethod.SUS in methods:
+        # one run serves every k: the k-user SUS schedule is its first k picks
+        run = _SusRun(pool, params)
+        for k in ks:
+            with _naming(f"cell (method=sus, k={k}, trial=0)"):
+                while len(run.chosen) < k:
+                    run.step()
+                selection = run.result(SelectionMethod.SUS)
+                rows.append(_row_from(selection, evaluate_selection(pool, selection, tx_power), 0))
     meta = _base_meta(pool, seed, params)
     meta.update({"sweep": "total_users", "trials": trials, "k_min": ks[0], "k_max": ks[-1]})
     return SweepTable(rows=tuple(rows), meta=meta)
@@ -180,14 +202,34 @@ def sweep_layer_grid(
             f"{counts[Layer.AERIAL]}"
         )
 
+    # A layered run follows the unconstrained run until one layer meets its
+    # quota, then picks from the other layer only. So one shared unconstrained
+    # run, cloned where it first meets each grid quota, plus one single-layer
+    # continuation per clone, serves every cell. Cells run in ascending order,
+    # so the shared run never reaches a cell's second quota before the cell
+    # is served: exactly one of its two quotas has a clone.
+    quotas = {Layer.TERRESTRIAL: set(grounds), Layer.AERIAL: set(aerials)}
+    shared = _SusRun(pool, params)
+    branches: dict[tuple[Layer, int], _SusRun] = {}
+    _record_branches(shared, quotas, branches)
     rows: list[SweepRow] = []
     for k_ground in grounds:
         for k_aerial in aerials:
             if k_ground == 0 and k_aerial == 0:
                 continue
             quota = {Layer.TERRESTRIAL: k_ground, Layer.AERIAL: k_aerial}
-            selection = sus_select_layered(pool, quota, params)
-            rows.append(_row_from(selection, evaluate_selection(pool, selection, tx_power), 0))
+            keys = [(layer, quota[layer]) for layer in Layer]
+            with _naming(f"cell (k_ground={k_ground}, k_aerial={k_aerial})"):
+                while not any(key in branches for key in keys):
+                    shared.step()
+                    _record_branches(shared, quotas, branches)
+                [full] = [key for key in keys if key in branches]
+                branch = branches[full]
+                open_layer = next(layer for layer in Layer if layer is not full[0])
+                while branch.counts[open_layer] < quota[open_layer]:
+                    branch.step(branch.layer_mask[open_layer])
+                selection = branch.result(SelectionMethod.SUS_LAYERED)
+                rows.append(_row_from(selection, evaluate_selection(pool, selection, tx_power), 0))
     meta = _base_meta(pool, seed, params)
     meta.update(
         {

@@ -1,3 +1,7 @@
+# mimoshare first: it defaults OPENBLAS_NUM_THREADS to 1, which only takes
+# effect if numpy has not been imported yet
+import mimoshare  # noqa: F401
+
 import numpy as np
 import pytest
 

@@ -111,6 +111,34 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert "no_such_knob" in capsys.readouterr().err
 
 
+def test_unknown_pool_policy_is_rejected(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = run_cli("sweep-grid", "--config", MINI_CFG, "--out", out, "--pool-policy", "unifrom")
+    assert code == 1
+    assert "unifrom" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_pool_count_minus_one_keeps_the_whole_layer(tmp_path):
+    out = tmp_path / "all"
+    code = run_cli(
+        "sweep-grid", "--config", MINI_CFG, "--out", out,
+        "--pool-terrestrial", "-1", "--ground-range", "0:1", "--aerial-range", "0:1",
+    )
+    assert code == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["pool_terrestrial"] == 41
+    assert meta["pool_aerial"] == 10
+
+
+def test_pool_count_below_minus_one_is_rejected(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = run_cli("sweep-grid", "--config", MINI_CFG, "--out", out, "--pool-aerial", "-2")
+    assert code == 1
+    assert "pool_aerial" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_report_from_existing_table(tmp_path, capsys):
     out = tmp_path / "r1"
     assert run_cli("sweep-grid", "--config", MINI_CFG, "--out", out) == 0

@@ -123,6 +123,20 @@ def test_read_sidecar_defaults(tmp_path):
     assert interval == 1.0
 
 
+def test_read_sidecar_accepts_both_byteorders(tmp_path):
+    path = tmp_path / "s.cfg"
+    for order, little in (("little", True), ("big", False)):
+        path.write_text(f"m_antennas = 16\nbyteorder = {order}\n")
+        assert read_sidecar(path)[0].little_endian is little
+
+
+def test_read_sidecar_rejects_unknown_byteorder(tmp_path):
+    path = tmp_path / "s.cfg"
+    path.write_text("m_antennas = 16\nbyteorder = littel\n")
+    with pytest.raises(CaptureError, match="littel"):
+        read_sidecar(path)
+
+
 def test_merge_renumbers_ids():
     a = make_dataset([np.ones(4)], [Layer.TERRESTRIAL])
     b = make_dataset([np.ones(4) * 2, np.ones(4) * 3], [Layer.AERIAL, Layer.AERIAL])
@@ -337,6 +351,12 @@ def test_subsample_count_exceeding_population():
         subsample_pool(ds, (101, None))
     with pytest.raises(ValueError):
         subsample_pool(ds, (None, 1))  # no aerial records at all
+
+
+def test_subsample_rejects_negative_count():
+    ds = hundred_record_dataset()
+    with pytest.raises(ValueError, match="-3"):
+        subsample_pool(ds, (-3, None))
 
 
 def test_subsample_to_published_pool_shape(default_pool):

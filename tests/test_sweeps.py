@@ -3,7 +3,14 @@ import pytest
 
 from conftest import pool_from_vectors, random_unit_channels
 from mimoshare.csi import Layer
-from mimoshare.sched import SelectionMethod, SusParams, sus_select, sus_select_layered
+from mimoshare.sched import (
+    SelectionError,
+    SelectionMethod,
+    SusFallback,
+    SusParams,
+    sus_select,
+    sus_select_layered,
+)
 from mimoshare.sweeps import (
     CSV_HEADER,
     SweepRow,
@@ -14,7 +21,7 @@ from mimoshare.sweeps import (
     sweep_layer_grid,
     sweep_total_users,
 )
-from mimoshare.zfmetrics import evaluate_selection
+from mimoshare.zfmetrics import IllConditionedError, evaluate_selection
 
 
 def two_layer_random_pool(seed=1, n_per_layer=10, m=8):
@@ -264,6 +271,39 @@ def test_oracle_dominance_chain():
                 sums.append(0.0)
         assert best >= sus_se - 1e-12
         assert sus_se >= min(sums) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# failures name the sweep cell
+# ---------------------------------------------------------------------------
+
+def duplicated_channel_pool():
+    # two terrestrial copies of one channel: any schedule holding both is singular
+    return pool_from_vectors(
+        [np.eye(4)[0], np.eye(4)[0], np.eye(4)[1]],
+        [Layer.TERRESTRIAL, Layer.TERRESTRIAL, Layer.AERIAL],
+    )
+
+
+def test_total_sweep_failure_names_the_cell():
+    pool = duplicated_channel_pool()
+    # SUS prunes the copy, takes the aerial user, then falls back to the copy at k = 3
+    with pytest.raises(IllConditionedError, match=r"method=sus, k=3, trial=0"):
+        sweep_total_users(pool, [1, 2, 3], methods={SelectionMethod.SUS})
+    strict = SusParams(fallback=SusFallback.FAIL)
+    with pytest.raises(SelectionError, match=r"method=sus, k=3, trial=0"):
+        sweep_total_users(pool, [1, 2, 3], methods={SelectionMethod.SUS}, params=strict)
+    with pytest.raises(IllConditionedError, match=r"method=random, k=3, trial=0"):
+        sweep_total_users(pool, [3], methods={SelectionMethod.RANDOM}, trials=1)
+
+
+def test_grid_failure_names_the_cell():
+    pool = duplicated_channel_pool()
+    with pytest.raises(IllConditionedError, match=r"k_ground=2, k_aerial=0"):
+        sweep_layer_grid(pool, [0, 2], [0, 1])
+    strict = SusParams(fallback=SusFallback.FAIL)
+    with pytest.raises(SelectionError, match=r"k_ground=2, k_aerial=0"):
+        sweep_layer_grid(pool, [0, 2], [0, 1], params=strict)
 
 
 # ---------------------------------------------------------------------------
