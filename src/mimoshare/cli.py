@@ -20,12 +20,12 @@ from .csi import (
     Layer,
     PoolPolicy,
     ScenarioConfig,
+    _parse_keyvalues,
     encode_csi_binary,
     generate_synthetic,
-    load_csi_binary,
+    load_capture,
     merge_datasets,
     normalize_to_snr,
-    read_sidecar,
     sidecar_text,
     subsample_pool,
 )
@@ -85,8 +85,10 @@ def _parse_range(text: str, name: str) -> list[int]:
         if not part:
             continue
         if ":" in part:
-            lo, _, hi = part.partition(":")
-            values.update(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split(":", 1))
+            if hi < lo:
+                raise ValueError(f"{name} has a descending range {part!r}")
+            values.update(range(lo, hi + 1))
         else:
             values.add(int(part))
     if not values:
@@ -94,25 +96,10 @@ def _parse_range(text: str, name: str) -> list[int]:
     return sorted(values)
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, value = line.partition("=")
-        key = key.strip()
-        if not eq or key not in _CONFIG_SPEC:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        caster = _CONFIG_SPEC[key][0]
-        values[key] = caster(value.strip())
-    return values
-
-
 def _merge_config(args: argparse.Namespace) -> dict:
     cfg = {key: default for key, (_, default, _) in _CONFIG_SPEC.items()}
     if args.config:
-        cfg.update(_read_config_file(args.config))
+        cfg.update(_parse_keyvalues(args.config, {k: s[0] for k, s in _CONFIG_SPEC.items()}))
     for key in _CONFIG_SPEC:
         override = getattr(args, key, None)
         if override is not None:
@@ -144,12 +131,8 @@ def _load_captures(cfg: dict) -> CsiDataset:
         raise ValueError("no capture files given (set csi=... or --csi)")
     if sidecars and len(sidecars) != len(bins):
         raise ValueError("number of --format sidecars must match --csi captures")
-    datasets = []
-    for i, bin_path in enumerate(bins):
-        sidecar = sidecars[i] if sidecars else str(bin_path) + ".cfg"
-        fmt, layer, interval = read_sidecar(sidecar)
-        datasets.append(load_csi_binary(bin_path, fmt, layer=layer, sample_interval_ms=interval))
-    return merge_datasets(datasets)
+    sidecars = sidecars or [None] * len(bins)  # None: load_capture's <capture>.cfg default
+    return merge_datasets([load_capture(b, s) for b, s in zip(bins, sidecars)])
 
 
 def _build_pool(cfg: dict) -> tuple[CsiDataset, str]:
@@ -232,13 +215,7 @@ def _cmd_generate(cfg: dict) -> int:
     counts = dataset.layer_counts()
     files: dict[str, bytes] = {}
     for layer, altitude in zip((Layer.TERRESTRIAL, Layer.AERIAL), scenario.layer_altitudes_m):
-        sub = CsiDataset(
-            records=tuple(r for r in dataset.records if r.layer is layer),
-            m_antennas=dataset.m_antennas,
-            scale_applied=dataset.scale_applied,
-            noise_power=dataset.noise_power,
-            snr_target_db=dataset.snr_target_db,
-        )
+        sub = dataset.take(dataset.layer_codes == layer.code)
         files[f"{layer.value}.bin"] = encode_csi_binary(sub, fmt)
         files[f"{layer.value}.bin.cfg"] = sidecar_text(
             fmt,

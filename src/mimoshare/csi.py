@@ -12,9 +12,10 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -51,6 +52,11 @@ class Layer(enum.Enum):
     TERRESTRIAL = "terrestrial"
     AERIAL = "aerial"
 
+    @property
+    def code(self) -> int:
+        """This layer's value in ``CsiDataset.layer_codes``: its declaration rank."""
+        return list(Layer).index(self)
+
 
 class CaptureError(ValueError):
     """Raised when a capture file does not match its declared binary format."""
@@ -85,72 +91,148 @@ class CsiRecord:
             object.__setattr__(self, "position", np.asarray(self.position, dtype=np.float64))
 
 
-@dataclass(frozen=True)
+class _RecordView(Sequence):
+    """A dataset's rows as :class:`CsiRecord` objects, each built when accessed."""
+
+    def __init__(self, dataset: CsiDataset):
+        self._dataset = dataset
+
+    def __len__(self) -> int:
+        return len(self._dataset)
+
+    def __getitem__(self, pos):
+        ds = self._dataset
+        position = None if ds.positions is None else ds.positions[pos]
+        return CsiRecord(int(ds.ids[pos]), list(Layer)[ds.layer_codes[pos]],
+                         int(ds.timesteps_ms[pos]), ds.channels[pos], position)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class CsiDataset:
     """Ordered pool of channel records plus normalization metadata.
 
-    ``noise_power`` is the linear noise variance implied by the target SNR,
-    set by :func:`normalize_to_snr`; until then the dataset is un-normalized
-    (``scale_applied`` 1, ``noise_power`` None). Instances are immutable and
-    safe to share across concurrent evaluations.
+    Columnar: row p of each array belongs to the p-th record, and every array
+    is read-only, so instances are immutable and safe to share across
+    concurrent evaluations. ``CsiDataset(records, m_antennas, ...)`` builds
+    one from :class:`CsiRecord` objects; ``records`` builds them back, one
+    per access. ``noise_power`` is the linear noise variance implied by the
+    target SNR, set by :func:`normalize_to_snr`; until then the dataset is
+    un-normalized (``scale_applied`` 1, ``noise_power`` None).
     """
 
-    records: tuple[CsiRecord, ...]
     m_antennas: int
-    scale_applied: float = 1.0
-    noise_power: float | None = None  # sigma^2, linear
-    snr_target_db: float | None = None
-    _pos_by_id: dict = field(init=False, repr=False, compare=False, default=None)
+    channels: np.ndarray  # (N, M) complex128
+    ids: np.ndarray  # (N,) int64 record ids, unique, in any order
+    layer_codes: np.ndarray  # (N,) int8 Layer.code values
+    timesteps_ms: np.ndarray  # (N,) int64
+    positions: np.ndarray | None  # (N, 3) meters; None unless every record has one
+    scale_applied: float
+    noise_power: float | None  # sigma^2, linear
+    snr_target_db: float | None
 
-    def __post_init__(self):
-        if self.m_antennas <= 0:
-            raise ValueError("m_antennas must be positive")
-        seen: dict[int, int] = {}
-        for pos, rec in enumerate(self.records):
-            if rec.channel.shape != (self.m_antennas,):
+    def __init__(self, records: Iterable[CsiRecord], m_antennas: int, scale_applied: float = 1.0,
+                 noise_power: float | None = None, snr_target_db: float | None = None):
+        records = tuple(records)
+        for rec in records:
+            if rec.channel.shape != (m_antennas,):
                 raise ValueError(
                     f"record {rec.index}: channel length {rec.channel.shape[0]} "
-                    f"does not match dataset m_antennas={self.m_antennas}"
+                    f"does not match dataset m_antennas={m_antennas}"
                 )
-            if rec.index in seen:
-                raise ValueError(f"duplicate record index {rec.index}")
-            seen[rec.index] = pos
-        object.__setattr__(self, "_pos_by_id", seen)
+        positions = [r.position for r in records]
+        self._set(
+            m_antennas,
+            np.array([r.channel for r in records], np.complex128).reshape(len(records), m_antennas),
+            np.array([r.index for r in records], dtype=np.int64),
+            np.array([r.layer.code for r in records], dtype=np.int8),
+            np.array([r.timestep_ms for r in records], dtype=np.int64),
+            np.array(positions) if records and all(p is not None for p in positions) else None,
+            scale_applied, noise_power, snr_target_db,
+        )
+
+    @classmethod
+    def _of(cls, *columns, **metadata) -> CsiDataset:
+        """Array-built dataset: it takes ownership of the arrays and freezes them."""
+        return cls.__new__(cls)._set(*columns, **metadata)
+
+    def _set(self, m_antennas, channels, ids, layer_codes, timesteps_ms, positions=None,
+             scale_applied=1.0, noise_power=None, snr_target_db=None) -> CsiDataset:
+        if m_antennas <= 0:
+            raise ValueError("m_antennas must be positive")
+        if not np.isfinite(channels).all():
+            raise ValueError("channel vector contains NaN or Inf components")
+        id_order = np.argsort(ids, kind="stable")
+        repeats = ids[id_order][1:][np.diff(ids[id_order]) == 0]
+        if repeats.size:
+            raise ValueError(f"duplicate record index {repeats[0]}")
+        for array in (channels, ids, layer_codes, timesteps_ms, positions, id_order):
+            if array is not None:
+                array.flags.writeable = False
+        self.__dict__.update(
+            m_antennas=m_antennas, channels=channels, ids=ids, layer_codes=layer_codes,
+            timesteps_ms=timesteps_ms, positions=positions, scale_applied=scale_applied,
+            noise_power=noise_power, snr_target_db=snr_target_db, _id_order=id_order,
+        )
+        return self
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
+
+    @property
+    def records(self) -> Sequence[CsiRecord]:
+        """The records in dataset order, each built as a :class:`CsiRecord` on access."""
+        return _RecordView(self)
+
+    def take(self, rows) -> CsiDataset:
+        """The records at the given rows (positions or a boolean mask), metadata kept."""
+        return CsiDataset._of(
+            self.m_antennas, self.channels[rows], self.ids[rows], self.layer_codes[rows],
+            self.timesteps_ms[rows], None if self.positions is None else self.positions[rows],
+            self.scale_applied, self.noise_power, self.snr_target_db,
+        )
+
+    def _rows_of(self, indices: Iterable[int]) -> np.ndarray:
+        """Row positions of the given record ids; KeyError names an unknown id."""
+        wanted = np.fromiter(indices, dtype=np.int64)
+        ranks = np.searchsorted(self.ids, wanted, sorter=self._id_order)
+        rows = self._id_order.take(ranks, mode="clip")
+        unknown = wanted[self.ids[rows] != wanted]
+        if unknown.size:
+            raise KeyError(int(unknown[0]))
+        return rows
 
     def channel_matrix(self) -> np.ndarray:
-        """All channels stacked as an (N, M) array, one row per record."""
-        if not self.records:
-            return np.zeros((0, self.m_antennas), dtype=np.complex128)
-        return np.stack([r.channel for r in self.records])
+        """All channels as a read-only (N, M) array, one row per record."""
+        return self.channels
 
     def record(self, index: int) -> CsiRecord:
         """Look up a record by its id."""
-        return self.records[self._pos_by_id[index]]
+        return self.records[self._rows_of([index])[0]]
 
     def channels_for(self, indices: Iterable[int]) -> np.ndarray:
-        """Channels of the given record ids stacked as a (K, M) array."""
-        return np.stack([self.record(i).channel for i in indices])
+        """Channels of the given record ids as a read-only (K, M) array."""
+        channels = self.channels[self._rows_of(indices)]
+        channels.flags.writeable = False
+        return channels
 
     def ids_in_layer(self, layer: Layer) -> list[int]:
         """Record ids of one layer, in dataset (time) order."""
-        return [r.index for r in self.records if r.layer is layer]
+        return self.ids[self.layer_codes == layer.code].tolist()
 
-    def layer_counts(self) -> dict[Layer, int]:
-        counts = {layer: 0 for layer in Layer}
-        for r in self.records:
-            counts[r.layer] += 1
-        return counts
+    def layer_counts(self, indices: Iterable[int] | None = None) -> dict[Layer, int]:
+        """Records per layer, in the whole dataset or among the given record ids."""
+        codes = self.layer_codes if indices is None else self.layer_codes[self._rows_of(indices)]
+        return dict(zip(Layer, np.bincount(codes, minlength=len(Layer)).tolist()))
 
     def fingerprint(self) -> str:
         """Short content hash covering ids, layers, timesteps and gains."""
         digest = hashlib.sha256()
         digest.update(f"M={self.m_antennas};".encode())
-        for r in self.records:
-            digest.update(f"{r.index},{r.layer.value},{r.timestep_ms};".encode())
-            digest.update(r.channel.tobytes())
+        names = [layer.value for layer in Layer]
+        rows = zip(self.ids.tolist(), self.layer_codes.tolist(), self.timesteps_ms.tolist())
+        for (index, code, timestep), channel in zip(rows, self.channels):
+            digest.update(f"{index},{names[code]},{timestep};".encode())
+            digest.update(channel)
         return digest.hexdigest()[:16]
 
 
@@ -208,22 +290,22 @@ def load_csi_binary(
             f"{fmt.bytes_per_record}-byte record size for M={fmt.m_antennas} "
             "(truncated file or wrong antenna count)"
         )
+    _check_interval(path, sample_interval_ms)
     raw = np.frombuffer(data, dtype=fmt.dtype).astype(np.float64)
     scale = float(1 << fmt.frac_bits)
     iq = raw.reshape(-1, fmt.m_antennas, 2) / scale
     gains = iq[:, :, 0] + 1j * iq[:, :, 1]
-    gains.flags.writeable = False
+    steps = np.arange(gains.shape[0])
+    codes = np.full(len(steps), layer.code, dtype=np.int8)
+    return CsiDataset._of(fmt.m_antennas, gains, start_index + steps, codes,
+                          np.round(steps * sample_interval_ms).astype(np.int64))
 
-    records = tuple(
-        CsiRecord(
-            index=start_index + t,
-            layer=layer,
-            timestep_ms=int(round(t * sample_interval_ms)),
-            channel=gains[t],
+
+def _check_interval(path, sample_interval_ms: float) -> None:
+    if not (math.isfinite(sample_interval_ms) and sample_interval_ms > 0):
+        raise CaptureError(
+            f"{path}: sample_interval_ms must be finite and positive, got {sample_interval_ms}"
         )
-        for t in range(gains.shape[0])
-    )
-    return CsiDataset(records=records, m_antennas=fmt.m_antennas)
 
 
 def encode_csi_binary(dataset: CsiDataset, fmt: FixedPointFormat | None = None) -> bytes:
@@ -240,7 +322,7 @@ def encode_csi_binary(dataset: CsiDataset, fmt: FixedPointFormat | None = None) 
             f"format M={fmt.m_antennas} does not match dataset M={dataset.m_antennas}"
         )
     scale = float(1 << fmt.frac_bits)
-    gains = dataset.channel_matrix()
+    gains = dataset.channels
     iq = np.empty((len(dataset), fmt.m_antennas, 2), dtype=np.float64)
     iq[:, :, 0] = gains.real
     iq[:, :, 1] = gains.imag
@@ -305,22 +387,27 @@ def write_sidecar(
     )
 
 
-def _parse_keyvalues(text: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+def _parse_keyvalues(path, casters: Mapping[str, Callable] | None = None) -> dict:
+    """Read a flat ``key = value`` file (``#`` comments); ``casters`` rejects other keys and casts."""
+    values = {}
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        if casters is not None:
+            if key not in casters:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            value = casters[key](value)
+        values[key] = value
     return values
 
 
 def read_sidecar(path) -> tuple[FixedPointFormat, Layer, float]:
     """Parse a capture sidecar into (format, layer, sample interval in ms)."""
-    values = _parse_keyvalues(Path(path).read_text())
+    values = _parse_keyvalues(path)
     try:
         m_antennas = int(values["m_antennas"])
     except KeyError:
@@ -335,6 +422,7 @@ def read_sidecar(path) -> tuple[FixedPointFormat, Layer, float]:
     )
     layer = Layer(values.get("layer", "terrestrial"))
     interval = float(values.get("sample_interval_ms", "1"))
+    _check_interval(path, interval)
     return fmt, layer, interval
 
 
@@ -361,13 +449,13 @@ def merge_datasets(datasets: Sequence[CsiDataset]) -> CsiDataset:
     m = datasets[0].m_antennas
     if any(d.m_antennas != m for d in datasets):
         raise ValueError("datasets disagree on antenna count")
-    records = []
-    next_id = 0
-    for ds in datasets:
-        for rec in ds.records:
-            records.append(replace(rec, index=next_id))
-            next_id += 1
-    return CsiDataset(records=tuple(records), m_antennas=m)
+    channels = np.concatenate([d.channels for d in datasets])
+    positions = None
+    if all(d.positions is not None for d in datasets):
+        positions = np.concatenate([d.positions for d in datasets])
+    return CsiDataset._of(m, channels, np.arange(len(channels), dtype=np.int64),
+                          np.concatenate([d.layer_codes for d in datasets]),
+                          np.concatenate([d.timesteps_ms for d in datasets]), positions)
 
 
 # ---------------------------------------------------------------------------
@@ -471,37 +559,35 @@ def generate_synthetic(config: ScenarioConfig) -> CsiDataset:
     elems = element_positions(config)
     lam = config.wavelength_m
 
-    records: list[CsiRecord] = []
-    next_id = 0
+    n = config.samples_per_layer
+    channels = np.empty((2 * n, config.m_antennas), dtype=np.complex128)
+    positions = np.empty((2 * n, 3))
     layer_plan = zip(
         (Layer.TERRESTRIAL, Layer.AERIAL), config.layer_altitudes_m, config.rician_k_db
     )
     for layer, altitude, k_db in layer_plan:
+        rows = slice(layer.code * n, (layer.code + 1) * n)
         pts = trajectory_points(config, altitude)
-        dists = np.linalg.norm(pts[:, None, :] - elems[None, :, :], axis=-1)  # (N, M)
+        # squares summed x, y, z in turn, as np.linalg.norm does, bit for bit,
+        # without its (N, M, 3) temporary
+        dists = np.zeros((n, config.m_antennas))
+        for axis in range(3):
+            dists += np.square(pts[:, None, axis] - elems[None, :, axis])
+        np.sqrt(dists, out=dists)  # (N, M)
         amps = lam / (4.0 * np.pi * dists)
-        gains = amps * np.exp(-2j * np.pi * dists / lam)
+        gains = np.multiply(amps, np.exp(-2j * np.pi * dists / lam), out=channels[rows])
 
         k_lin = 10.0 ** (k_db / 10.0)
         diffuse_power = np.mean(amps**2, axis=1) / k_lin  # (N,) ; 0 when K=inf
         noise = rng.standard_normal((pts.shape[0], config.m_antennas)) + 1j * rng.standard_normal(
             (pts.shape[0], config.m_antennas)
         )
-        gains = gains + np.sqrt(diffuse_power / 2.0)[:, None] * noise
-        gains.flags.writeable = False
-
-        for t in range(pts.shape[0]):
-            records.append(
-                CsiRecord(
-                    index=next_id,
-                    layer=layer,
-                    timestep_ms=int(round(t * config.sample_interval_ms)),
-                    channel=gains[t],
-                    position=pts[t],
-                )
-            )
-            next_id += 1
-    return CsiDataset(records=tuple(records), m_antennas=config.m_antennas)
+        gains += np.sqrt(diffuse_power / 2.0)[:, None] * noise
+        positions[rows] = pts
+    steps = np.tile(np.arange(n), 2)
+    codes = np.repeat(np.array([layer.code for layer in Layer], dtype=np.int8), n)
+    return CsiDataset._of(config.m_antennas, channels, np.arange(2 * n), codes,
+                          np.round(steps * config.sample_interval_ms).astype(np.int64), positions)
 
 
 # ---------------------------------------------------------------------------
@@ -517,19 +603,14 @@ def normalize_to_snr(dataset: CsiDataset, snr_db: float) -> CsiDataset:
     """
     if len(dataset) == 0:
         raise ValueError("cannot normalize an empty dataset")
-    gains = dataset.channel_matrix()
+    gains = dataset.channels
     mean_sq_norm = float(np.mean(np.sum(np.abs(gains) ** 2, axis=1)))
     if mean_sq_norm == 0.0:
         raise ValueError("cannot normalize an all-zero dataset")
     scale = 1.0 / math.sqrt(mean_sq_norm)
-    scaled = gains * scale
-    scaled.flags.writeable = False
-    records = tuple(
-        replace(rec, channel=scaled[pos]) for pos, rec in enumerate(dataset.records)
-    )
-    return CsiDataset(
-        records=records,
-        m_antennas=dataset.m_antennas,
+    return CsiDataset._of(
+        dataset.m_antennas, gains * scale, dataset.ids, dataset.layer_codes,
+        dataset.timesteps_ms, dataset.positions,
         scale_applied=dataset.scale_applied * scale,
         noise_power=10.0 ** (-snr_db / 10.0),
         snr_target_db=snr_db,
@@ -558,12 +639,12 @@ def subsample_pool(
     if len(per_layer_count) != 2:
         raise ValueError("per_layer_count must be a (terrestrial, aerial) pair")
     rng = np.random.default_rng(seed)
-    keep_positions: list[int] = []
+    keep = np.zeros(len(dataset), dtype=bool)
     requested = dict(zip((Layer.TERRESTRIAL, Layer.AERIAL), per_layer_count))
     for layer, count in requested.items():
-        positions = [p for p, r in enumerate(dataset.records) if r.layer is layer]
+        positions = np.flatnonzero(dataset.layer_codes == layer.code)
         if count is None:
-            keep_positions.extend(positions)
+            keep[positions] = True
             continue
         if count < 0:
             raise ValueError(f"requested {count} {layer.value} records; counts must be >= 0")
@@ -572,12 +653,11 @@ def subsample_pool(
             raise ValueError(
                 f"requested {count} {layer.value} records, only {population} available"
             )
+        if not count:
+            continue  # draws nothing, so a later layer's draw is unchanged
         if policy is PoolPolicy.STRIDE:
-            ranks = np.floor(np.arange(count) * population / count).astype(int) if count else []
+            ranks = np.floor(np.arange(count) * population / count).astype(int)
         else:
-            ranks = sorted(rng.choice(population, size=count, replace=False)) if count else []
-        keep_positions.extend(positions[r] for r in ranks)
-    keep_positions.sort()
-    return replace(
-        dataset, records=tuple(dataset.records[p] for p in keep_positions)
-    )
+            ranks = rng.choice(population, size=count, replace=False)
+        keep[positions[ranks]] = True
+    return dataset.take(keep)

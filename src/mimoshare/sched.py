@@ -90,21 +90,14 @@ class SelectionResult:
         return len(self.chosen)
 
 
-def _counts_for(pool: CsiDataset, chosen: Sequence[int]) -> dict[Layer, int]:
-    counts = {layer: 0 for layer in Layer}
-    for rec_id in chosen:
-        counts[pool.record(rec_id).layer] += 1
-    return counts
-
-
 def random_select(pool: CsiDataset, k: int, seed: int) -> SelectionResult:
     """Draw k distinct records uniformly without replacement."""
     if not 1 <= k <= len(pool):
         raise ValueError(f"k must be in 1..{len(pool)}, got {k}")
     rng = np.random.default_rng(seed)
     positions = rng.choice(len(pool), size=k, replace=False)
-    chosen = tuple(pool.records[p].index for p in positions)
-    return SelectionResult(chosen, _counts_for(pool, chosen), SelectionMethod.RANDOM)
+    chosen = tuple(pool.ids[positions].tolist())
+    return SelectionResult(chosen, pool.layer_counts(chosen), SelectionMethod.RANDOM)
 
 
 def orthogonal_residual(h: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
@@ -144,9 +137,9 @@ class _SusRun:
     def __init__(self, pool: CsiDataset, params: SusParams):
         self.pool = pool
         self.params = params
-        self.channels = pool.channel_matrix()  # (N, M)
-        self.ids = np.array([r.index for r in pool.records])
-        aerial = np.array([r.layer is Layer.AERIAL for r in pool.records])
+        self.channels = pool.channels  # (N, M)
+        self.ids = pool.ids
+        aerial = pool.layer_codes == Layer.AERIAL.code
         self.layer_mask = {Layer.TERRESTRIAL: ~aerial, Layer.AERIAL: aerial}
         self.norms = np.linalg.norm(self.channels, axis=1)
         self.residuals = self.channels.copy()
@@ -193,7 +186,7 @@ class _SusRun:
         g = self.residuals[pick].copy()
         self.chosen.append(int(self.ids[pick]))
         self.unselected[pick] = False
-        self.counts[self.pool.records[pick].layer] += 1
+        self.counts[list(Layer)[self.pool.layer_codes[pick]]] += 1
 
         norm_sq = float(np.vdot(g, g).real)
         if norm_sq > 0.0:
@@ -209,7 +202,7 @@ class _SusRun:
     def result(self, method: SelectionMethod) -> SelectionResult:
         """The schedule picked so far."""
         chosen = tuple(self.chosen)
-        return SelectionResult(chosen, _counts_for(self.pool, chosen), method, self.fallback_from)
+        return SelectionResult(chosen, self.pool.layer_counts(chosen), method, self.fallback_from)
 
 
 def sus_select(pool: CsiDataset, k: int, params: SusParams = SusParams()) -> SelectionResult:

@@ -289,14 +289,10 @@ def exhaustive_oracle(
     if n_subsets > budget:
         raise ValueError(f"C({n},{k}) = {n_subsets} exceeds the enumeration budget {budget}")
 
-    ids = [r.index for r in pool.records]
     best_ids: tuple[int, ...] | None = None
     best_sum = -math.inf
-    for combo in itertools.combinations(ids, k):
-        counts = {layer: 0 for layer in Layer}
-        for rec_id in combo:
-            counts[pool.record(rec_id).layer] += 1
-        selection = SelectionResult(combo, counts, SelectionMethod.EXHAUSTIVE)
+    for combo in itertools.combinations(pool.ids.tolist(), k):
+        selection = SelectionResult(combo, pool.layer_counts(combo), SelectionMethod.EXHAUSTIVE)
         try:
             report = evaluate_selection(pool, selection, tx_power)
         except IllConditionedError:

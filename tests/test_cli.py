@@ -108,7 +108,31 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no_such_knob = 3\n")
     assert run_cli("sweep-grid", "--config", cfg, "--out", tmp_path / "x") == 1
-    assert "no_such_knob" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no_such_knob" in err
+    assert f"{cfg}:1" in err
+
+
+def test_descending_range_is_rejected(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = run_cli("sweep-total", "--config", MINI_CFG, "--out", out, "--k-range", "30:3,5")
+    assert code == 1
+    assert "'30:3'" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_ingest_with_explicit_sidecars(tmp_path):
+    gen_dir = tmp_path / "capture"
+    assert run_cli("generate", "--config", MINI_CFG, "--out", gen_dir) == 0
+    bins = f"{gen_dir / 'terrestrial.bin'},{gen_dir / 'aerial.bin'}"
+    for layer in ("terrestrial", "aerial"):
+        (gen_dir / f"{layer}.bin.cfg").rename(gen_dir / f"{layer}.side")
+    sidecars = f"{gen_dir / 'terrestrial.side'},{gen_dir / 'aerial.side'}"
+    assert run_cli("ingest", "--csi", bins, "--format", sidecars, "--out", tmp_path / "a") == 0
+    meta = json.loads((tmp_path / "a" / "meta.json").read_text())
+    assert (meta["records_terrestrial"], meta["records_aerial"]) == (41, 41)
+    # the default sidecar names are gone, so ingesting without --format fails
+    assert run_cli("ingest", "--csi", bins, "--out", tmp_path / "b") == 1
 
 
 def test_unknown_pool_policy_is_rejected(tmp_path, capsys):

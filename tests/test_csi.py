@@ -137,6 +137,28 @@ def test_read_sidecar_rejects_unknown_byteorder(tmp_path):
         read_sidecar(path)
 
 
+@pytest.mark.parametrize("interval", ["-2", "0", "nan", "inf"])
+def test_read_sidecar_rejects_nonpositive_or_nonfinite_interval(tmp_path, interval):
+    path = tmp_path / "s.cfg"
+    path.write_text(f"m_antennas = 16\nsample_interval_ms = {interval}\n")
+    with pytest.raises(CaptureError, match=r"s\.cfg: sample_interval_ms"):
+        read_sidecar(path)
+
+
+def test_load_rejects_nonfinite_interval(tmp_path):
+    path = tmp_path / "cap.bin"
+    path.write_bytes(bytes(Q115_64.bytes_per_record))
+    with pytest.raises(CaptureError, match="sample_interval_ms"):
+        load_csi_binary(path, Q115_64, sample_interval_ms=float("nan"))
+
+
+def test_sidecar_syntax_error_names_the_file(tmp_path):
+    path = tmp_path / "s.cfg"
+    path.write_text("m_antennas = 16\nlayer aerial\n")
+    with pytest.raises(ValueError, match=r"s\.cfg:2"):
+        read_sidecar(path)
+
+
 def test_merge_renumbers_ids():
     a = make_dataset([np.ones(4)], [Layer.TERRESTRIAL])
     b = make_dataset([np.ones(4) * 2, np.ones(4) * 3], [Layer.AERIAL, Layer.AERIAL])

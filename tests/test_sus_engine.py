@@ -20,7 +20,6 @@ from mimoshare.sched import (
     SelectionResult,
     SusFallback,
     SusParams,
-    _counts_for,
     sus_select,
     sus_select_layered,
 )
@@ -95,7 +94,7 @@ def oracle_sus(
                 drop = np.flatnonzero(live)[corr >= params.alpha]
                 unpruned[drop] = False
 
-    return SelectionResult(tuple(chosen), _counts_for(pool, chosen), method, fallback_from)
+    return SelectionResult(tuple(chosen), pool.layer_counts(chosen), method, fallback_from)
 
 
 def oracle_or_error(pool, total, params, caps, method):
