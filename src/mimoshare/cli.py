@@ -239,19 +239,20 @@ def _cmd_generate(cfg: dict) -> int:
 def _cmd_ingest(cfg: dict) -> int:
     dataset = normalize_to_snr(_load_captures(cfg), cfg["snr_db"])
     counts = dataset.layer_counts()
+    fingerprint = dataset.fingerprint()
     meta = {
         "m_antennas": dataset.m_antennas,
         "records_terrestrial": counts[Layer.TERRESTRIAL],
         "records_aerial": counts[Layer.AERIAL],
         "scale_applied": dataset.scale_applied,
         "noise_power": dataset.noise_power,
-        "dataset_fingerprint": dataset.fingerprint(),
+        "dataset_fingerprint": fingerprint,
     }
     _write_outputs(Path(cfg["out"]), {"meta.json": _meta_json(meta, cfg, "ingest", "ingest")})
     print(
         f"ingested {len(dataset)} records "
         f"({counts[Layer.TERRESTRIAL]} terrestrial, {counts[Layer.AERIAL]} aerial), "
-        f"fingerprint {dataset.fingerprint()}"
+        f"fingerprint {fingerprint}"
     )
     return 0
 

@@ -3,6 +3,10 @@
 Every emitted row carries the schedule it came from, so any table entry can be
 re-evaluated standalone. Rows are ordered canonically (method, k_ground,
 k_aerial, trial) regardless of how the grid was executed.
+
+A sweep first schedules every row, then evaluates the schedules of each size
+K as one (B, K, M) stack; a failure still names the cell a row-by-row run
+would have stopped at.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import contextlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -24,6 +28,9 @@ from .sched import (
     _SusRun,
     random_select,
 )
+# stacked evaluation goes through the module: perfbench/tracer.py wraps the
+# zfmetrics functions imported here by name and expects an SeReport from each
+from . import zfmetrics
 from .zfmetrics import IllConditionedError, evaluate_selection
 
 __all__ = [
@@ -78,7 +85,7 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
 
-def _row_from(selection: SelectionResult, report, trial: int) -> SweepRow:
+def _row_from(selection: SelectionResult, sum_se: float, trial: int) -> SweepRow:
     k_total = len(selection)
     return SweepRow(
         method=selection.method,
@@ -86,8 +93,8 @@ def _row_from(selection: SelectionResult, report, trial: int) -> SweepRow:
         k_ground=selection.per_layer_counts[Layer.TERRESTRIAL],
         k_aerial=selection.per_layer_counts[Layer.AERIAL],
         trial=trial,
-        sum_se=report.sum_se,
-        mean_individual_se=report.sum_se / k_total,
+        sum_se=sum_se,
+        mean_individual_se=sum_se / k_total,
         fallback_rank=selection.fallback_used_from,
         selection=selection,
     )
@@ -108,11 +115,59 @@ def _base_meta(pool: CsiDataset, seed: int, params: SusParams) -> dict:
 
 @contextlib.contextmanager
 def _naming(cell: str):
-    """Re-raise a scheduling or conditioning failure with the sweep cell it hit."""
+    """Re-raise a scheduling failure with the sweep cell it hit."""
     try:
         yield
-    except (IllConditionedError, SelectionError) as exc:
+    except SelectionError as exc:
         raise type(exc)(f"{cell}: {exc}") from exc
+
+
+# one scheduled row: (cell name, schedule, trial)
+_Scheduled = tuple[str, SelectionResult, int]
+
+
+def _schedule_then_evaluate(
+    pool: CsiDataset, schedules: Iterator[_Scheduled], tx_power: float
+) -> tuple[SweepRow, ...]:
+    """Rows of every schedule the iterator yields, in its order.
+
+    The schedules of each size K are evaluated as one (B, K, M) stack. A
+    failure names the cell a row-by-row run would have stopped at: the
+    earliest ill-conditioned row, else the cell whose scheduling failed.
+    """
+    scheduled: list[_Scheduled] = []
+    selection_error = None
+    try:
+        for item in schedules:
+            scheduled.append(item)
+    except SelectionError as exc:
+        selection_error = exc
+    if scheduled and pool.noise_power is None:
+        raise ValueError("pool has no noise power; normalize it before evaluation")
+    by_size: dict[int, list[int]] = {}
+    for n, (_, selection, _) in enumerate(scheduled):
+        by_size.setdefault(len(selection), []).append(n)
+    sums = [0.0] * len(scheduled)
+    failures: list[tuple[int, IllConditionedError]] = []
+    for k, positions in by_size.items():
+        ids = [i for n in positions for i in scheduled[n][1].chosen]
+        channels = pool.channels_for(ids).reshape(len(positions), k, pool.m_antennas)
+        try:
+            sinr = zfmetrics.stacked_sinr(channels, tx_power, pool.noise_power)
+        except IllConditionedError as exc:
+            failures.append((positions[exc.index], exc))
+            continue
+        for n, row_se in zip(positions, zfmetrics.spectral_efficiency(sinr)):
+            sums[n] = zfmetrics.sum_se(row_se)
+    if failures:
+        n, exc = min(failures, key=lambda failure: failure[0])
+        raise IllConditionedError(f"{scheduled[n][0]}: {exc}") from exc
+    if selection_error is not None:
+        raise selection_error
+    return tuple(
+        _row_from(selection, total, trial)
+        for (_, selection, trial), total in zip(scheduled, sums)
+    )
 
 
 def _record_branches(run: _SusRun, quotas: dict, branches: dict) -> None:
@@ -126,6 +181,33 @@ def _record_branches(run: _SusRun, quotas: dict, branches: dict) -> None:
 def _trial_seed(seed: int, k: int, trial: int) -> int:
     # stable per (run seed, schedule size, trial) so single rows can be replayed
     return int(np.random.SeedSequence([seed, k, trial]).generate_state(1)[0])
+
+
+def _total_schedules(
+    pool: CsiDataset,
+    ks: list[int],
+    methods: set[SelectionMethod],
+    trials: int,
+    seed: int,
+    params: SusParams,
+) -> Iterator[_Scheduled]:
+    if SelectionMethod.RANDOM in methods:
+        for k in ks:
+            for trial in range(trials):
+                cell = f"cell (method=random, k={k}, trial={trial})"
+                with _naming(cell):
+                    selection = random_select(pool, k, _trial_seed(seed, k, trial))
+                yield cell, selection, trial
+    if SelectionMethod.SUS in methods:
+        # one run serves every k: the k-user SUS schedule is its first k picks
+        run = _SusRun(pool, params)
+        for k in ks:
+            cell = f"cell (method=sus, k={k}, trial=0)"
+            with _naming(cell):
+                while len(run.chosen) < k:
+                    run.step()
+                selection = run.result(SelectionMethod.SUS)
+            yield cell, selection, 0
 
 
 def sweep_total_users(
@@ -154,27 +236,44 @@ def sweep_total_users(
     if unsupported:
         raise ValueError(f"unsupported sweep methods: {sorted(m.value for m in unsupported)}")
 
-    rows: list[SweepRow] = []
-    if SelectionMethod.RANDOM in methods:
-        for k in ks:
-            for trial in range(trials):
-                with _naming(f"cell (method=random, k={k}, trial={trial})"):
-                    selection = random_select(pool, k, _trial_seed(seed, k, trial))
-                    rows.append(
-                        _row_from(selection, evaluate_selection(pool, selection, tx_power), trial)
-                    )
-    if SelectionMethod.SUS in methods:
-        # one run serves every k: the k-user SUS schedule is its first k picks
-        run = _SusRun(pool, params)
-        for k in ks:
-            with _naming(f"cell (method=sus, k={k}, trial=0)"):
-                while len(run.chosen) < k:
-                    run.step()
-                selection = run.result(SelectionMethod.SUS)
-                rows.append(_row_from(selection, evaluate_selection(pool, selection, tx_power), 0))
+    schedules = _total_schedules(pool, ks, methods, trials, seed, params)
+    rows = _schedule_then_evaluate(pool, schedules, tx_power)
     meta = _base_meta(pool, seed, params)
     meta.update({"sweep": "total_users", "trials": trials, "k_min": ks[0], "k_max": ks[-1]})
-    return SweepTable(rows=tuple(rows), meta=meta)
+    return SweepTable(rows=rows, meta=meta)
+
+
+def _grid_schedules(
+    pool: CsiDataset, grounds: list[int], aerials: list[int], params: SusParams
+) -> Iterator[_Scheduled]:
+    # A layered run follows the unconstrained run until one layer meets its
+    # quota, then picks from the other layer only. So one shared unconstrained
+    # run, cloned where it first meets each grid quota, plus one single-layer
+    # continuation per clone, serves every cell. Cells run in ascending order,
+    # so the shared run never reaches a cell's second quota before the cell
+    # is served: exactly one of its two quotas has a clone.
+    quotas = {Layer.TERRESTRIAL: set(grounds), Layer.AERIAL: set(aerials)}
+    shared = _SusRun(pool, params)
+    branches: dict[tuple[Layer, int], _SusRun] = {}
+    _record_branches(shared, quotas, branches)
+    for k_ground in grounds:
+        for k_aerial in aerials:
+            if k_ground == 0 and k_aerial == 0:
+                continue
+            quota = {Layer.TERRESTRIAL: k_ground, Layer.AERIAL: k_aerial}
+            keys = [(layer, quota[layer]) for layer in Layer]
+            cell = f"cell (k_ground={k_ground}, k_aerial={k_aerial})"
+            with _naming(cell):
+                while not any(key in branches for key in keys):
+                    shared.step()
+                    _record_branches(shared, quotas, branches)
+                [full] = [key for key in keys if key in branches]
+                branch = branches[full]
+                open_layer = next(layer for layer in Layer if layer is not full[0])
+                while branch.counts[open_layer] < quota[open_layer]:
+                    branch.step(branch.layer_mask[open_layer])
+                selection = branch.result(SelectionMethod.SUS_LAYERED)
+            yield cell, selection, 0
 
 
 def sweep_layer_grid(
@@ -202,34 +301,8 @@ def sweep_layer_grid(
             f"{counts[Layer.AERIAL]}"
         )
 
-    # A layered run follows the unconstrained run until one layer meets its
-    # quota, then picks from the other layer only. So one shared unconstrained
-    # run, cloned where it first meets each grid quota, plus one single-layer
-    # continuation per clone, serves every cell. Cells run in ascending order,
-    # so the shared run never reaches a cell's second quota before the cell
-    # is served: exactly one of its two quotas has a clone.
-    quotas = {Layer.TERRESTRIAL: set(grounds), Layer.AERIAL: set(aerials)}
-    shared = _SusRun(pool, params)
-    branches: dict[tuple[Layer, int], _SusRun] = {}
-    _record_branches(shared, quotas, branches)
-    rows: list[SweepRow] = []
-    for k_ground in grounds:
-        for k_aerial in aerials:
-            if k_ground == 0 and k_aerial == 0:
-                continue
-            quota = {Layer.TERRESTRIAL: k_ground, Layer.AERIAL: k_aerial}
-            keys = [(layer, quota[layer]) for layer in Layer]
-            with _naming(f"cell (k_ground={k_ground}, k_aerial={k_aerial})"):
-                while not any(key in branches for key in keys):
-                    shared.step()
-                    _record_branches(shared, quotas, branches)
-                [full] = [key for key in keys if key in branches]
-                branch = branches[full]
-                open_layer = next(layer for layer in Layer if layer is not full[0])
-                while branch.counts[open_layer] < quota[open_layer]:
-                    branch.step(branch.layer_mask[open_layer])
-                selection = branch.result(SelectionMethod.SUS_LAYERED)
-                rows.append(_row_from(selection, evaluate_selection(pool, selection, tx_power), 0))
+    schedules = _grid_schedules(pool, grounds, aerials, params)
+    rows = _schedule_then_evaluate(pool, schedules, tx_power)
     meta = _base_meta(pool, seed, params)
     meta.update(
         {
@@ -240,7 +313,7 @@ def sweep_layer_grid(
             "aerial_max": aerials[-1],
         }
     )
-    return SweepTable(rows=tuple(rows), meta=meta)
+    return SweepTable(rows=rows, meta=meta)
 
 
 def max_users_for_min_se(table: SweepTable, method: SelectionMethod, threshold_se: float) -> int:

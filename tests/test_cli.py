@@ -207,3 +207,33 @@ def test_cli_entry_point_runs_as_module(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "sweep.csv").exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    import subprocess
+    import sys
+
+    probe = "import sys, mimoshare.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
+
+
+def test_ingest_hashes_the_dataset_once(tmp_path, monkeypatch, capsys):
+    from mimoshare.csi import CsiDataset
+
+    gen_dir = tmp_path / "capture"
+    assert run_cli("generate", "--config", MINI_CFG, "--out", gen_dir) == 0
+    calls = []
+    fingerprint = CsiDataset.fingerprint
+    monkeypatch.setattr(
+        CsiDataset, "fingerprint", lambda self: calls.append(1) or fingerprint(self)
+    )
+    capsys.readouterr()
+    ingest_dir = tmp_path / "ingested"
+    csi = f"{gen_dir / 'terrestrial.bin'},{gen_dir / 'aerial.bin'}"
+    assert run_cli("ingest", "--csi", csi, "--out", ingest_dir) == 0
+    meta = json.loads((ingest_dir / "meta.json").read_text())
+    assert capsys.readouterr().out.strip().endswith(f"fingerprint {meta['dataset_fingerprint']}")
+    assert len(calls) == 1

@@ -6,6 +6,7 @@ from mimoshare.csi import Layer
 from mimoshare.sched import (
     SelectionError,
     SelectionMethod,
+    SelectionResult,
     SusFallback,
     SusParams,
     sus_select,
@@ -15,6 +16,7 @@ from mimoshare.sweeps import (
     CSV_HEADER,
     SweepRow,
     SweepTable,
+    _schedule_then_evaluate,
     exhaustive_oracle,
     find_peak,
     max_users_for_min_se,
@@ -304,6 +306,56 @@ def test_grid_failure_names_the_cell():
     strict = SusParams(fallback=SusFallback.FAIL)
     with pytest.raises(SelectionError, match=r"k_ground=2, k_aerial=0"):
         sweep_layer_grid(pool, [0, 2], [0, 1], params=strict)
+
+
+def collinear_pool():
+    # e0, e1, their normalized sum s and a copy of e0, all terrestrial, plus an
+    # aerial e2. At alpha = 0.9 SUS prunes the copy (correlation 1) but keeps
+    # s (0.71 against e0 and against e1), so its third terrestrial pick is s, a
+    # singular schedule, and a fourth terrestrial pick finds no candidate left
+    e = np.eye(4)
+    return pool_from_vectors(
+        [e[0], e[1], (e[0] + e[1]) / np.sqrt(2.0), e[0], e[2]],
+        [Layer.TERRESTRIAL] * 4 + [Layer.AERIAL],
+    )
+
+
+STRICT_WIDE = SusParams(alpha=0.9, fallback=SusFallback.FAIL)
+
+
+def test_total_sweep_names_an_earlier_singular_row_before_a_later_scheduling_error():
+    pool = collinear_pool()
+    only_sus = {SelectionMethod.SUS}
+    with pytest.raises(SelectionError, match=r"method=sus, k=5, trial=0"):
+        sweep_total_users(pool, [5], methods=only_sus, params=STRICT_WIDE)
+    # row by row, k = 4 (e0, e1, e2, s) is evaluated before k = 5 is scheduled
+    with pytest.raises(IllConditionedError, match=r"method=sus, k=4, trial=0"):
+        sweep_total_users(pool, [1, 2, 3, 4, 5], methods=only_sus, params=STRICT_WIDE)
+    # every random row is evaluated before the first SUS row is scheduled
+    strict = SusParams(fallback=SusFallback.FAIL)
+    with pytest.raises(IllConditionedError, match=r"method=random, k=3, trial=0"):
+        sweep_total_users(duplicated_channel_pool(), [1, 2, 3], trials=1, params=strict)
+
+
+def test_grid_names_an_earlier_singular_cell_before_a_later_scheduling_error():
+    pool = collinear_pool()
+    with pytest.raises(SelectionError, match=r"k_ground=4, k_aerial=0"):
+        sweep_layer_grid(pool, [4], [0], params=STRICT_WIDE)
+    with pytest.raises(IllConditionedError, match=r"k_ground=3, k_aerial=0"):
+        sweep_layer_grid(pool, [3, 4], [0, 1], params=STRICT_WIDE)
+
+
+def test_earliest_failing_row_wins_across_schedule_sizes():
+    # the size-2 stack is evaluated first, but its failing row comes later
+    pool = collinear_pool()
+    good = SelectionResult((0, 1), pool.layer_counts((0, 1)), SelectionMethod.EXHAUSTIVE)
+    triple = SelectionResult((0, 1, 2), pool.layer_counts((0, 1, 2)), SelectionMethod.EXHAUSTIVE)
+    copies = SelectionResult((0, 3), pool.layer_counts((0, 3)), SelectionMethod.EXHAUSTIVE)
+    scheduled = [("first", good, 0), ("second", triple, 0), ("third", copies, 0)]
+    with pytest.raises(IllConditionedError, match=r"^second: "):
+        _schedule_then_evaluate(pool, iter(scheduled), 1.0)
+    [row] = _schedule_then_evaluate(pool, iter(scheduled[:1]), 1.0)
+    assert row.sum_se == evaluate_selection(pool, good).sum_se
 
 
 # ---------------------------------------------------------------------------

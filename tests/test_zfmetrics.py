@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import pool_from_vectors, random_unit_channels
 from mimoshare.csi import Layer
@@ -12,6 +14,7 @@ from mimoshare.zfmetrics import (
     evaluate_selection,
     sinr,
     spectral_efficiency,
+    stacked_sinr,
     sum_se,
     zf_combiner,
 )
@@ -237,3 +240,119 @@ def test_appending_a_user_never_raises_incumbent_sinr():
             if previous is not None:
                 assert np.all(values[: k - 1] <= previous * (1.0 + 1e-9))
             previous = values
+
+
+# ---------------------------------------------------------------------------
+# stacked core
+# ---------------------------------------------------------------------------
+
+HYPOTHESIS = settings(derandomize=True, deadline=None, max_examples=80)
+
+
+@st.composite
+def schedule_stacks(draw):
+    """(B, K, M) channel stacks, K = M included, some schedules near the condition cap.
+
+    A near-cap schedule repeats its first channel plus a perturbation of size
+    eps, which puts its Gram condition number near 1 / eps^2 (1e7 .. 1e12,
+    either side of the 1e10 cap).
+    """
+    m = draw(st.integers(1, 12))
+    k = m if draw(st.booleans()) else draw(st.integers(1, m))
+    b = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.stack([random_unit_channels(rng, k, m) for _ in range(b)])
+    if k > 1:
+        for row in draw(st.lists(st.integers(0, b - 1), max_size=b, unique=True)):
+            eps = 10.0 ** draw(st.floats(-6.0, -3.5))
+            stack[row, 1] = stack[row, 0] + eps * stack[row, 1]
+    return stack
+
+
+@HYPOTHESIS
+@given(stack=schedule_stacks(), noise_power=st.floats(1e-4, 1.0))
+def test_stacked_core_equals_per_schedule_path(stack, noise_power):
+    per_row = []
+    for channels in stack:
+        try:
+            per_row.append(sinr(zf_combiner(channels), channels, 2.0, noise_power))
+        except IllConditionedError:
+            per_row.append(None)
+    failed = [b for b, values in enumerate(per_row) if values is None]
+    if failed:
+        with pytest.raises(IllConditionedError) as info:
+            stacked_sinr(stack, 2.0, noise_power)
+        assert info.value.index == failed[0]
+        return
+    stacked = stacked_sinr(stack, 2.0, noise_power)
+    assert stacked.shape == stack.shape[:2]
+    for b, values in enumerate(per_row):
+        assert np.array_equal(stacked[b], values)
+
+
+@HYPOTHESIS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 12),
+    data=st.data(),
+    c=st.floats(1e-3, 1e3),
+    noise_power=st.floats(1e-4, 1.0),
+)
+def test_joint_scale_invariance_property(seed, m, data, c, noise_power):
+    # SINR(c H, c^2 sigma^2) = SINR(H, sigma^2): the combiner scales by 1/c
+    k = data.draw(st.integers(1, m))
+    channels = random_unit_channels(np.random.default_rng(seed), k, m)
+    comb = zf_combiner(channels)
+    assume(comb.gram_condition < 1e6)
+    base = sinr(comb, channels, 1.0, noise_power)
+    scaled = sinr(zf_combiner(c * channels), c * channels, 1.0, noise_power * c * c)
+    assert np.abs(scaled / base - 1.0).max() < 1e-9
+
+
+def test_stacked_error_names_the_first_failing_schedule():
+    good = np.eye(3)[:2]
+    duplicated = np.stack([np.eye(3)[0], np.eye(3)[0]])
+    near_cap = np.stack([np.eye(3)[0], np.eye(3)[0] + 1e-6 * np.eye(3)[1]])  # cond ~ 4e12
+    with pytest.raises(IllConditionedError, match="exceeds cap") as info:
+        stacked_sinr(np.stack([good, near_cap, duplicated]), 1.0, 0.01)
+    assert info.value.index == 1
+    with pytest.raises(IllConditionedError) as info:
+        stacked_sinr(np.stack([good, good, duplicated, near_cap]), 1.0, 0.01)
+    assert info.value.index == 2
+
+
+def test_stacked_not_positive_definite_found_past_an_uncapped_condition():
+    # the rounded Gram matrix [[2, 2 + 2^-26], [2 + 2^-26, 2 + 2^-25]] has
+    # determinant -2^-52: its condition number is finite, so with no cap only
+    # the Cholesky check stops it
+    good = np.eye(2)
+    rounded = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-26]])
+    gram = rounded @ rounded.T
+    assert np.isfinite(np.linalg.cond(gram.astype(np.complex128)))
+    with pytest.raises(IllConditionedError, match="not positive definite") as info:
+        stacked_sinr(np.stack([good, good, rounded, good]), 1.0, 0.01, cond_cap=np.inf)
+    assert info.value.index == 2
+    with pytest.raises(IllConditionedError, match="not positive definite"):
+        zf_combiner(rounded, cond_cap=np.inf)
+
+
+def test_infinite_condition_number_fails_any_cap():
+    duplicated = np.array([[1.0, 0.0], [1.0, 0.0]])  # exactly singular Gram matrix
+    with pytest.raises(IllConditionedError, match="exceeds cap") as info:
+        stacked_sinr(np.stack([np.eye(2), duplicated]), 1.0, 0.01, cond_cap=np.inf)
+    assert info.value.index == 1
+    with pytest.raises(IllConditionedError, match="exceeds cap"):
+        zf_combiner(duplicated, cond_cap=np.inf)
+
+
+def test_stacked_validates_inputs():
+    with pytest.raises(ValueError):
+        stacked_sinr(np.eye(3), 1.0, 0.01)  # a single (K, M) schedule, not a stack
+    with pytest.raises(ValueError):
+        stacked_sinr(np.zeros((0, 2, 3)), 1.0, 0.01)
+    with pytest.raises(ValueError):
+        stacked_sinr(np.eye(3)[None], 0.0, 0.01)
+    with pytest.raises(ValueError):
+        stacked_sinr(np.eye(3)[None], 1.0, -1.0)
+    with pytest.raises(IllConditionedError, match="K > M"):
+        stacked_sinr(np.ones((2, 3, 2)), 1.0, 0.01)
