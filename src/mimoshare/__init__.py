@@ -30,7 +30,6 @@ from .csi import (
     load_csi_binary,
     merge_datasets,
     normalize_to_snr,
-    save_csi_binary,
     subsample_pool,
 )
 from .sched import (

@@ -9,6 +9,7 @@ leaves no partial outputs behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -42,23 +43,30 @@ from .sweeps import (
 
 __all__ = ["main"]
 
+_SCENARIO = ScenarioConfig()
+
 # key -> (caster, default, help); config-file keys and CLI flags share names
 _CONFIG_SPEC: dict[str, tuple] = {
-    "m_rows": (int, 8, "antenna rows of the BS array"),
-    "m_cols": (int, 8, "antenna columns of the BS array"),
-    "carrier_hz": (float, 2.61e9, "carrier frequency in Hz"),
-    "element_spacing_wavelengths": (float, 0.5, "element spacing in wavelengths"),
-    "bs_height_m": (float, 11.0, "array center height in meters"),
-    "trajectory_length_m": (float, 42.48, "trajectory length in meters"),
-    "trajectory_speed_mps": (float, 1.5, "trajectory speed in m/s"),
-    "sample_interval_ms": (float, 1.0, "sampling interval in milliseconds"),
-    "altitude_terrestrial_m": (float, 8.0, "terrestrial-layer altitude in meters"),
-    "altitude_aerial_m": (float, 24.0, "aerial-layer altitude in meters"),
-    "standoff_distance_m": (float, 30.0, "horizontal array-to-trajectory distance in meters"),
-    "rician_k_terrestrial_db": (float, 3.0, "terrestrial Rician K-factor in dB"),
-    "rician_k_aerial_db": (float, 20.0, "aerial Rician K-factor in dB"),
+    "m_rows": (int, _SCENARIO.m_rows, "antenna rows of the BS array"),
+    "m_cols": (int, _SCENARIO.m_cols, "antenna columns of the BS array"),
+    "carrier_hz": (float, _SCENARIO.carrier_hz, "carrier frequency in Hz"),
+    "element_spacing_wavelengths":
+        (float, _SCENARIO.element_spacing_wavelengths, "element spacing in wavelengths"),
+    "bs_height_m": (float, _SCENARIO.bs_height_m, "array center height in meters"),
+    "trajectory_length_m": (float, _SCENARIO.trajectory_length_m, "trajectory length in meters"),
+    "trajectory_speed_mps": (float, _SCENARIO.trajectory_speed_mps, "trajectory speed in m/s"),
+    "sample_interval_ms":
+        (float, _SCENARIO.sample_interval_ms, "sampling interval in milliseconds"),
+    "altitude_terrestrial_m":
+        (float, _SCENARIO.layer_altitudes_m[0], "terrestrial-layer altitude in meters"),
+    "altitude_aerial_m": (float, _SCENARIO.layer_altitudes_m[1], "aerial-layer altitude in meters"),
+    "standoff_distance_m":
+        (float, _SCENARIO.standoff_distance_m, "horizontal array-to-trajectory distance in meters"),
+    "rician_k_terrestrial_db":
+        (float, _SCENARIO.rician_k_db[0], "terrestrial Rician K-factor in dB"),
+    "rician_k_aerial_db": (float, _SCENARIO.rician_k_db[1], "aerial Rician K-factor in dB"),
     "snr_db": (float, 20.0, "dataset-average SNR target in dB"),
-    "alpha": (float, 0.6, "SUS orthogonality threshold in (0, 1]"),
+    "alpha": (float, SusParams().alpha, "SUS orthogonality threshold in (0, 1]"),
     "seed": (int, 0, "master seed for generation, pools and random scheduling"),
     "trials": (int, 20, "random-scheduling trials per schedule size"),
     "pool_terrestrial": (int, 36, "terrestrial candidate-pool size (-1 keeps all)"),
@@ -74,9 +82,6 @@ _CONFIG_SPEC: dict[str, tuple] = {
     "out": (str, "out", "output directory"),
     "table": (str, "", "existing sweep.csv to summarize (report command)"),
 }
-
-_COMMANDS = ("generate", "ingest", "sweep-total", "sweep-grid", "report")
-
 
 def _parse_range(text: str, name: str) -> list[int]:
     values: set[int] = set()
@@ -99,7 +104,8 @@ def _parse_range(text: str, name: str) -> list[int]:
 def _merge_config(args: argparse.Namespace) -> dict:
     cfg = {key: default for key, (_, default, _) in _CONFIG_SPEC.items()}
     if args.config:
-        cfg.update(_parse_keyvalues(args.config, {k: s[0] for k, s in _CONFIG_SPEC.items()}))
+        casters = {key: spec[0] for key, spec in _CONFIG_SPEC.items()}
+        cfg.update(_parse_keyvalues(args.config, casters, strict=True))
     for key in _CONFIG_SPEC:
         override = getattr(args, key, None)
         if override is not None:
@@ -108,19 +114,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _scenario_from(cfg: dict) -> ScenarioConfig:
+    shared = {f.name: cfg[f.name] for f in dataclasses.fields(ScenarioConfig) if f.name in cfg}
     return ScenarioConfig(
-        m_rows=cfg["m_rows"],
-        m_cols=cfg["m_cols"],
-        carrier_hz=cfg["carrier_hz"],
-        element_spacing_wavelengths=cfg["element_spacing_wavelengths"],
-        bs_height_m=cfg["bs_height_m"],
-        trajectory_length_m=cfg["trajectory_length_m"],
-        trajectory_speed_mps=cfg["trajectory_speed_mps"],
-        sample_interval_ms=cfg["sample_interval_ms"],
+        **shared,
         layer_altitudes_m=(cfg["altitude_terrestrial_m"], cfg["altitude_aerial_m"]),
-        standoff_distance_m=cfg["standoff_distance_m"],
         rician_k_db=(cfg["rician_k_terrestrial_db"], cfg["rician_k_aerial_db"]),
-        seed=cfg["seed"],
     )
 
 
@@ -327,6 +325,15 @@ def _cmd_report(cfg: dict) -> int:
     return 0
 
 
+_COMMANDS = {
+    "generate": _cmd_generate,
+    "ingest": _cmd_ingest,
+    "sweep-total": lambda cfg: _cmd_sweep(cfg, "total"),
+    "sweep-grid": lambda cfg: _cmd_sweep(cfg, "grid"),
+    "report": _cmd_report,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mimoshare",
@@ -346,16 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        if args.command == "generate":
-            return _cmd_generate(cfg)
-        if args.command == "ingest":
-            return _cmd_ingest(cfg)
-        if args.command == "sweep-total":
-            return _cmd_sweep(cfg, "total")
-        if args.command == "sweep-grid":
-            return _cmd_sweep(cfg, "grid")
-        return _cmd_report(cfg)
+        return _COMMANDS[args.command](_merge_config(args))
     except Exception as exc:  # one-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

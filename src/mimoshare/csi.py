@@ -30,10 +30,8 @@ __all__ = [
     "PoolPolicy",
     "load_csi_binary",
     "encode_csi_binary",
-    "save_csi_binary",
     "read_sidecar",
     "sidecar_text",
-    "write_sidecar",
     "load_capture",
     "merge_datasets",
     "generate_synthetic",
@@ -201,10 +199,6 @@ class CsiDataset:
             raise KeyError(int(unknown[0]))
         return rows
 
-    def channel_matrix(self) -> np.ndarray:
-        """All channels as a read-only (N, M) array, one row per record."""
-        return self.channels
-
     def record(self, index: int) -> CsiRecord:
         """Look up a record by its id."""
         return self.records[self._rows_of([index])[0]]
@@ -273,7 +267,6 @@ def load_csi_binary(
     *,
     layer: Layer = Layer.TERRESTRIAL,
     sample_interval_ms: float = 1.0,
-    start_index: int = 0,
 ) -> CsiDataset:
     """Decode a raw fixed-point capture into an un-normalized dataset.
 
@@ -297,7 +290,7 @@ def load_csi_binary(
     gains = iq[:, :, 0] + 1j * iq[:, :, 1]
     steps = np.arange(gains.shape[0])
     codes = np.full(len(steps), layer.code, dtype=np.int8)
-    return CsiDataset._of(fmt.m_antennas, gains, start_index + steps, codes,
+    return CsiDataset._of(fmt.m_antennas, gains, steps, codes,
                           np.round(steps * sample_interval_ms).astype(np.int64))
 
 
@@ -335,14 +328,6 @@ def encode_csi_binary(dataset: CsiDataset, fmt: FixedPointFormat | None = None) 
     return quant.astype(fmt.dtype).tobytes()
 
 
-def save_csi_binary(dataset: CsiDataset, path, fmt: FixedPointFormat | None = None) -> FixedPointFormat:
-    """Encode a dataset and write it to a capture file."""
-    if fmt is None:
-        fmt = FixedPointFormat(m_antennas=dataset.m_antennas)
-    Path(path).write_bytes(encode_csi_binary(dataset, fmt))
-    return fmt
-
-
 def sidecar_text(
     fmt: FixedPointFormat,
     layer: Layer,
@@ -366,29 +351,11 @@ def sidecar_text(
     return "\n".join(lines) + "\n"
 
 
-def write_sidecar(
-    path,
-    fmt: FixedPointFormat,
-    layer: Layer,
-    *,
-    altitude_m: float | None = None,
-    sample_interval_ms: float = 1.0,
-    extra: dict | None = None,
-) -> None:
-    """Write the sidecar metadata file for a capture binary."""
-    Path(path).write_text(
-        sidecar_text(
-            fmt,
-            layer,
-            altitude_m=altitude_m,
-            sample_interval_ms=sample_interval_ms,
-            extra=extra,
-        )
-    )
+def _parse_keyvalues(path, casters: Mapping[str, Callable], strict: bool = False) -> dict:
+    """Read a flat ``key = value`` file (``#`` comments), casting the keys ``casters`` names.
 
-
-def _parse_keyvalues(path, casters: Mapping[str, Callable] | None = None) -> dict:
-    """Read a flat ``key = value`` file (``#`` comments); ``casters`` rejects other keys and casts."""
+    ``strict`` rejects every other key. Errors name the file and line.
+    """
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -397,33 +364,42 @@ def _parse_keyvalues(path, casters: Mapping[str, Callable] | None = None) -> dic
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        if casters is not None:
-            if key not in casters:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            value = casters[key](value)
+        if key in casters:
+            try:
+                value = casters[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+        elif strict:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value
     return values
 
 
+_SIDECAR_CASTERS = {
+    "m_antennas": int, "frac_bits": int, "layer": Layer, "sample_interval_ms": float,
+}
+
+
 def read_sidecar(path) -> tuple[FixedPointFormat, Layer, float]:
     """Parse a capture sidecar into (format, layer, sample interval in ms)."""
-    values = _parse_keyvalues(path)
     try:
-        m_antennas = int(values["m_antennas"])
-    except KeyError:
-        raise CaptureError(f"{path}: sidecar is missing m_antennas") from None
+        values = _parse_keyvalues(path, _SIDECAR_CASTERS)
+    except ValueError as exc:
+        raise CaptureError(str(exc)) from None
+    if "m_antennas" not in values:
+        raise CaptureError(f"{path}: sidecar is missing m_antennas")
     byteorder = values.get("byteorder", "little")
     if byteorder not in ("little", "big"):
         raise CaptureError(f"{path}: byteorder must be 'little' or 'big', got {byteorder!r}")
-    fmt = FixedPointFormat(
-        m_antennas=m_antennas,
-        frac_bits=int(values.get("frac_bits", "15")),
-        little_endian=byteorder == "little",
-    )
-    layer = Layer(values.get("layer", "terrestrial"))
-    interval = float(values.get("sample_interval_ms", "1"))
+    try:
+        fmt = FixedPointFormat(
+            values["m_antennas"], values.get("frac_bits", 15), byteorder == "little"
+        )
+    except ValueError as exc:
+        raise CaptureError(f"{path}: {exc}") from None
+    interval = values.get("sample_interval_ms", 1.0)
     _check_interval(path, interval)
-    return fmt, layer, interval
+    return fmt, values.get("layer", Layer.TERRESTRIAL), interval
 
 
 def load_capture(bin_path, sidecar_path=None) -> CsiDataset:

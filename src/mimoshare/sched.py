@@ -201,8 +201,7 @@ class _SusRun:
 
     def result(self, method: SelectionMethod) -> SelectionResult:
         """The schedule picked so far."""
-        chosen = tuple(self.chosen)
-        return SelectionResult(chosen, self.pool.layer_counts(chosen), method, self.fallback_from)
+        return SelectionResult(tuple(self.chosen), dict(self.counts), method, self.fallback_from)
 
 
 def sus_select(pool: CsiDataset, k: int, params: SusParams = SusParams()) -> SelectionResult:

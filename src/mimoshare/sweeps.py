@@ -5,8 +5,8 @@ re-evaluated standalone. Rows are ordered canonically (method, k_ground,
 k_aerial, trial) regardless of how the grid was executed.
 
 A sweep first schedules every row, then evaluates the schedules of each size
-K as one (B, K, M) stack; a failure still names the cell a row-by-row run
-would have stopped at.
+K as one (B, K, M) stack at unit transmit power (the pool's noise power sets
+the SNR); a failure still names the cell a row-by-row run would have stopped at.
 """
 
 from __future__ import annotations
@@ -76,9 +76,6 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
     meta: dict
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def csv_text(self) -> str:
         lines = [CSV_HEADER]
         lines.extend(row.csv_line() for row in self.rows)
@@ -127,7 +124,7 @@ _Scheduled = tuple[str, SelectionResult, int]
 
 
 def _schedule_then_evaluate(
-    pool: CsiDataset, schedules: Iterator[_Scheduled], tx_power: float
+    pool: CsiDataset, schedules: Iterator[_Scheduled]
 ) -> tuple[SweepRow, ...]:
     """Rows of every schedule the iterator yields, in its order.
 
@@ -153,7 +150,7 @@ def _schedule_then_evaluate(
         ids = [i for n in positions for i in scheduled[n][1].chosen]
         channels = pool.channels_for(ids).reshape(len(positions), k, pool.m_antennas)
         try:
-            sinr = zfmetrics.stacked_sinr(channels, tx_power, pool.noise_power)
+            sinr = zfmetrics.stacked_sinr(channels, 1.0, pool.noise_power)
         except IllConditionedError as exc:
             failures.append((positions[exc.index], exc))
             continue
@@ -217,7 +214,6 @@ def sweep_total_users(
     trials: int = 20,
     seed: int = 0,
     params: SusParams = SusParams(),
-    tx_power: float = 1.0,
 ) -> SweepTable:
     """Schedule and evaluate every k for each method.
 
@@ -237,7 +233,7 @@ def sweep_total_users(
         raise ValueError(f"unsupported sweep methods: {sorted(m.value for m in unsupported)}")
 
     schedules = _total_schedules(pool, ks, methods, trials, seed, params)
-    rows = _schedule_then_evaluate(pool, schedules, tx_power)
+    rows = _schedule_then_evaluate(pool, schedules)
     meta = _base_meta(pool, seed, params)
     meta.update({"sweep": "total_users", "trials": trials, "k_min": ks[0], "k_max": ks[-1]})
     return SweepTable(rows=rows, meta=meta)
@@ -282,7 +278,6 @@ def sweep_layer_grid(
     aerial_range: Iterable[int],
     params: SusParams = SusParams(),
     seed: int = 0,
-    tx_power: float = 1.0,
 ) -> SweepTable:
     """Layered SUS over every (k_ground, k_aerial) pair except (0, 0)."""
     grounds = sorted(set(int(k) for k in ground_range))
@@ -302,7 +297,7 @@ def sweep_layer_grid(
         )
 
     schedules = _grid_schedules(pool, grounds, aerials, params)
-    rows = _schedule_then_evaluate(pool, schedules, tx_power)
+    rows = _schedule_then_evaluate(pool, schedules)
     meta = _base_meta(pool, seed, params)
     meta.update(
         {
@@ -345,10 +340,7 @@ def find_peak(table: SweepTable) -> tuple[int, int, float]:
 
 
 def exhaustive_oracle(
-    pool: CsiDataset,
-    k: int,
-    tx_power: float = 1.0,
-    budget: int = 1_000_000,
+    pool: CsiDataset, k: int, budget: int = 1_000_000
 ) -> tuple[tuple[int, ...], float]:
     """Exact optimum schedule of size k by enumerating every subset.
 
@@ -367,7 +359,7 @@ def exhaustive_oracle(
     for combo in itertools.combinations(pool.ids.tolist(), k):
         selection = SelectionResult(combo, pool.layer_counts(combo), SelectionMethod.EXHAUSTIVE)
         try:
-            report = evaluate_selection(pool, selection, tx_power)
+            report = evaluate_selection(pool, selection)
         except IllConditionedError:
             continue
         if report.sum_se > best_sum:

@@ -12,6 +12,10 @@ matmul calls a single schedule gets, so a schedule's SINR does not depend on
 the stack it is evaluated in. ``zf_combiner``, ``sinr`` and
 ``evaluate_selection`` are its B = 1 case; ``stacked_sinr`` evaluates a whole
 stack, as the sweeps do for every schedule size.
+
+SINR depends on the transmit power p only through p / sigma^2, which
+``normalize_to_snr`` sets from ``snr_db`` for p = 1, so evaluation above the
+core runs at unit power; ``sinr`` and ``stacked_sinr`` take both powers.
 """
 
 from __future__ import annotations
@@ -60,14 +64,6 @@ class CombinerMatrix:
     matrix: np.ndarray  # (M, K) complex, column k combines user k
     gram_condition: float  # condition number of the K x K Gram matrix
 
-    @property
-    def k_users(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def m_antennas(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class SeReport:
@@ -76,9 +72,6 @@ class SeReport:
     per_user_sinr: np.ndarray  # linear
     per_user_se: np.ndarray  # bits/s/Hz
     sum_se: float  # bits/s/Hz
-    selection: SelectionResult
-    noise_power: float
-    tx_power: float
 
 
 def _as_user_matrix(channels) -> np.ndarray:
@@ -246,23 +239,11 @@ def sum_se(se_values) -> float:
     return float(np.sum(se))
 
 
-def evaluate_selection(
-    pool: CsiDataset,
-    selection: SelectionResult,
-    tx_power: float = 1.0,
-    cond_cap: float = DEFAULT_COND_CAP,
-) -> SeReport:
-    """ZF combiner + SINR + SE for the scheduled users of a normalized pool."""
+def evaluate_selection(pool: CsiDataset, selection: SelectionResult) -> SeReport:
+    """ZF SINR and SE, at unit transmit power, of the scheduled users of a normalized pool."""
     if pool.noise_power is None:
         raise ValueError("pool has no noise power; normalize it before evaluation")
     channels = pool.channels_for(selection.chosen)
-    sinr_values = stacked_sinr(channels[None], tx_power, pool.noise_power, cond_cap)[0]
+    sinr_values = stacked_sinr(channels[None], 1.0, pool.noise_power)[0]
     se_values = spectral_efficiency(sinr_values)
-    return SeReport(
-        per_user_sinr=sinr_values,
-        per_user_se=se_values,
-        sum_se=sum_se(se_values),
-        selection=selection,
-        noise_power=pool.noise_power,
-        tx_power=tx_power,
-    )
+    return SeReport(per_user_sinr=sinr_values, per_user_se=se_values, sum_se=sum_se(se_values))

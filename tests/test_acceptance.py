@@ -192,7 +192,7 @@ def test_ingestion_roundtrip_quantization_bound(tmp_path):
     path = tmp_path / "roundtrip.bin"
     path.write_bytes(encode_csi_binary(dataset, fmt))
     reloaded = load_csi_binary(path, fmt)
-    delta = reloaded.channel_matrix() - dataset.channel_matrix()
+    delta = reloaded.channels - dataset.channels
     worst = float(np.maximum(np.abs(delta.real), np.abs(delta.imag)).max())
     assert worst <= 2.0**-15
     print(

@@ -113,6 +113,26 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert f"{cfg}:1" in err
 
 
+def test_bad_config_value_names_the_file_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = 1\nm_rows = eight\n")
+    assert run_cli("sweep-grid", "--config", cfg, "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:2" in err
+    assert "'m_rows'" in err
+    assert "'eight'" in err
+
+
+def test_cli_defaults_are_the_library_defaults():
+    from mimoshare.cli import _build_parser, _merge_config, _scenario_from
+    from mimoshare.csi import ScenarioConfig
+    from mimoshare.sched import SusParams
+
+    cfg = _merge_config(_build_parser().parse_args(["sweep-grid"]))
+    assert _scenario_from(cfg) == ScenarioConfig()
+    assert cfg["alpha"] == SusParams().alpha
+
+
 def test_descending_range_is_rejected(tmp_path, capsys):
     out = tmp_path / "x"
     code = run_cli("sweep-total", "--config", MINI_CFG, "--out", out, "--k-range", "30:3,5")

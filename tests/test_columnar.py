@@ -160,7 +160,7 @@ def test_returned_arrays_are_read_only(dataset):
     picked = dataset.ids[::-2].tolist()
     returned = [
         dataset.channels, dataset.ids, dataset.layer_codes, dataset.timesteps_ms,
-        dataset.channel_matrix(), dataset.channels_for(picked), dataset.records[0].channel,
+        dataset.channels_for(picked), dataset.records[0].channel,
     ]
     if dataset.positions is not None:
         returned += [dataset.positions, dataset.records[-1].position]

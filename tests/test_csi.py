@@ -19,10 +19,9 @@ from mimoshare.csi import (
     merge_datasets,
     normalize_to_snr,
     read_sidecar,
-    save_csi_binary,
+    sidecar_text,
     subsample_pool,
     trajectory_points,
-    write_sidecar,
 )
 
 Q115_64 = FixedPointFormat(m_antennas=64)
@@ -104,14 +103,15 @@ def test_save_load_with_sidecar(tmp_path):
     ds = make_dataset([rng.standard_normal(8) * 0.1 + 0j for _ in range(5)], [Layer.AERIAL] * 5)
     fmt = FixedPointFormat(m_antennas=8)
     bin_path = tmp_path / "cap.bin"
-    save_csi_binary(ds, bin_path, fmt)
-    write_sidecar(tmp_path / "cap.bin.cfg", fmt, Layer.AERIAL, altitude_m=24.0,
-                  sample_interval_ms=2.0)
+    bin_path.write_bytes(encode_csi_binary(ds, fmt))
+    (tmp_path / "cap.bin.cfg").write_text(
+        sidecar_text(fmt, Layer.AERIAL, altitude_m=24.0, sample_interval_ms=2.0)
+    )
     back = load_capture(bin_path)
     assert len(back) == 5
     assert all(r.layer is Layer.AERIAL for r in back.records)
     assert [r.timestep_ms for r in back.records] == [0, 2, 4, 6, 8]
-    assert np.abs(back.channel_matrix() - ds.channel_matrix()).max() <= 2.0**-15
+    assert np.abs(back.channels - ds.channels).max() <= 2.0**-15
 
 
 def test_read_sidecar_defaults(tmp_path):
@@ -156,6 +156,19 @@ def test_sidecar_syntax_error_names_the_file(tmp_path):
     path = tmp_path / "s.cfg"
     path.write_text("m_antennas = 16\nlayer aerial\n")
     with pytest.raises(ValueError, match=r"s\.cfg:2"):
+        read_sidecar(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("m_antennas", "6x4"), ("frac_bits", "fifteen"), ("layer", "Aerial"),
+     ("sample_interval_ms", "1ms")],
+)
+def test_bad_sidecar_value_names_the_file_and_key(tmp_path, key, value):
+    path = tmp_path / "s.cfg"
+    lines = {"m_antennas": "16", key: value}
+    path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    with pytest.raises(CaptureError, match=rf"s\.cfg:\d+: bad value for '{key}': .*{value}"):
         read_sidecar(path)
 
 
@@ -205,7 +218,7 @@ def test_generate_is_deterministic():
     a = generate_synthetic(small_config())
     b = generate_synthetic(small_config())
     assert a.fingerprint() == b.fingerprint()
-    assert np.array_equal(a.channel_matrix(), b.channel_matrix())
+    assert np.array_equal(a.channels, b.channels)
 
 
 def test_same_point_without_diffuse_is_identical():
@@ -301,7 +314,7 @@ def test_normalize_mixed_norms():
     ds = make_dataset([np.array([1.0, 0j]), np.array([2.0, 0j])])  # ||h||^2 = 1 and 4
     out = normalize_to_snr(ds, 20.0)
     assert out.scale_applied == pytest.approx(1 / math.sqrt(2.5), rel=1e-12)
-    mean_sq = np.mean(np.sum(np.abs(out.channel_matrix()) ** 2, axis=1))
+    mean_sq = np.mean(np.sum(np.abs(out.channels) ** 2, axis=1))
     assert abs(mean_sq - 1.0) < 1e-9
 
 
@@ -315,7 +328,7 @@ def test_normalize_is_idempotent():
     ds = make_dataset([rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(9)])
     once = normalize_to_snr(ds, 20.0)
     twice = normalize_to_snr(once, 20.0)
-    assert np.abs(twice.channel_matrix() - once.channel_matrix()).max() < 1e-12
+    assert np.abs(twice.channels - once.channels).max() < 1e-12
     assert twice.scale_applied == pytest.approx(once.scale_applied, rel=1e-12)
 
 
@@ -326,10 +339,10 @@ def test_normalize_rejects_all_zero():
 
 
 def test_normalize_mean_square_norm_invariant(mini_pool):
-    mean_sq = np.mean(np.sum(np.abs(mini_pool.channel_matrix()) ** 2, axis=1))
+    mean_sq = np.mean(np.sum(np.abs(mini_pool.channels) ** 2, axis=1))
     # the pool is a subsample of a normalized dataset, renormalizing restores 1
     again = normalize_to_snr(mini_pool, 20.0)
-    mean_sq2 = np.mean(np.sum(np.abs(again.channel_matrix()) ** 2, axis=1))
+    mean_sq2 = np.mean(np.sum(np.abs(again.channels) ** 2, axis=1))
     assert abs(mean_sq2 - 1.0) < 1e-9
     assert np.isfinite(mean_sq)
 

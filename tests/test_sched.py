@@ -115,7 +115,7 @@ def test_sus_first_pick_is_global_max_norm():
         h = rng.standard_normal((15, 6)) + 1j * rng.standard_normal((15, 6))
         pool = pool_from_vectors(h)
         result = sus_select(pool, 1)
-        norms = np.linalg.norm(pool.channel_matrix(), axis=1)
+        norms = np.linalg.norm(pool.channels, axis=1)
         assert result.chosen[0] == int(np.argmax(norms))
 
 

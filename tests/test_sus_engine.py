@@ -33,7 +33,7 @@ def oracle_sus(
     caps: dict[Layer, int] | None,
     method: SelectionMethod,
 ) -> SelectionResult:
-    channels = pool.channel_matrix()  # (N, M)
+    channels = pool.channels  # (N, M)
     ids = np.array([r.index for r in pool.records])
     layers = np.array([r.layer is Layer.AERIAL for r in pool.records])  # False = terrestrial
     norms = np.linalg.norm(channels, axis=1)

@@ -353,8 +353,8 @@ def test_earliest_failing_row_wins_across_schedule_sizes():
     copies = SelectionResult((0, 3), pool.layer_counts((0, 3)), SelectionMethod.EXHAUSTIVE)
     scheduled = [("first", good, 0), ("second", triple, 0), ("third", copies, 0)]
     with pytest.raises(IllConditionedError, match=r"^second: "):
-        _schedule_then_evaluate(pool, iter(scheduled), 1.0)
-    [row] = _schedule_then_evaluate(pool, iter(scheduled[:1]), 1.0)
+        _schedule_then_evaluate(pool, iter(scheduled))
+    [row] = _schedule_then_evaluate(pool, iter(scheduled[:1]))
     assert row.sum_se == evaluate_selection(pool, good).sum_se
 
 
