@@ -22,6 +22,8 @@ from .csi import (
     PoolPolicy,
     ScenarioConfig,
     _parse_keyvalues,
+    _scaled,
+    _snr_scale,
     encode_csi_binary,
     generate_synthetic,
     load_capture,
@@ -83,22 +85,28 @@ _CONFIG_SPEC: dict[str, tuple] = {
     "table": (str, "", "existing sweep.csv to summarize (report command)"),
 }
 
-def _parse_range(text: str, name: str) -> list[int]:
-    values: set[int] = set()
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            lo, hi = (int(v) for v in part.split(":", 1))
-            if hi < lo:
-                raise ValueError(f"{name} has a descending range {part!r}")
-            values.update(range(lo, hi + 1))
-        else:
-            values.add(int(part))
+def _parse_list(cfg: dict, key: str, caster) -> list:
+    """The comma-separated values of one key, each cast; a bad value names the key."""
+    try:
+        return [caster(part.strip()) for part in cfg[key].split(",") if part.strip()]
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def _range_part(part: str) -> range:
+    if ":" not in part:
+        return range(int(part), int(part) + 1)
+    lo, hi = (int(v) for v in part.split(":", 1))
+    if hi < lo:
+        raise ValueError(f"descending range {part!r}")
+    return range(lo, hi + 1)
+
+
+def _parse_range(cfg: dict, key: str) -> list[int]:
+    values = sorted(set().union(*_parse_list(cfg, key, _range_part)))
     if not values:
-        raise ValueError(f"{name} is empty: {text!r}")
-    return sorted(values)
+        raise ValueError(f"{key} is empty: {cfg[key]!r}")
+    return values
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -134,21 +142,30 @@ def _load_captures(cfg: dict) -> CsiDataset:
 
 
 def _build_pool(cfg: dict) -> tuple[CsiDataset, str]:
-    """Data source resolution: ingest when captures are named, generate otherwise."""
+    """Data source resolution: ingest when captures are named, generate otherwise.
+
+    The pool is ``subsample_pool(normalize_to_snr(dataset, snr_db), ...)``,
+    bit for bit, built without a normalized copy of the whole dataset: the
+    whole dataset's factor scales only the rows the pool keeps.
+    """
+    per_layer = []
+    for key in ("pool_terrestrial", "pool_aerial"):
+        if cfg[key] < -1:
+            raise ValueError(f"{key} must be >= 0, or -1 to keep the whole layer; got {cfg[key]}")
+        per_layer.append(None if cfg[key] == -1 else cfg[key])
+    try:
+        policy = PoolPolicy(cfg["pool_policy"])
+    except ValueError as exc:
+        raise ValueError(f"pool_policy: {exc}") from None
     if cfg["csi"]:
         dataset = _load_captures(cfg)
         mode = "ingest"
     else:
         dataset = generate_synthetic(_scenario_from(cfg))
         mode = "generate"
-    dataset = normalize_to_snr(dataset, cfg["snr_db"])
-    per_layer = []
-    for key in ("pool_terrestrial", "pool_aerial"):
-        if cfg[key] < -1:
-            raise ValueError(f"{key} must be >= 0, or -1 to keep the whole layer; got {cfg[key]}")
-        per_layer.append(None if cfg[key] == -1 else cfg[key])
-    policy = PoolPolicy(cfg["pool_policy"])
-    return subsample_pool(dataset, tuple(per_layer), policy, seed=cfg["seed"]), mode
+    scale = _snr_scale(dataset)
+    pool = subsample_pool(dataset, tuple(per_layer), policy, seed=cfg["seed"])
+    return _scaled(pool, scale, cfg["snr_db"]), mode
 
 
 def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
@@ -256,27 +273,21 @@ def _cmd_ingest(cfg: dict) -> int:
 
 
 def _cmd_sweep(cfg: dict, kind: str) -> int:
-    pool, mode = _build_pool(cfg)
-    params = SusParams(alpha=cfg["alpha"])
+    # every value is parsed before the dataset is built, so a bad one fails at once
+    thresholds = _parse_list(cfg, "thresholds", float)
     if kind == "total":
-        methods = {SelectionMethod(m.strip()) for m in cfg["methods"].split(",") if m.strip()}
-        table = sweep_total_users(
-            pool,
-            _parse_range(cfg["k_range"], "k_range"),
-            methods=methods,
-            trials=cfg["trials"],
-            seed=cfg["seed"],
-            params=params,
-        )
+        methods = set(_parse_list(cfg, "methods", SelectionMethod))
+        k_values = _parse_range(cfg, "k_range")
     else:
-        table = sweep_layer_grid(
-            pool,
-            _parse_range(cfg["ground_range"], "ground_range"),
-            _parse_range(cfg["aerial_range"], "aerial_range"),
-            params=params,
-            seed=cfg["seed"],
-        )
-    thresholds = [float(t) for t in cfg["thresholds"].split(",") if t.strip()]
+        ground = _parse_range(cfg, "ground_range")
+        aerial = _parse_range(cfg, "aerial_range")
+    params = SusParams(alpha=cfg["alpha"])
+    pool, mode = _build_pool(cfg)
+    if kind == "total":
+        table = sweep_total_users(pool, k_values, methods=methods, trials=cfg["trials"],
+                                  seed=cfg["seed"], params=params)
+    else:
+        table = sweep_layer_grid(pool, ground, aerial, params=params, seed=cfg["seed"])
     files = {
         "sweep.csv": table.csv_text().encode(),
         "summary.txt": _summary_text(table, thresholds).encode(),
@@ -317,8 +328,8 @@ def _parse_csv_table(path: str) -> SweepTable:
 def _cmd_report(cfg: dict) -> int:
     if not cfg["table"]:
         raise ValueError("report needs an input table (set table=... or --table)")
+    thresholds = _parse_list(cfg, "thresholds", float)
     table = _parse_csv_table(cfg["table"])
-    thresholds = [float(t) for t in cfg["thresholds"].split(",") if t.strip()]
     summary = _summary_text(table, thresholds)
     _write_outputs(Path(cfg["out"]), {"summary.txt": summary.encode()})
     sys.stdout.write(summary)

@@ -43,6 +43,10 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
+# rows per block when generating channels or summing their energies: a
+# block's temporaries stay small, and the bits do not depend on the size
+_ROW_BLOCK = 256
+
 
 class Layer(enum.Enum):
     """User layer a candidate location belongs to."""
@@ -530,39 +534,46 @@ def generate_synthetic(config: ScenarioConfig) -> CsiDataset:
     diffuse circular-Gaussian term whose power is LOS power / K for the
     layer's Rician K-factor. K of +inf disables the diffuse term. Deterministic
     for a fixed seed.
+
+    Each layer draws all its real Gaussian parts, then fills the channel
+    matrix in blocks of rows, drawing each block's imaginary parts as it goes:
+    the same stream and the same bits as one whole-array pass, without its
+    full-size temporaries.
     """
     rng = np.random.default_rng(config.seed)
     elems = element_positions(config)
     lam = config.wavelength_m
 
-    n = config.samples_per_layer
-    channels = np.empty((2 * n, config.m_antennas), dtype=np.complex128)
+    n, m = config.samples_per_layer, config.m_antennas
+    channels = np.empty((2 * n, m), dtype=np.complex128)
     positions = np.empty((2 * n, 3))
     layer_plan = zip(
         (Layer.TERRESTRIAL, Layer.AERIAL), config.layer_altitudes_m, config.rician_k_db
     )
     for layer, altitude, k_db in layer_plan:
-        rows = slice(layer.code * n, (layer.code + 1) * n)
+        offset = layer.code * n
         pts = trajectory_points(config, altitude)
-        # squares summed x, y, z in turn, as np.linalg.norm does, bit for bit,
-        # without its (N, M, 3) temporary
-        dists = np.zeros((n, config.m_antennas))
-        for axis in range(3):
-            dists += np.square(pts[:, None, axis] - elems[None, :, axis])
-        np.sqrt(dists, out=dists)  # (N, M)
-        amps = lam / (4.0 * np.pi * dists)
-        gains = np.multiply(amps, np.exp(-2j * np.pi * dists / lam), out=channels[rows])
-
+        positions[offset:offset + n] = pts
         k_lin = 10.0 ** (k_db / 10.0)
-        diffuse_power = np.mean(amps**2, axis=1) / k_lin  # (N,) ; 0 when K=inf
-        noise = rng.standard_normal((pts.shape[0], config.m_antennas)) + 1j * rng.standard_normal(
-            (pts.shape[0], config.m_antennas)
-        )
-        gains += np.sqrt(diffuse_power / 2.0)[:, None] * noise
-        positions[rows] = pts
+        real = rng.standard_normal((n, m))
+        for start in range(0, n, _ROW_BLOCK):
+            block = pts[start:start + _ROW_BLOCK]
+            rows = len(block)
+            # squares summed x, y, z in turn, as np.linalg.norm does, bit for
+            # bit, without its (B, M, 3) temporary
+            dists = np.zeros((rows, m))
+            for axis in range(3):
+                dists += np.square(block[:, None, axis] - elems[None, :, axis])
+            np.sqrt(dists, out=dists)  # (B, M)
+            amps = lam / (4.0 * np.pi * dists)
+            gains = np.multiply(amps, np.exp(-2j * np.pi * dists / lam),
+                                out=channels[offset + start:offset + start + rows])
+            diffuse_power = np.mean(amps**2, axis=1) / k_lin  # (B,) ; 0 when K=inf
+            noise = real[start:start + rows] + 1j * rng.standard_normal((rows, m))
+            gains += np.sqrt(diffuse_power / 2.0)[:, None] * noise
     steps = np.tile(np.arange(n), 2)
     codes = np.repeat(np.array([layer.code for layer in Layer], dtype=np.int8), n)
-    return CsiDataset._of(config.m_antennas, channels, np.arange(2 * n), codes,
+    return CsiDataset._of(m, channels, np.arange(2 * n), codes,
                           np.round(steps * config.sample_interval_ms).astype(np.int64), positions)
 
 
@@ -570,27 +581,45 @@ def generate_synthetic(config: ScenarioConfig) -> CsiDataset:
 # Normalization and pool subsampling
 # ---------------------------------------------------------------------------
 
-def normalize_to_snr(dataset: CsiDataset, snr_db: float) -> CsiDataset:
-    """Rescale all gains by one global factor so mean ||h||^2 over records is 1.
+def _snr_scale(dataset: CsiDataset) -> float:
+    """The global factor that makes mean ||h||^2 over the records 1.
 
-    With unit transmit power this makes the dataset-average SNR equal to
-    ``snr_db``; the implied linear noise power 10^(-snr_db/10) is recorded.
-    Re-applying is a no-op up to floating-point roundoff.
+    Row energies are summed block by block into one (N,) vector, whose mean
+    has the bits of the whole-array sum's.
     """
     if len(dataset) == 0:
         raise ValueError("cannot normalize an empty dataset")
     gains = dataset.channels
-    mean_sq_norm = float(np.mean(np.sum(np.abs(gains) ** 2, axis=1)))
+    energies = np.empty(len(gains))
+    for start in range(0, len(gains), _ROW_BLOCK):
+        block = gains[start:start + _ROW_BLOCK]
+        energies[start:start + len(block)] = np.sum(np.abs(block) ** 2, axis=1)
+    mean_sq_norm = float(np.mean(energies))
     if mean_sq_norm == 0.0:
         raise ValueError("cannot normalize an all-zero dataset")
-    scale = 1.0 / math.sqrt(mean_sq_norm)
+    return 1.0 / math.sqrt(mean_sq_norm)
+
+
+def _scaled(dataset: CsiDataset, scale: float, snr_db: float) -> CsiDataset:
+    """The dataset with every gain times ``scale``, normalized to ``snr_db``."""
     return CsiDataset._of(
-        dataset.m_antennas, gains * scale, dataset.ids, dataset.layer_codes,
+        dataset.m_antennas, dataset.channels * scale, dataset.ids, dataset.layer_codes,
         dataset.timesteps_ms, dataset.positions,
         scale_applied=dataset.scale_applied * scale,
         noise_power=10.0 ** (-snr_db / 10.0),
         snr_target_db=snr_db,
     )
+
+
+def normalize_to_snr(dataset: CsiDataset, snr_db: float) -> CsiDataset:
+    """Rescale all gains by one global factor so mean ||h||^2 over records is 1.
+
+    With unit transmit power this makes the dataset-average SNR equal to
+    ``snr_db``; the implied linear noise power 10^(-snr_db/10) is recorded.
+    Re-applying is a no-op up to floating-point roundoff. Row energies are
+    summed in blocks of rows, with the same bits as a whole-array sum.
+    """
+    return _scaled(dataset, _snr_scale(dataset), snr_db)
 
 
 class PoolPolicy(enum.Enum):

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from mimoshare.cli import main
 from mimoshare.sweeps import CSV_HEADER
 
@@ -257,3 +259,42 @@ def test_ingest_hashes_the_dataset_once(tmp_path, monkeypatch, capsys):
     meta = json.loads((ingest_dir / "meta.json").read_text())
     assert capsys.readouterr().out.strip().endswith(f"fingerprint {meta['dataset_fingerprint']}")
     assert len(calls) == 1
+
+
+BAD_SWEEP_VALUES = [
+    ("sweep-grid", "thresholds", "abc"),
+    ("sweep-total", "thresholds", "8,nan8"),
+    ("sweep-grid", "pool_policy", "unifrom"),
+    ("sweep-grid", "pool_terrestrial", "-2"),
+    ("sweep-total", "methods", "random,bogus"),
+    ("sweep-total", "k_range", "1:x"),
+    ("sweep-grid", "ground_range", "5:1"),
+    ("sweep-grid", "aerial_range", ","),
+    ("sweep-grid", "alpha", "2"),
+]
+
+
+@pytest.mark.parametrize("command, key, value", BAD_SWEEP_VALUES)
+def test_bad_sweep_value_fails_before_any_dataset_work(command, key, value, tmp_path,
+                                                       monkeypatch, capsys):
+    import mimoshare.cli as cli
+
+    def no_dataset_work(*args, **kwargs):
+        raise AssertionError("dataset work started")
+
+    for name in ("generate_synthetic", "load_capture"):
+        monkeypatch.setattr(cli, name, no_dataset_work)
+    out = tmp_path / "x"
+    code = run_cli(command, "--config", MINI_CFG, "--out", out,
+                   "--" + key.replace("_", "-"), value)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert key in err and "dataset work" not in err
+    assert not out.exists()
+
+
+def test_report_names_a_bad_threshold(tmp_path, capsys):
+    table = tmp_path / "sweep.csv"
+    table.write_text(CSV_HEADER + "\n")
+    assert run_cli("report", "--table", table, "--out", tmp_path / "x", "--thresholds", "abc") == 1
+    assert "thresholds" in capsys.readouterr().err
