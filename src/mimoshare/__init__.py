@@ -36,10 +36,7 @@ from .sched import (
     SelectionError,
     SelectionMethod,
     SelectionResult,
-    SusFallback,
     SusParams,
-    correlation,
-    orthogonal_residual,
     random_select,
     sus_select,
     sus_select_layered,

@@ -288,10 +288,9 @@ def load_csi_binary(
             "(truncated file or wrong antenna count)"
         )
     _check_interval(path, sample_interval_ms)
-    raw = np.frombuffer(data, dtype=fmt.dtype).astype(np.float64)
     scale = float(1 << fmt.frac_bits)
-    iq = raw.reshape(-1, fmt.m_antennas, 2) / scale
-    gains = iq[:, :, 0] + 1j * iq[:, :, 1]
+    # interleaved float64 I, Q pairs are complex128's memory layout
+    gains = (np.frombuffer(data, fmt.dtype) / scale).view(np.complex128).reshape(-1, fmt.m_antennas)
     steps = np.arange(gains.shape[0])
     codes = np.full(len(steps), layer.code, dtype=np.int8)
     return CsiDataset._of(fmt.m_antennas, gains, steps, codes,
@@ -319,11 +318,8 @@ def encode_csi_binary(dataset: CsiDataset, fmt: FixedPointFormat | None = None) 
             f"format M={fmt.m_antennas} does not match dataset M={dataset.m_antennas}"
         )
     scale = float(1 << fmt.frac_bits)
-    gains = dataset.channels
-    iq = np.empty((len(dataset), fmt.m_antennas, 2), dtype=np.float64)
-    iq[:, :, 0] = gains.real
-    iq[:, :, 1] = gains.imag
-    quant = np.round(iq * scale)
+    quant = np.ascontiguousarray(dataset.channels).view(np.float64) * scale  # I, Q interleaved
+    np.round(quant, out=quant)
     if quant.size and (quant.max() > 32767 or quant.min() < -32768):
         raise ValueError(
             "gain component outside the representable fixed-point range; "
@@ -602,6 +598,8 @@ def _snr_scale(dataset: CsiDataset) -> float:
 
 def _scaled(dataset: CsiDataset, scale: float, snr_db: float) -> CsiDataset:
     """The dataset with every gain times ``scale``, normalized to ``snr_db``."""
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db}")
     return CsiDataset._of(
         dataset.m_antennas, dataset.channels * scale, dataset.ids, dataset.layer_codes,
         dataset.timesteps_ms, dataset.positions,

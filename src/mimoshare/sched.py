@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -19,13 +19,10 @@ from .csi import CsiDataset, Layer
 
 __all__ = [
     "SelectionMethod",
-    "SusFallback",
     "SusParams",
     "SelectionResult",
     "SelectionError",
     "random_select",
-    "orthogonal_residual",
-    "correlation",
     "sus_select",
     "sus_select_layered",
 ]
@@ -38,28 +35,23 @@ class SelectionMethod(enum.Enum):
     EXHAUSTIVE = "exhaustive"  # brute-force oracle provenance, never scheduled live
 
 
-class SusFallback(enum.Enum):
-    """What to do when pruning empties the candidate set before the quota is met."""
-
-    MAX_RESIDUAL_NORM = "max_residual_norm"
-    FAIL = "fail"
-
-
 class SelectionError(ValueError):
     """Raised when a selection request cannot be satisfied."""
 
 
 @dataclass(frozen=True)
 class SusParams:
-    """Tuning knobs for semi-orthogonal selection.
+    """Tuning knob for semi-orthogonal selection.
 
     ``alpha`` is the correlation threshold at or above which a candidate is
     dropped; the default 0.6 keeps pruning active at small schedules while the
-    fallback survives large ones.
+    fallback survives large ones. Selection never stops where pruning runs
+    dry: it falls back to max residual norm and records the rank in
+    ``SelectionResult.fallback_used_from``, which a caller who wants a
+    pruning-only schedule checks against None.
     """
 
     alpha: float = 0.6
-    fallback: SusFallback = SusFallback.MAX_RESIDUAL_NORM
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -98,32 +90,6 @@ def random_select(pool: CsiDataset, k: int, seed: int) -> SelectionResult:
     positions = rng.choice(len(pool), size=k, replace=False)
     chosen = tuple(pool.ids[positions].tolist())
     return SelectionResult(chosen, pool.layer_counts(chosen), SelectionMethod.RANDOM)
-
-
-def orthogonal_residual(h: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
-    """Component of h orthogonal to the span of the basis vectors.
-
-    One projection per basis vector: g = h - sum_j (<g_j, h> / ||g_j||^2) g_j.
-    """
-    g = np.array(h, dtype=np.complex128)
-    for b in basis:
-        b = np.asarray(b, dtype=np.complex128)
-        norm_sq = np.vdot(b, b).real
-        if norm_sq == 0.0:
-            raise ValueError("basis contains a zero vector")
-        g -= (np.vdot(b, g) / norm_sq) * b
-    return g
-
-
-def correlation(h: np.ndarray, g: np.ndarray) -> float:
-    """Normalized inner-product magnitude |<h, g>| / (||h|| ||g||), in [0, 1]."""
-    h = np.asarray(h, dtype=np.complex128)
-    g = np.asarray(g, dtype=np.complex128)
-    nh = np.linalg.norm(h)
-    ng = np.linalg.norm(g)
-    if nh == 0.0 or ng == 0.0:
-        raise ValueError("correlation of a zero vector is undefined")
-    return min(float(np.abs(np.vdot(h, g)) / (nh * ng)), 1.0)
 
 
 class _SusRun:
@@ -165,11 +131,7 @@ class _SusRun:
         if self.fallback_from is None:
             candidates = eligible & self.unpruned
             if not candidates.any():
-                if self.params.fallback is SusFallback.FAIL:
-                    raise SelectionError(
-                        f"candidates exhausted after {len(self.chosen)} selections "
-                        f"at alpha={self.params.alpha}"
-                    )
+                # pruning ran dry: from this rank on, pick by residual norm alone
                 self.fallback_from = len(self.chosen)
                 candidates = eligible
         else:
@@ -210,7 +172,8 @@ def sus_select(pool: CsiDataset, k: int, params: SusParams = SusParams()) -> Sel
     Repeats: pick the candidate with the largest residual norm against the
     selected basis, add that residual to the basis, drop candidates whose
     correlation with the new basis vector is >= alpha. When pruning exhausts
-    the candidates first, the configured fallback takes over.
+    the candidates first, the remaining picks go by residual norm alone, and
+    ``fallback_used_from`` records the rank where that began.
 
     Prefix property: for one pool and params, the schedule for k users is the
     first k picks of the schedule for any larger k, and its fallback rank is
@@ -231,8 +194,9 @@ def sus_select_layered(
 
     Users are chosen from either layer until one layer's running count hits
     its quota; from then on only the other layer's candidates (including in
-    fallback) are considered, so the final per-layer counts equal the quota
-    whenever the pool suffices.
+    fallback) are considered, so the final per-layer counts equal the quota.
+    Fallback works as in :func:`sus_select`; only a quota beyond a layer's
+    population raises :class:`SelectionError`.
     """
     caps = {layer: int(quota.get(layer, 0)) for layer in Layer}
     if any(c < 0 for c in caps.values()):

@@ -6,12 +6,12 @@ k_aerial, trial) regardless of how the grid was executed.
 
 A sweep first schedules every row, then evaluates the schedules of each size
 K as one (B, K, M) stack at unit transmit power (the pool's noise power sets
-the SNR); a failure still names the cell a row-by-row run would have stopped at.
+the SNR). Scheduling over validated ranges cannot fail; an ill-conditioned
+row still names the cell a row-by-row run would have stopped at.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,7 +21,6 @@ import numpy as np
 
 from .csi import CsiDataset, Layer
 from .sched import (
-    SelectionError,
     SelectionMethod,
     SelectionResult,
     SusParams,
@@ -110,15 +109,6 @@ def _base_meta(pool: CsiDataset, seed: int, params: SusParams) -> dict:
     }
 
 
-@contextlib.contextmanager
-def _naming(cell: str):
-    """Re-raise a scheduling failure with the sweep cell it hit."""
-    try:
-        yield
-    except SelectionError as exc:
-        raise type(exc)(f"{cell}: {exc}") from exc
-
-
 # one scheduled row: (cell name, schedule, trial)
 _Scheduled = tuple[str, SelectionResult, int]
 
@@ -128,17 +118,11 @@ def _schedule_then_evaluate(
 ) -> tuple[SweepRow, ...]:
     """Rows of every schedule the iterator yields, in its order.
 
-    The schedules of each size K are evaluated as one (B, K, M) stack. A
-    failure names the cell a row-by-row run would have stopped at: the
-    earliest ill-conditioned row, else the cell whose scheduling failed.
+    The schedules of each size K are evaluated as one (B, K, M) stack. An
+    ill-conditioned row is named by the earliest failing cell, the one a
+    row-by-row run would have stopped at.
     """
-    scheduled: list[_Scheduled] = []
-    selection_error = None
-    try:
-        for item in schedules:
-            scheduled.append(item)
-    except SelectionError as exc:
-        selection_error = exc
+    scheduled = list(schedules)
     if scheduled and pool.noise_power is None:
         raise ValueError("pool has no noise power; normalize it before evaluation")
     by_size: dict[int, list[int]] = {}
@@ -159,8 +143,6 @@ def _schedule_then_evaluate(
     if failures:
         n, exc = min(failures, key=lambda failure: failure[0])
         raise IllConditionedError(f"{scheduled[n][0]}: {exc}") from exc
-    if selection_error is not None:
-        raise selection_error
     return tuple(
         _row_from(selection, total, trial)
         for (_, selection, trial), total in zip(scheduled, sums)
@@ -192,19 +174,14 @@ def _total_schedules(
         for k in ks:
             for trial in range(trials):
                 cell = f"cell (method=random, k={k}, trial={trial})"
-                with _naming(cell):
-                    selection = random_select(pool, k, _trial_seed(seed, k, trial))
-                yield cell, selection, trial
+                yield cell, random_select(pool, k, _trial_seed(seed, k, trial)), trial
     if SelectionMethod.SUS in methods:
         # one run serves every k: the k-user SUS schedule is its first k picks
         run = _SusRun(pool, params)
         for k in ks:
-            cell = f"cell (method=sus, k={k}, trial=0)"
-            with _naming(cell):
-                while len(run.chosen) < k:
-                    run.step()
-                selection = run.result(SelectionMethod.SUS)
-            yield cell, selection, 0
+            while len(run.chosen) < k:
+                run.step()
+            yield f"cell (method=sus, k={k}, trial=0)", run.result(SelectionMethod.SUS), 0
 
 
 def sweep_total_users(
@@ -258,18 +235,16 @@ def _grid_schedules(
                 continue
             quota = {Layer.TERRESTRIAL: k_ground, Layer.AERIAL: k_aerial}
             keys = [(layer, quota[layer]) for layer in Layer]
+            while not any(key in branches for key in keys):
+                shared.step()
+                _record_branches(shared, quotas, branches)
+            [full] = [key for key in keys if key in branches]
+            branch = branches[full]
+            open_layer = next(layer for layer in Layer if layer is not full[0])
+            while branch.counts[open_layer] < quota[open_layer]:
+                branch.step(branch.layer_mask[open_layer])
             cell = f"cell (k_ground={k_ground}, k_aerial={k_aerial})"
-            with _naming(cell):
-                while not any(key in branches for key in keys):
-                    shared.step()
-                    _record_branches(shared, quotas, branches)
-                [full] = [key for key in keys if key in branches]
-                branch = branches[full]
-                open_layer = next(layer for layer in Layer if layer is not full[0])
-                while branch.counts[open_layer] < quota[open_layer]:
-                    branch.step(branch.layer_mask[open_layer])
-                selection = branch.result(SelectionMethod.SUS_LAYERED)
-            yield cell, selection, 0
+            yield cell, branch.result(SelectionMethod.SUS_LAYERED), 0
 
 
 def sweep_layer_grid(

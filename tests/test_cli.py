@@ -185,6 +185,15 @@ def test_pool_count_below_minus_one_is_rejected(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep-total", "generate"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_snr_is_rejected_without_outputs(command, value, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run_cli(command, "--config", MINI_CFG, "--out", out, "--snr-db", value) == 1
+    assert "snr_db" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_from_existing_table(tmp_path, capsys):
     out = tmp_path / "r1"
     assert run_cli("sweep-grid", "--config", MINI_CFG, "--out", out) == 0

@@ -338,6 +338,13 @@ def test_normalize_rejects_all_zero():
         normalize_to_snr(ds, 20.0)
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+def test_normalize_rejects_nonfinite_snr(snr_db):
+    ds = make_dataset([np.array([3.0, 4.0j])])
+    with pytest.raises(ValueError, match="snr_db"):
+        normalize_to_snr(ds, snr_db)
+
+
 def test_normalize_mean_square_norm_invariant(mini_pool):
     mean_sq = np.mean(np.sum(np.abs(mini_pool.channels) ** 2, axis=1))
     # the pool is a subsample of a normalized dataset, renormalizing restores 1

@@ -48,6 +48,9 @@ DEFAULT_GRID_SHA256 = "f9ae4ff3d6132bd3d53cda969c102f3a9162a556e10e03e089a9410e0
 # interpreter and numpy, one 58 MB channel matrix, one layer's 14.5 MB real
 # draws, and margin; building a full-size normalized copy exceeds it
 SWEEP_PEAK_RSS_BUDGET_MB = 160
+# interpreter and numpy, the two 29 MB decoded layers and their 58 MB merge,
+# and margin; decoding through separate float and complex copies exceeds it
+INGEST_PEAK_RSS_BUDGET_MB = 170
 
 
 def literal_generate_synthetic(config: ScenarioConfig) -> CsiDataset:
@@ -261,18 +264,30 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def cli_peak_rss_mb(env, *args) -> float:
+    """Peak RSS in MB of one ``mimoshare.cli`` run, which must succeed."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "mimoshare.cli", *args],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    returncode, maxrss_kb = (int(v) for v in proc.stdout.split())
+    assert returncode == 0, proc.stderr
+    return maxrss_kb / 1024.0
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in kilobytes on Linux only")
 def test_sweep_peak_memory_stays_within_budget(tmp_path):
     src = str(Path(mimoshare.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "mimoshare.cli", "sweep-total",
-         "--k-range", "1:4", "--trials", "1", "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    returncode, maxrss_kb = (int(v) for v in proc.stdout.split())
-    assert returncode == 0, proc.stderr
-    peak_mb = maxrss_kb / 1024.0
-    assert peak_mb <= SWEEP_PEAK_RSS_BUDGET_MB, f"peak RSS {peak_mb:.1f} MB"
+    peak_mb = cli_peak_rss_mb(env, "sweep-total", "--k-range", "1:4", "--trials", "1",
+                              "--out", str(tmp_path / "sweep"))
+    assert peak_mb <= SWEEP_PEAK_RSS_BUDGET_MB, f"sweep peak RSS {peak_mb:.1f} MB"
+    # ingest of the default capture: the decoder scales the int16 samples once
+    # and views the result as complex gains
+    capture = tmp_path / "capture"
+    cli_peak_rss_mb(env, "generate", "--out", str(capture))
+    captures = ",".join(str(capture / f"{layer.value}.bin") for layer in Layer)
+    peak_mb = cli_peak_rss_mb(env, "ingest", "--csi", captures, "--out", str(tmp_path / "ingest"))
+    assert peak_mb <= INGEST_PEAK_RSS_BUDGET_MB, f"ingest peak RSS {peak_mb:.1f} MB"

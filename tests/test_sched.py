@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import pool_from_vectors, random_unit_channels
+from sus_reference import correlation, orthogonal_residual
 from mimoshare.csi import Layer
 from mimoshare.sched import (
     SelectionError,
     SelectionMethod,
     SelectionResult,
-    SusFallback,
     SusParams,
-    correlation,
-    orthogonal_residual,
     random_select,
     sus_select,
     sus_select_layered,
@@ -170,8 +168,6 @@ def test_sus_fallback_engages_and_is_recorded():
     result = sus_select(pool, 4, SusParams(alpha=0.5))
     assert len(result) == 4
     assert result.fallback_used_from == 1
-    with pytest.raises(SelectionError):
-        sus_select(pool, 4, SusParams(alpha=0.5, fallback=SusFallback.FAIL))
 
 
 def test_sus_rejects_bad_k():

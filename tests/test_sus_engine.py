@@ -4,12 +4,13 @@
 reference: one independent run per request, with the layer caps applied
 through an open-mask closure. The library's ``sus_select``,
 ``sus_select_layered`` and the SUS rows of both sweeps must reproduce it
-exactly, fallback ranks included.
+exactly, fallback ranks included. With ``fail`` set, the oracle raises where
+pruning runs dry instead of falling back; the engine's recorded fallback rank
+must be that signal.
 """
 
 import numpy as np
-import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pool_from_vectors
@@ -18,12 +19,12 @@ from mimoshare.sched import (
     SelectionError,
     SelectionMethod,
     SelectionResult,
-    SusFallback,
     SusParams,
     sus_select,
     sus_select_layered,
 )
 from mimoshare.sweeps import sweep_layer_grid, sweep_total_users
+from mimoshare.zfmetrics import IllConditionedError
 
 
 def oracle_sus(
@@ -32,6 +33,7 @@ def oracle_sus(
     params: SusParams,
     caps: dict[Layer, int] | None,
     method: SelectionMethod,
+    fail: bool = False,
 ) -> SelectionResult:
     channels = pool.channels  # (N, M)
     ids = np.array([r.index for r in pool.records])
@@ -60,7 +62,7 @@ def oracle_sus(
         if fallback_from is None:
             candidates = eligible & unpruned
             if not candidates.any():
-                if params.fallback is SusFallback.FAIL:
+                if fail:
                     raise SelectionError(
                         f"candidates exhausted after {len(chosen)} of {total} selections "
                         f"at alpha={params.alpha}"
@@ -97,22 +99,27 @@ def oracle_sus(
     return SelectionResult(tuple(chosen), pool.layer_counts(chosen), method, fallback_from)
 
 
-def oracle_or_error(pool, total, params, caps, method):
+def oracle_stops(pool, total, params, caps, method) -> bool:
+    """Whether the oracle in fail mode raises: pruning runs dry before ``total`` picks."""
     try:
-        return oracle_sus(pool, total, params, caps, method)
+        oracle_sus(pool, total, params, caps, method, fail=True)
     except SelectionError:
-        return SelectionError
+        return True
+    return False
 
 
-def engine_or_error(select, *args):
-    try:
-        return select(*args)
-    except SelectionError:
-        return SelectionError
+def quota_cells(pool):
+    """Every per-layer quota the pool can fill, except (0, 0)."""
+    counts = pool.layer_counts()
+    return [
+        {Layer.TERRESTRIAL: g, Layer.AERIAL: a}
+        for g in range(counts[Layer.TERRESTRIAL] + 1)
+        for a in range(counts[Layer.AERIAL] + 1)
+        if g or a
+    ]
 
 
 ALPHAS = st.sampled_from([0.2, 0.4, 0.6, 0.9, 1.0])
-FALLBACKS = st.sampled_from(list(SusFallback))
 HYPOTHESIS = settings(derandomize=True, deadline=None, max_examples=60)
 
 
@@ -138,30 +145,63 @@ def two_layer_pools(draw, wide=False):
     return pool_from_vectors(vectors[order], [layers[i] for i in order])
 
 
+def dominant_direction_pool():
+    # one dominant direction: pruning empties the candidates after the first pick
+    base = np.zeros(4, dtype=complex)
+    base[0] = 1.0
+    vectors = [base * (1.0 + 0.1 * i) for i in range(4)] + [np.eye(4)[1]]
+    return pool_from_vectors(vectors, [Layer.TERRESTRIAL] * 4 + [Layer.AERIAL])
+
+
 @HYPOTHESIS
-@given(pool=two_layer_pools(), alpha=ALPHAS, fallback=FALLBACKS)
-def test_sus_select_matches_oracle(pool, alpha, fallback):
-    params = SusParams(alpha=alpha, fallback=fallback)
+@given(pool=two_layer_pools(), alpha=ALPHAS)
+def test_sus_select_matches_oracle(pool, alpha):
+    params = SusParams(alpha=alpha)
     for k in range(1, len(pool) + 1):
-        assert engine_or_error(sus_select, pool, k, params) == oracle_or_error(
-            pool, k, params, None, SelectionMethod.SUS
-        )
+        assert sus_select(pool, k, params) == oracle_sus(pool, k, params, None, SelectionMethod.SUS)
 
 
 @HYPOTHESIS
-@given(pool=two_layer_pools(), alpha=ALPHAS, fallback=FALLBACKS)
-def test_sus_select_layered_matches_oracle(pool, alpha, fallback):
-    params = SusParams(alpha=alpha, fallback=fallback)
+@given(pool=two_layer_pools(), alpha=ALPHAS)
+@example(pool=dominant_direction_pool(), alpha=0.5)
+def test_sus_select_layered_matches_oracle(pool, alpha):
+    params = SusParams(alpha=alpha)
+    for caps in quota_cells(pool):
+        total = sum(caps.values())
+        expected = oracle_sus(pool, total, params, caps, SelectionMethod.SUS_LAYERED)
+        assert sus_select_layered(pool, caps, params) == expected
+        assert expected.per_layer_counts == caps
+
+
+@HYPOTHESIS
+@given(pool=two_layer_pools(), alpha=ALPHAS)
+@example(pool=dominant_direction_pool(), alpha=0.5)
+def test_fallback_rank_is_where_a_failing_oracle_stops(pool, alpha):
+    params = SusParams(alpha=alpha)
+    for k in range(1, len(pool) + 1):
+        stops = oracle_stops(pool, k, params, None, SelectionMethod.SUS)
+        assert stops == (sus_select(pool, k, params).fallback_used_from is not None)
+    for caps in quota_cells(pool):
+        stops = oracle_stops(pool, sum(caps.values()), params, caps, SelectionMethod.SUS_LAYERED)
+        assert stops == (sus_select_layered(pool, caps, params).fallback_used_from is not None)
+
+
+@HYPOTHESIS
+@given(pool=two_layer_pools(), alpha=ALPHAS)
+def test_full_range_sweeps_fail_only_on_ill_conditioning(pool, alpha):
+    params = SusParams(alpha=alpha)
     counts = pool.layer_counts()
-    for g in range(counts[Layer.TERRESTRIAL] + 1):
-        for a in range(counts[Layer.AERIAL] + 1):
-            if g == 0 and a == 0:
-                continue
-            caps = {Layer.TERRESTRIAL: g, Layer.AERIAL: a}
-            expected = oracle_or_error(pool, g + a, params, caps, SelectionMethod.SUS_LAYERED)
-            assert engine_or_error(sus_select_layered, pool, caps, params) == expected
-            if expected is not SelectionError:
-                assert expected.per_layer_counts == caps
+    sweeps = [
+        lambda: sweep_total_users(pool, range(1, len(pool) + 1), trials=2, params=params),
+        lambda: sweep_layer_grid(
+            pool, range(counts[Layer.TERRESTRIAL] + 1), range(counts[Layer.AERIAL] + 1), params
+        ),
+    ]
+    for sweep in sweeps:
+        try:
+            sweep()
+        except IllConditionedError:
+            pass
 
 
 @HYPOTHESIS
@@ -216,18 +256,3 @@ def test_engine_matches_oracle_on_default_pool(default_pool):
         assert row.selection == oracle_sus(
             default_pool, row.k_total, params, caps, SelectionMethod.SUS_LAYERED
         )
-
-
-@pytest.mark.parametrize("fallback", list(SusFallback))
-def test_layered_fail_fallback_matches_oracle_error(fallback):
-    # one dominant direction: pruning empties the candidates after the first pick
-    base = np.zeros(4, dtype=complex)
-    base[0] = 1.0
-    vectors = [base * (1.0 + 0.1 * i) for i in range(4)] + [np.eye(4)[1]]
-    layers = [Layer.TERRESTRIAL] * 4 + [Layer.AERIAL]
-    pool = pool_from_vectors(vectors, layers)
-    params = SusParams(alpha=0.5, fallback=fallback)
-    caps = {Layer.TERRESTRIAL: 3, Layer.AERIAL: 1}
-    expected = oracle_or_error(pool, 4, params, caps, SelectionMethod.SUS_LAYERED)
-    assert engine_or_error(sus_select_layered, pool, caps, params) == expected
-    assert (expected is SelectionError) == (fallback is SusFallback.FAIL)

@@ -4,10 +4,8 @@ import pytest
 from conftest import pool_from_vectors, random_unit_channels
 from mimoshare.csi import Layer
 from mimoshare.sched import (
-    SelectionError,
     SelectionMethod,
     SelectionResult,
-    SusFallback,
     SusParams,
     sus_select,
     sus_select_layered,
@@ -292,9 +290,6 @@ def test_total_sweep_failure_names_the_cell():
     # SUS prunes the copy, takes the aerial user, then falls back to the copy at k = 3
     with pytest.raises(IllConditionedError, match=r"method=sus, k=3, trial=0"):
         sweep_total_users(pool, [1, 2, 3], methods={SelectionMethod.SUS})
-    strict = SusParams(fallback=SusFallback.FAIL)
-    with pytest.raises(SelectionError, match=r"method=sus, k=3, trial=0"):
-        sweep_total_users(pool, [1, 2, 3], methods={SelectionMethod.SUS}, params=strict)
     with pytest.raises(IllConditionedError, match=r"method=random, k=3, trial=0"):
         sweep_total_users(pool, [3], methods={SelectionMethod.RANDOM}, trials=1)
 
@@ -303,16 +298,14 @@ def test_grid_failure_names_the_cell():
     pool = duplicated_channel_pool()
     with pytest.raises(IllConditionedError, match=r"k_ground=2, k_aerial=0"):
         sweep_layer_grid(pool, [0, 2], [0, 1])
-    strict = SusParams(fallback=SusFallback.FAIL)
-    with pytest.raises(SelectionError, match=r"k_ground=2, k_aerial=0"):
-        sweep_layer_grid(pool, [0, 2], [0, 1], params=strict)
 
 
 def collinear_pool():
     # e0, e1, their normalized sum s and a copy of e0, all terrestrial, plus an
     # aerial e2. At alpha = 0.9 SUS prunes the copy (correlation 1) but keeps
     # s (0.71 against e0 and against e1), so its third terrestrial pick is s, a
-    # singular schedule, and a fourth terrestrial pick finds no candidate left
+    # singular schedule, and a fourth terrestrial pick finds no candidate left:
+    # pruning runs dry there, and the schedule falls back to the copy of e0
     e = np.eye(4)
     return pool_from_vectors(
         [e[0], e[1], (e[0] + e[1]) / np.sqrt(2.0), e[0], e[2]],
@@ -320,27 +313,26 @@ def collinear_pool():
     )
 
 
-STRICT_WIDE = SusParams(alpha=0.9, fallback=SusFallback.FAIL)
+STRICT_WIDE = SusParams(alpha=0.9)
 
 
 def test_total_sweep_names_an_earlier_singular_row_before_a_later_scheduling_error():
     pool = collinear_pool()
     only_sus = {SelectionMethod.SUS}
-    with pytest.raises(SelectionError, match=r"method=sus, k=5, trial=0"):
-        sweep_total_users(pool, [5], methods=only_sus, params=STRICT_WIDE)
+    # k = 5 is where pruning runs dry, the rank a pruning-only scheduler stops at
+    assert sus_select(pool, 5, STRICT_WIDE).fallback_used_from == 4
     # row by row, k = 4 (e0, e1, e2, s) is evaluated before k = 5 is scheduled
     with pytest.raises(IllConditionedError, match=r"method=sus, k=4, trial=0"):
         sweep_total_users(pool, [1, 2, 3, 4, 5], methods=only_sus, params=STRICT_WIDE)
     # every random row is evaluated before the first SUS row is scheduled
-    strict = SusParams(fallback=SusFallback.FAIL)
     with pytest.raises(IllConditionedError, match=r"method=random, k=3, trial=0"):
-        sweep_total_users(duplicated_channel_pool(), [1, 2, 3], trials=1, params=strict)
+        sweep_total_users(duplicated_channel_pool(), [1, 2, 3], trials=1)
 
 
 def test_grid_names_an_earlier_singular_cell_before_a_later_scheduling_error():
     pool = collinear_pool()
-    with pytest.raises(SelectionError, match=r"k_ground=4, k_aerial=0"):
-        sweep_layer_grid(pool, [4], [0], params=STRICT_WIDE)
+    quota = {Layer.TERRESTRIAL: 4, Layer.AERIAL: 0}
+    assert sus_select_layered(pool, quota, STRICT_WIDE).fallback_used_from == 3
     with pytest.raises(IllConditionedError, match=r"k_ground=3, k_aerial=0"):
         sweep_layer_grid(pool, [3, 4], [0, 1], params=STRICT_WIDE)
 
