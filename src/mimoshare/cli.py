@@ -47,7 +47,42 @@ __all__ = ["main"]
 
 _SCENARIO = ScenarioConfig()
 
-# key -> (caster, default, help); config-file keys and CLI flags share names
+
+def _comma_list(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _list_of(caster):
+    return lambda text: [caster(part) for part in _comma_list(text)]
+
+
+def _range_part(part: str) -> range:
+    if ":" not in part:
+        return range(int(part), int(part) + 1)
+    lo, hi = (int(v) for v in part.split(":", 1))
+    if hi < lo:
+        raise ValueError(f"descending range {part!r}")
+    return range(lo, hi + 1)
+
+
+def _int_range(text: str) -> list[int]:
+    """Sorted distinct ints of a comma-separated list of ``n`` and ``lo:hi`` parts."""
+    values = sorted(set().union(*map(_range_part, _comma_list(text))))
+    if not values:
+        raise ValueError(f"empty range {text!r}")
+    return values
+
+
+def _pool_count(text) -> int | None:
+    """A per-layer pool size; -1 keeps the whole layer and reads as None."""
+    count = int(text)
+    if count < -1:
+        raise ValueError(f"must be >= 0, or -1 to keep the whole layer; got {count}")
+    return None if count == -1 else count
+
+
+# key -> (caster, default, help); config-file keys and CLI flags share names.
+# _merge_config casts every value, so commands read typed values from cfg.
 _CONFIG_SPEC: dict[str, tuple] = {
     "m_rows": (int, _SCENARIO.m_rows, "antenna rows of the BS array"),
     "m_cols": (int, _SCENARIO.m_cols, "antenna columns of the BS array"),
@@ -71,53 +106,34 @@ _CONFIG_SPEC: dict[str, tuple] = {
     "alpha": (float, SusParams().alpha, "SUS orthogonality threshold in (0, 1]"),
     "seed": (int, 0, "master seed for generation, pools and random scheduling"),
     "trials": (int, 20, "random-scheduling trials per schedule size"),
-    "pool_terrestrial": (int, 36, "terrestrial candidate-pool size (-1 keeps all)"),
-    "pool_aerial": (int, 28, "aerial candidate-pool size (-1 keeps all)"),
-    "pool_policy": (str, "stride", "pool subsampling policy: stride or uniform"),
-    "k_range": (str, "1:64", "total-user sweep range, e.g. 1:64"),
-    "methods": (str, "random,sus", "comma-separated sweep methods"),
-    "ground_range": (str, "0:36", "grid range of terrestrial users, e.g. 0:36"),
-    "aerial_range": (str, "0:28", "grid range of aerial users, e.g. 0:28"),
-    "thresholds": (str, "8", "comma-separated minimum individual-SE thresholds"),
-    "csi": (str, "", "comma-separated capture binaries to ingest"),
-    "format": (str, "", "comma-separated sidecars (default: <capture>.cfg)"),
+    "pool_terrestrial": (_pool_count, 36, "terrestrial candidate-pool size (-1 keeps all)"),
+    "pool_aerial": (_pool_count, 28, "aerial candidate-pool size (-1 keeps all)"),
+    "pool_policy": (PoolPolicy, "stride", "pool subsampling policy: stride or uniform"),
+    "k_range": (_int_range, "1:64", "total-user sweep range, e.g. 1:64"),
+    "methods": (_list_of(SelectionMethod), "random,sus", "comma-separated sweep methods"),
+    "ground_range": (_int_range, "0:36", "grid range of terrestrial users, e.g. 0:36"),
+    "aerial_range": (_int_range, "0:28", "grid range of aerial users, e.g. 0:28"),
+    "thresholds": (_list_of(float), "8", "comma-separated minimum individual-SE thresholds"),
+    "csi": (_comma_list, "", "comma-separated capture binaries to ingest"),
+    "format": (_comma_list, "", "comma-separated sidecars (default: <capture>.cfg)"),
     "out": (str, "out", "output directory"),
     "table": (str, "", "existing sweep.csv to summarize (report command)"),
 }
 
-def _parse_list(cfg: dict, key: str, caster) -> list:
-    """The comma-separated values of one key, each cast; a bad value names the key."""
-    try:
-        return [caster(part.strip()) for part in cfg[key].split(",") if part.strip()]
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
-
-
-def _range_part(part: str) -> range:
-    if ":" not in part:
-        return range(int(part), int(part) + 1)
-    lo, hi = (int(v) for v in part.split(":", 1))
-    if hi < lo:
-        raise ValueError(f"descending range {part!r}")
-    return range(lo, hi + 1)
-
-
-def _parse_range(cfg: dict, key: str) -> list[int]:
-    values = sorted(set().union(*_parse_list(cfg, key, _range_part)))
-    if not values:
-        raise ValueError(f"{key} is empty: {cfg[key]!r}")
-    return values
-
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = {key: default for key, (_, default, _) in _CONFIG_SPEC.items()}
+    """Defaults, then the config file, then flags; every value cast by its spec caster."""
+    cfg = {key: caster(default) for key, (caster, default, _) in _CONFIG_SPEC.items()}
     if args.config:
         casters = {key: spec[0] for key, spec in _CONFIG_SPEC.items()}
         cfg.update(_parse_keyvalues(args.config, casters, strict=True))
-    for key in _CONFIG_SPEC:
+    for key, (caster, _, _) in _CONFIG_SPEC.items():
         override = getattr(args, key, None)
         if override is not None:
-            cfg[key] = override
+            try:
+                cfg[key] = caster(override)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
     return cfg
 
 
@@ -131,8 +147,7 @@ def _scenario_from(cfg: dict) -> ScenarioConfig:
 
 
 def _load_captures(cfg: dict) -> CsiDataset:
-    bins = [p.strip() for p in cfg["csi"].split(",") if p.strip()]
-    sidecars = [p.strip() for p in cfg["format"].split(",") if p.strip()]
+    bins, sidecars = cfg["csi"], cfg["format"]
     if not bins:
         raise ValueError("no capture files given (set csi=... or --csi)")
     if sidecars and len(sidecars) != len(bins):
@@ -148,15 +163,6 @@ def _build_pool(cfg: dict) -> tuple[CsiDataset, str]:
     bit for bit, built without a normalized copy of the whole dataset: the
     whole dataset's factor scales only the rows the pool keeps.
     """
-    per_layer = []
-    for key in ("pool_terrestrial", "pool_aerial"):
-        if cfg[key] < -1:
-            raise ValueError(f"{key} must be >= 0, or -1 to keep the whole layer; got {cfg[key]}")
-        per_layer.append(None if cfg[key] == -1 else cfg[key])
-    try:
-        policy = PoolPolicy(cfg["pool_policy"])
-    except ValueError as exc:
-        raise ValueError(f"pool_policy: {exc}") from None
     if cfg["csi"]:
         dataset = _load_captures(cfg)
         mode = "ingest"
@@ -164,7 +170,8 @@ def _build_pool(cfg: dict) -> tuple[CsiDataset, str]:
         dataset = generate_synthetic(_scenario_from(cfg))
         mode = "generate"
     scale = _snr_scale(dataset)
-    pool = subsample_pool(dataset, tuple(per_layer), policy, seed=cfg["seed"])
+    per_layer = (cfg["pool_terrestrial"], cfg["pool_aerial"])
+    pool = subsample_pool(dataset, per_layer, cfg["pool_policy"], seed=cfg["seed"])
     return _scaled(pool, scale, cfg["snr_db"]), mode
 
 
@@ -273,24 +280,17 @@ def _cmd_ingest(cfg: dict) -> int:
 
 
 def _cmd_sweep(cfg: dict, kind: str) -> int:
-    # every value is parsed before the dataset is built, so a bad one fails at once
-    thresholds = _parse_list(cfg, "thresholds", float)
-    if kind == "total":
-        methods = set(_parse_list(cfg, "methods", SelectionMethod))
-        k_values = _parse_range(cfg, "k_range")
-    else:
-        ground = _parse_range(cfg, "ground_range")
-        aerial = _parse_range(cfg, "aerial_range")
-    params = SusParams(alpha=cfg["alpha"])
+    params = SusParams(alpha=cfg["alpha"])  # checked before the dataset is built
     pool, mode = _build_pool(cfg)
     if kind == "total":
-        table = sweep_total_users(pool, k_values, methods=methods, trials=cfg["trials"],
-                                  seed=cfg["seed"], params=params)
+        table = sweep_total_users(pool, cfg["k_range"], methods=cfg["methods"],
+                                  trials=cfg["trials"], seed=cfg["seed"], params=params)
     else:
-        table = sweep_layer_grid(pool, ground, aerial, params=params, seed=cfg["seed"])
+        table = sweep_layer_grid(pool, cfg["ground_range"], cfg["aerial_range"], params=params,
+                                 seed=cfg["seed"])
     files = {
         "sweep.csv": table.csv_text().encode(),
-        "summary.txt": _summary_text(table, thresholds).encode(),
+        "summary.txt": _summary_text(table, cfg["thresholds"]).encode(),
         "meta.json": _meta_json(table.meta, cfg, f"sweep-{kind}", mode),
     }
     _write_outputs(Path(cfg["out"]), files)
@@ -328,9 +328,7 @@ def _parse_csv_table(path: str) -> SweepTable:
 def _cmd_report(cfg: dict) -> int:
     if not cfg["table"]:
         raise ValueError("report needs an input table (set table=... or --table)")
-    thresholds = _parse_list(cfg, "thresholds", float)
-    table = _parse_csv_table(cfg["table"])
-    summary = _summary_text(table, thresholds)
+    summary = _summary_text(_parse_csv_table(cfg["table"]), cfg["thresholds"])
     _write_outputs(Path(cfg["out"]), {"summary.txt": summary.encode()})
     sys.stdout.write(summary)
     return 0
@@ -354,9 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for command in _COMMANDS:
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="flat key-value config file")
-        for key, (caster, default, help_text) in _CONFIG_SPEC.items():
-            flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, type=caster, default=None,
+        for key, (_, default, help_text) in _CONFIG_SPEC.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
                            help=f"{help_text} (default: {default})")
     return parser
 

@@ -203,19 +203,11 @@ class CsiDataset:
             raise KeyError(int(unknown[0]))
         return rows
 
-    def record(self, index: int) -> CsiRecord:
-        """Look up a record by its id."""
-        return self.records[self._rows_of([index])[0]]
-
     def channels_for(self, indices: Iterable[int]) -> np.ndarray:
         """Channels of the given record ids as a read-only (K, M) array."""
         channels = self.channels[self._rows_of(indices)]
         channels.flags.writeable = False
         return channels
-
-    def ids_in_layer(self, layer: Layer) -> list[int]:
-        """Record ids of one layer, in dataset (time) order."""
-        return self.ids[self.layer_codes == layer.code].tolist()
 
     def layer_counts(self, indices: Iterable[int] | None = None) -> dict[Layer, int]:
         """Records per layer, in the whole dataset or among the given record ids."""
@@ -473,12 +465,17 @@ class ScenarioConfig:
             "standoff_distance_m": self.standoff_distance_m,
         }
         for name, value in positive.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be strictly positive, got {value}")
-        if any(a <= 0 for a in self.layer_altitudes_m):
-            raise ValueError("layer altitudes must be strictly positive")
+            if not 0 < value < math.inf:  # also false for NaN
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
+        if not all(0 < a < math.inf for a in self.layer_altitudes_m):
+            raise ValueError(
+                f"layer_altitudes_m must be finite and strictly positive, got {self.layer_altitudes_m}"
+            )
         if self.layer_altitudes_m[0] == self.layer_altitudes_m[1]:
             raise ValueError("layer altitudes must be distinct")
+        # +inf is valid: it switches the diffuse term off
+        if not all(k > -math.inf for k in self.rician_k_db):
+            raise ValueError(f"rician_k_db must not be NaN or -inf, got {self.rician_k_db}")
 
     @property
     def m_antennas(self) -> int:

@@ -158,7 +158,7 @@ def test_layer_asymmetry_mechanism(default_pool):
     start = time.monotonic()
 
     def mean_pairwise_correlation(layer):
-        x = default_pool.channels_for(default_pool.ids_in_layer(layer))
+        x = default_pool.channels[default_pool.layer_codes == layer.code]
         xn = x / np.linalg.norm(x, axis=1, keepdims=True)
         c = np.abs(xn @ xn.conj().T)
         upper = np.triu_indices(len(x), 1)

@@ -125,6 +125,15 @@ def test_bad_config_value_names_the_file_line_and_key(tmp_path, capsys):
     assert "'eight'" in err
 
 
+def test_bad_structured_config_value_names_the_file_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = 1\nk_range = 30:3\n")
+    assert run_cli("sweep-total", "--config", cfg, "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:2" in err
+    assert "'k_range'" in err
+
+
 def test_cli_defaults_are_the_library_defaults():
     from mimoshare.cli import _build_parser, _merge_config, _scenario_from
     from mimoshare.csi import ScenarioConfig
@@ -280,6 +289,10 @@ BAD_SWEEP_VALUES = [
     ("sweep-grid", "ground_range", "5:1"),
     ("sweep-grid", "aerial_range", ","),
     ("sweep-grid", "alpha", "2"),
+    ("sweep-grid", "seed", "abc"),
+    ("sweep-total", "carrier_hz", "nan"),
+    ("sweep-grid", "trajectory_length_m", "inf"),
+    ("generate", "k_range", "1:x"),  # every command checks every key, used or not
 ]
 
 

@@ -153,7 +153,7 @@ def test_rebuild_from_records_equals_array_built(dataset):
     assert rebuilt.layer_counts() == dataset.layer_counts()
     for layer in Layer:
         ids = [r.index for r in dataset.records if r.layer is layer]
-        assert dataset.ids_in_layer(layer) == ids
+        assert dataset.ids[dataset.layer_codes == layer.code].tolist() == ids
 
 
 def test_returned_arrays_are_read_only(dataset):
@@ -176,9 +176,6 @@ def test_lookup_by_id_follows_the_requested_order():
     wanted = [5, 40, 99]
     by_record = np.array([r.channel for i in wanted for r in dataset.records if r.index == i])
     assert np.array_equal(dataset.channels_for(wanted), by_record)
-    assert dataset.record(23).timestep_ms == 6
-    with pytest.raises(KeyError):
-        dataset.record(2)
     with pytest.raises(KeyError):
         dataset.channels_for([5, 1000])
 

@@ -270,7 +270,7 @@ def test_broadside_user_has_equal_gain_magnitudes():
 
 def test_default_pool_correlation_ordering_aerial_above_terrestrial(default_pool):
     def mean_pairwise(layer):
-        x = default_pool.channels_for(default_pool.ids_in_layer(layer))
+        x = default_pool.channels[default_pool.layer_codes == layer.code]
         xn = x / np.linalg.norm(x, axis=1, keepdims=True)
         c = np.abs(xn @ xn.conj().T)
         iu = np.triu_indices(len(x), 1)
@@ -296,6 +296,23 @@ def test_invalid_geometry_rejected():
         ScenarioConfig(layer_altitudes_m=(8.0, 8.0))
     with pytest.raises(ValueError):
         ScenarioConfig(trajectory_speed_mps=-1.0)
+
+
+POSITIVE_FIELDS = [
+    "m_rows", "m_cols", "carrier_hz", "element_spacing_wavelengths", "bs_height_m",
+    "trajectory_length_m", "trajectory_speed_mps", "sample_interval_ms", "standoff_distance_m",
+]
+NONFINITE_SCENARIO_CASES = (
+    [(field, bad) for field in POSITIVE_FIELDS for bad in (math.nan, math.inf)]
+    + [("layer_altitudes_m", alts) for alts in ((math.nan, 24.0), (8.0, math.inf))]
+    + [("rician_k_db", ks) for ks in ((math.nan, 20.0), (3.0, -math.inf))]
+)
+
+
+@pytest.mark.parametrize("field, value", NONFINITE_SCENARIO_CASES, ids=str)
+def test_nonfinite_scenario_value_is_rejected_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------

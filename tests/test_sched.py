@@ -122,7 +122,7 @@ def test_sus_trace_replay_respects_alpha():
     pool = pool_from_vectors(random_unit_channels(rng, 30, 8))
     params = SusParams(alpha=0.5)
     result = sus_select(pool, 10, params)
-    channels = [pool.record(i).channel for i in result.chosen]
+    channels = pool.channels_for(result.chosen)
     cutoff = len(result) if result.fallback_used_from is None else result.fallback_used_from
     basis = []
     for rank, h in enumerate(channels):
@@ -221,7 +221,7 @@ def test_layered_degenerate_quota_all_aerial():
     pool = pool_from_vectors(random_unit_channels(rng, 10, 4), layers)
     result = sus_select_layered(pool, {Layer.TERRESTRIAL: 0, Layer.AERIAL: 3})
     assert result.per_layer_counts == {Layer.TERRESTRIAL: 0, Layer.AERIAL: 3}
-    assert all(pool.record(i).layer is Layer.AERIAL for i in result.chosen)
+    assert all(pool.records[i].layer is Layer.AERIAL for i in result.chosen)  # id i is row i
 
 
 def test_layered_quota_binds_third_pick():
@@ -242,7 +242,7 @@ def test_layered_prefix_counts_never_exceed_quota():
     result = sus_select_layered(pool, quota, SusParams(alpha=0.4))
     running = {Layer.TERRESTRIAL: 0, Layer.AERIAL: 0}
     for rec_id in result.chosen:
-        running[pool.record(rec_id).layer] += 1
+        running[pool.records[rec_id].layer] += 1  # id i is row i
         assert running[Layer.TERRESTRIAL] <= quota[Layer.TERRESTRIAL]
         assert running[Layer.AERIAL] <= quota[Layer.AERIAL]
     assert result.per_layer_counts == quota

@@ -367,7 +367,6 @@ def test_quota_matching_realized_counts_reproduces_unconstrained():
     reason="greedy selection is not optimal: a layer cap can steer it away from "
     "high-correlation picks and beat the unconstrained run, so the 'constraints "
     "cannot help' bound only holds for exhaustive-optimal selection",
-    strict=False,
 )
 def test_unconstrained_dominates_every_layered_split(default_pool):
     params = SusParams()
