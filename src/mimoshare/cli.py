@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -73,6 +74,30 @@ def _int_range(text: str) -> list[int]:
     return values
 
 
+def _int_at_least(low: int):
+    def cast(text) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}; got {value}")
+        return value
+
+    return cast
+
+
+def _finite_float(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite; got {value}")
+    return value
+
+
+def _sweep_method(text: str) -> SelectionMethod:
+    method = SelectionMethod(text)
+    if method not in (SelectionMethod.RANDOM, SelectionMethod.SUS):
+        raise ValueError(f"sweep methods are random and sus; got {text!r}")
+    return method
+
+
 def _pool_count(text) -> int | None:
     """A per-layer pool size; -1 keeps the whole layer and reads as None."""
     count = int(text)
@@ -102,15 +127,15 @@ _CONFIG_SPEC: dict[str, tuple] = {
     "rician_k_terrestrial_db":
         (float, _SCENARIO.rician_k_db[0], "terrestrial Rician K-factor in dB"),
     "rician_k_aerial_db": (float, _SCENARIO.rician_k_db[1], "aerial Rician K-factor in dB"),
-    "snr_db": (float, 20.0, "dataset-average SNR target in dB"),
+    "snr_db": (_finite_float, 20.0, "dataset-average SNR target in dB"),
     "alpha": (float, SusParams().alpha, "SUS orthogonality threshold in (0, 1]"),
-    "seed": (int, 0, "master seed for generation, pools and random scheduling"),
-    "trials": (int, 20, "random-scheduling trials per schedule size"),
+    "seed": (_int_at_least(0), 0, "master seed for generation, pools and random scheduling"),
+    "trials": (_int_at_least(1), 20, "random-scheduling trials per schedule size"),
     "pool_terrestrial": (_pool_count, 36, "terrestrial candidate-pool size (-1 keeps all)"),
     "pool_aerial": (_pool_count, 28, "aerial candidate-pool size (-1 keeps all)"),
     "pool_policy": (PoolPolicy, "stride", "pool subsampling policy: stride or uniform"),
     "k_range": (_int_range, "1:64", "total-user sweep range, e.g. 1:64"),
-    "methods": (_list_of(SelectionMethod), "random,sus", "comma-separated sweep methods"),
+    "methods": (_list_of(_sweep_method), "random,sus", "comma-separated sweep methods"),
     "ground_range": (_int_range, "0:36", "grid range of terrestrial users, e.g. 0:36"),
     "aerial_range": (_int_range, "0:28", "grid range of aerial users, e.g. 0:28"),
     "thresholds": (_list_of(float), "8", "comma-separated minimum individual-SE thresholds"),
@@ -303,14 +328,14 @@ def _parse_csv_table(path: str) -> SweepTable:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: not a sweep table (unexpected header)")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fields = line.split(",")
         if len(fields) != 8:
-            raise ValueError(f"{path}: malformed row {line!r}")
-        rows.append(
-            SweepRow(
+            raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
+        try:
+            row = SweepRow(
                 method=SelectionMethod(fields[0]),
                 k_total=int(fields[1]),
                 k_ground=int(fields[2]),
@@ -321,7 +346,9 @@ def _parse_csv_table(path: str) -> SweepTable:
                 fallback_rank=int(fields[7]) if fields[7] else None,
                 selection=None,
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        rows.append(row)
     return SweepTable(rows=tuple(rows), meta={"sweep": "from_csv", "source": path})
 
 

@@ -5,8 +5,8 @@ re-evaluated standalone. Rows are ordered canonically (method, k_ground,
 k_aerial, trial) regardless of how the grid was executed.
 
 A sweep first schedules every row, then evaluates the schedules of each size
-K as one (B, K, M) stack at unit transmit power (the pool's noise power sets
-the SNR). Scheduling over validated ranges cannot fail; an ill-conditioned
+K as one (B, K, M) stack, in closed form, at unit transmit power (the pool's
+noise power sets the SNR). Scheduling over validated ranges cannot fail; an ill-conditioned
 row still names the cell a row-by-row run would have stopped at.
 """
 
@@ -27,8 +27,8 @@ from .sched import (
     _SusRun,
     random_select,
 )
-# stacked evaluation goes through the module: perfbench/tracer.py wraps the
-# zfmetrics functions imported here by name and expects an SeReport from each
+# the closed-form core is called through the module: perfbench/tracer.py wraps
+# the zfmetrics functions imported here by name and expects an SeReport from each
 from . import zfmetrics
 from .zfmetrics import IllConditionedError, evaluate_selection
 
@@ -134,7 +134,7 @@ def _schedule_then_evaluate(
         ids = [i for n in positions for i in scheduled[n][1].chosen]
         channels = pool.channels_for(ids).reshape(len(positions), k, pool.m_antennas)
         try:
-            sinr = zfmetrics.stacked_sinr(channels, 1.0, pool.noise_power)
+            sinr = zfmetrics._closed_form_sinr(channels, 1.0, pool.noise_power)
         except IllConditionedError as exc:
             failures.append((positions[exc.index], exc))
             continue

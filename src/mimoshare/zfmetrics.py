@@ -2,20 +2,25 @@
 
 With the scheduled channels column-stacked as an M x K matrix H, the combiner
 is V = H (H^H H)^-1, so v_k^H h_i is 1 for i == k and 0 otherwise
-(Bjornson, Hoydis & Sanguinetti, *Massive MIMO Networks*, 2017). SINR is
-evaluated literally, interference term included, so the same routine is valid
-for any combiner, not only ZF.
+(Bjornson, Hoydis & Sanguinetti, *Massive MIMO Networks*, 2017), and the ZF
+SINR has the closed form SINR_k = p / (sigma^2 [(H^H H)^-1]_kk).
 
-One stacked core does the work: it takes B schedules of K users as a
-(B, K, M) channel stack and makes, per matrix, the same numpy ``linalg`` and
-matmul calls a single schedule gets, so a schedule's SINR does not depend on
-the stack it is evaluated in. ``zf_combiner``, ``sinr`` and
-``evaluate_selection`` are its B = 1 case; ``stacked_sinr`` evaluates a whole
-stack, as the sweeps do for every schedule size.
+Two cores take B schedules of K users as a (B, K, M) channel stack and make,
+per matrix, the same numpy ``linalg`` calls a single schedule gets, so a
+schedule's SINR does not depend on the stack it is evaluated in:
+
+- the literal path builds the combiners and evaluates SINR literally,
+  interference term included, so it is valid for any combiner, not only ZF.
+  ``zf_combiner``, ``sinr`` and ``stacked_sinr`` expose it; it is the
+  reference the closed form is tested against.
+- the private closed form ``_closed_form_sinr`` takes [(H^H H)^-1]_kk from one
+  triangular factor per schedule and runs the exact SVD condition check only
+  where a free bound does not clear the cap. ``evaluate_selection`` and the
+  sweeps use it.
 
 SINR depends on the transmit power p only through p / sigma^2, which
 ``normalize_to_snr`` sets from ``snr_db`` for p = 1, so evaluation above the
-core runs at unit power; ``sinr`` and ``stacked_sinr`` take both powers.
+cores runs at unit power; ``sinr`` and ``stacked_sinr`` take both powers.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ __all__ = [
 DEFAULT_COND_CAP = 1e10
 # crosstalk |V^H H - I| below which a combiner needs no refinement pass
 _CROSSTALK_TOL = 1e-13
+# how far below the cap tr(G) tr(G^-1) must stay to skip the exact SVD
+_BOUND_MARGIN = 10.0
 
 
 class IllConditionedError(ValueError):
@@ -110,6 +117,23 @@ def _first_not_positive_definite(gram: np.ndarray) -> int | None:
     return None
 
 
+def _gram(a: np.ndarray) -> np.ndarray:
+    """Gram matrices H^H H (B, K, K) of a (B, K, M) stack."""
+    return a.conj() @ a.transpose(0, 2, 1)
+
+
+def _gram_condition(gram: np.ndarray) -> np.ndarray:
+    """Exact 2-norm condition numbers (B,) of a Gram stack, inf where singular."""
+    svals = np.linalg.svd(gram, compute_uv=False)
+    smallest = svals[:, -1]
+    return np.divide(svals[:, 0], smallest, out=np.full(len(gram), np.inf), where=smallest > 0.0)
+
+
+def _within_cap(cond: np.ndarray, cond_cap: float) -> np.ndarray:
+    # an infinite condition number fails any cap, cond_cap=inf included
+    return np.isfinite(cond) & (cond <= cond_cap)
+
+
 def _zf_stack(a: np.ndarray, cond_cap: float) -> tuple[np.ndarray, np.ndarray]:
     """ZF combiners (B, M, K) and Gram condition numbers (B,) of a (B, K, M) stack.
 
@@ -128,11 +152,9 @@ def _zf_stack(a: np.ndarray, cond_cap: float) -> tuple[np.ndarray, np.ndarray]:
             f"cannot null {k_users} users with {m_antennas} antennas (K > M)"
         )
     h = a.transpose(0, 2, 1)  # (B, M, K), columns are the user channels
-    gram = a.conj() @ h  # H^H H
-    svals = np.linalg.svd(gram, compute_uv=False)
-    smallest = svals[:, -1]
-    cond = np.divide(svals[:, 0], smallest, out=np.full(len(a), np.inf), where=smallest > 0.0)
-    capped = np.flatnonzero(~(np.isfinite(cond) & (cond <= cond_cap)))
+    gram = _gram(a)
+    cond = _gram_condition(gram)
+    capped = np.flatnonzero(~_within_cap(cond, cond_cap))
     first_capped = int(capped[0]) if capped.size else len(a)
     # a matrix is checked as it would be alone: condition first, then Cholesky
     failed = _first_not_positive_definite(gram[:first_capped])
@@ -221,6 +243,50 @@ def stacked_sinr(
     return _sinr_stack(v, a, tx_power, noise_power)
 
 
+def _closed_form_sinr(
+    channels, tx_power: float, noise_power: float, cond_cap: float = DEFAULT_COND_CAP
+) -> np.ndarray:
+    """ZF SINR (B, K) of a (B, K, M) stack as p / (sigma^2 [(H^H H)^-1]_kk).
+
+    The triangular factor comes from the QR factorization H = Q R, so that
+    G = H^H H = R^H R and diag(G^-1)_j = sum_i |(R^-1)_ji|^2. Factoring H
+    rather than G keeps the relative error near cond_2(H) eps = sqrt(cond_2(G))
+    eps, where a Cholesky factor of G would carry cond_2(G) eps: against
+    60-digit arithmetic, 1e-12 against 1e-6 at cond_2(G) = 1e9.
+
+    cond_2(G) is at most tr(G) tr(G^-1), so the exact SVD runs only on the
+    matrices whose bound is not clear of the cap, and each cap decision is
+    still the SVD's. K > M, a capped or not positive definite Gram matrix, or
+    a singular factor sends the whole stack to the literal ``stacked_sinr``,
+    which raises the error and ``index`` it always has. Each matrix gets the
+    same LAPACK calls in a stack of any size, so a row's bits do not depend
+    on the stack.
+    """
+    a = _as_schedule_stack(channels)
+    _check_powers(tx_power, noise_power)
+    _, k_users, m_antennas = a.shape
+    if k_users > m_antennas:
+        return stacked_sinr(a, tx_power, noise_power, cond_cap)
+    factor = np.linalg.qr(a.transpose(0, 2, 1), mode="r")  # (B, K, K), G = R^H R
+    eye = np.eye(k_users, dtype=np.complex128)
+    try:
+        # a (1, K, K) right-hand side reads as a matrix stack on numpy 1.x and 2.x alike
+        factor_inv = np.linalg.solve(factor, eye[None])
+    except np.linalg.LinAlgError:
+        return stacked_sinr(a, tx_power, noise_power, cond_cap)
+    inv_diag = np.sum(factor_inv.real**2 + factor_inv.imag**2, axis=2)
+    bound = np.sum(a.real**2 + a.imag**2, axis=(1, 2)) * np.sum(inv_diag, axis=1)
+    # a bound counts as clear only _BOUND_MARGIN below the cap, or below the
+    # default cap for larger caps, where rounding in tr(G^-1) could reach the cap
+    unclear = ~(bound <= min(cond_cap, DEFAULT_COND_CAP) / _BOUND_MARGIN)
+    if unclear.any():
+        gram = _gram(a)[unclear]  # the bits _zf_stack decides on
+        capped = not _within_cap(_gram_condition(gram), cond_cap).all()
+        if capped or _first_not_positive_definite(gram) is not None:
+            return stacked_sinr(a, tx_power, noise_power, cond_cap)
+    return tx_power / (noise_power * inv_diag)
+
+
 def spectral_efficiency(sinr_values) -> np.ndarray:
     """Elementwise log2(1 + SINR), bits/s/Hz."""
     s = np.asarray(sinr_values, dtype=np.float64)
@@ -244,6 +310,6 @@ def evaluate_selection(pool: CsiDataset, selection: SelectionResult) -> SeReport
     if pool.noise_power is None:
         raise ValueError("pool has no noise power; normalize it before evaluation")
     channels = pool.channels_for(selection.chosen)
-    sinr_values = stacked_sinr(channels[None], 1.0, pool.noise_power)[0]
+    sinr_values = _closed_form_sinr(channels[None], 1.0, pool.noise_power)[0]
     se_values = spectral_efficiency(sinr_values)
     return SeReport(per_user_sinr=sinr_values, per_user_se=se_values, sum_se=sum_se(se_values))

@@ -293,6 +293,10 @@ BAD_SWEEP_VALUES = [
     ("sweep-total", "carrier_hz", "nan"),
     ("sweep-grid", "trajectory_length_m", "inf"),
     ("generate", "k_range", "1:x"),  # every command checks every key, used or not
+    ("sweep-total", "trials", "0"),
+    ("sweep-grid", "seed", "-1"),
+    ("sweep-grid", "snr_db", "inf"),
+    ("sweep-total", "methods", "sus_layered"),
 ]
 
 
@@ -320,3 +324,20 @@ def test_report_names_a_bad_threshold(tmp_path, capsys):
     table.write_text(CSV_HEADER + "\n")
     assert run_cli("report", "--table", table, "--out", tmp_path / "x", "--thresholds", "abc") == 1
     assert "thresholds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad_row, bad_value",
+    [
+        ("bogus,3,2,1,0,10.5,3.5,", "bogus"),  # method
+        ("sus,3,2,x1,0,10.5,3.5,", "x1"),  # int field
+        ("sus,3,2,1,0,10.5,3.5e,", "3.5e"),  # float field
+    ],
+)
+def test_report_names_the_file_and_line_of_a_bad_row(bad_row, bad_value, tmp_path, capsys):
+    table = tmp_path / "sweep.csv"
+    table.write_text(f"{CSV_HEADER}\nsus,1,1,0,0,6.5,6.5,\n{bad_row}\n")
+    assert run_cli("report", "--table", table, "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert f"{table}:3:" in err and bad_value in err
+    assert not (tmp_path / "x").exists()

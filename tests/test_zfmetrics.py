@@ -9,6 +9,7 @@ from conftest import pool_from_vectors, random_unit_channels
 from mimoshare.csi import Layer
 from mimoshare.sched import SelectionMethod, SelectionResult, sus_select
 from mimoshare.zfmetrics import (
+    DEFAULT_COND_CAP,
     CombinerMatrix,
     IllConditionedError,
     evaluate_selection,
@@ -18,6 +19,7 @@ from mimoshare.zfmetrics import (
     sum_se,
     zf_combiner,
 )
+from mimoshare.zfmetrics import _closed_form_sinr
 
 LOG2_101 = math.log2(101.0)  # SE of a single user at 20 dB: 6.65821...
 
@@ -329,18 +331,20 @@ def test_stacked_not_positive_definite_found_past_an_uncapped_condition():
     rounded = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-26]])
     gram = rounded @ rounded.T
     assert np.isfinite(np.linalg.cond(gram.astype(np.complex128)))
-    with pytest.raises(IllConditionedError, match="not positive definite") as info:
-        stacked_sinr(np.stack([good, good, rounded, good]), 1.0, 0.01, cond_cap=np.inf)
-    assert info.value.index == 2
+    for core in (stacked_sinr, _closed_form_sinr):
+        with pytest.raises(IllConditionedError, match="not positive definite") as info:
+            core(np.stack([good, good, rounded, good]), 1.0, 0.01, cond_cap=np.inf)
+        assert info.value.index == 2
     with pytest.raises(IllConditionedError, match="not positive definite"):
         zf_combiner(rounded, cond_cap=np.inf)
 
 
 def test_infinite_condition_number_fails_any_cap():
     duplicated = np.array([[1.0, 0.0], [1.0, 0.0]])  # exactly singular Gram matrix
-    with pytest.raises(IllConditionedError, match="exceeds cap") as info:
-        stacked_sinr(np.stack([np.eye(2), duplicated]), 1.0, 0.01, cond_cap=np.inf)
-    assert info.value.index == 1
+    for core in (stacked_sinr, _closed_form_sinr):
+        with pytest.raises(IllConditionedError, match="exceeds cap") as info:
+            core(np.stack([np.eye(2), duplicated]), 1.0, 0.01, cond_cap=np.inf)
+        assert info.value.index == 1
     with pytest.raises(IllConditionedError, match="exceeds cap"):
         zf_combiner(duplicated, cond_cap=np.inf)
 
@@ -356,3 +360,77 @@ def test_stacked_validates_inputs():
         stacked_sinr(np.eye(3)[None], 1.0, -1.0)
     with pytest.raises(IllConditionedError, match="K > M"):
         stacked_sinr(np.ones((2, 3, 2)), 1.0, 0.01)
+    with pytest.raises(IllConditionedError, match="K > M"):
+        _closed_form_sinr(np.ones((2, 3, 2)), 1.0, 0.01)
+
+
+# ---------------------------------------------------------------------------
+# closed-form core
+# ---------------------------------------------------------------------------
+
+@HYPOTHESIS
+@given(stack=schedule_stacks(), noise_power=st.floats(1e-4, 1.0))
+def test_closed_form_matches_the_literal_stack(stack, noise_power):
+    try:
+        literal = stacked_sinr(stack, 2.0, noise_power)
+    except IllConditionedError as exc:
+        with pytest.raises(IllConditionedError) as info:
+            _closed_form_sinr(stack, 2.0, noise_power)
+        assert str(info.value) == str(exc) and info.value.index == exc.index
+        return
+    closed = _closed_form_sinr(stack, 2.0, noise_power)
+    assert closed.shape == literal.shape
+    assert np.abs(closed / literal - 1.0).max() < 1e-9
+
+
+@HYPOTHESIS
+@given(stack=schedule_stacks(), noise_power=st.floats(1e-4, 1.0))
+def test_closed_form_row_does_not_depend_on_its_stack(stack, noise_power):
+    alone = []
+    for channels in stack:
+        try:
+            alone.append(_closed_form_sinr(channels[None], 2.0, noise_power)[0])
+        except IllConditionedError:
+            alone.append(None)
+    kept = [b for b, values in enumerate(alone) if values is not None]
+    assume(kept)
+    stacked = _closed_form_sinr(stack[kept], 2.0, noise_power)
+    for row, b in enumerate(kept):
+        assert np.array_equal(stacked[row], alone[b])
+
+
+def _gram_cond(channels):
+    return np.linalg.cond(channels.conj() @ channels.T)
+
+
+def test_closed_form_cap_decisions_at_the_boundary(monkeypatch):
+    import mimoshare.zfmetrics as zfmetrics
+
+    e = np.eye(24)
+    # 19 orthonormal users plus a near-duplicate of the first: cond ~ 4 / eps^2
+    # and tr(G) tr(G^-1) ~ 40 / eps^2, so the bound passes the cap, the exact
+    # condition number does not, and the schedule is evaluated
+    under = np.vstack([e[:19], e[0] + np.sqrt(4.0 / 2e9) * e[19]])
+    gram = under @ under.T
+    trace_bound = np.trace(gram) * np.trace(np.linalg.inv(gram))
+    assert _gram_cond(under) < DEFAULT_COND_CAP < trace_bound
+    # a near-duplicate pair whose exact condition number is just above the cap
+    over = np.vstack([e[:19], e[0] + np.sqrt(4.0 / 1.005e10) * e[19]])
+    assert DEFAULT_COND_CAP < _gram_cond(over) < 1.01 * DEFAULT_COND_CAP
+    good = e[:20]
+
+    exact_svds = []
+    gram_condition = zfmetrics._gram_condition
+    monkeypatch.setattr(
+        zfmetrics, "_gram_condition", lambda g: exact_svds.append(len(g)) or gram_condition(g)
+    )
+    closed = _closed_form_sinr(np.stack([good, under]), 1.0, 0.01)
+    assert exact_svds == [1]  # only the schedule whose bound passes the screen
+    literal = stacked_sinr(np.stack([good, under]), 1.0, 0.01)
+    assert np.abs(closed / literal - 1.0).max() < 1e-9
+    with pytest.raises(IllConditionedError, match="exceeds cap") as info:
+        stacked_sinr(np.stack([good, under, over]), 1.0, 0.01)
+    with pytest.raises(IllConditionedError, match="exceeds cap") as closed_info:
+        _closed_form_sinr(np.stack([good, under, over]), 1.0, 0.01)
+    assert str(closed_info.value) == str(info.value)
+    assert closed_info.value.index == info.value.index == 2
