@@ -35,6 +35,7 @@ from .csi import (
 )
 from .sched import SelectionMethod, SusParams
 from .sweeps import (
+    _SWEEP_METHODS,
     CSV_HEADER,
     SweepRow,
     SweepTable,
@@ -93,8 +94,9 @@ def _finite_float(text) -> float:
 
 def _sweep_method(text: str) -> SelectionMethod:
     method = SelectionMethod(text)
-    if method not in (SelectionMethod.RANDOM, SelectionMethod.SUS):
-        raise ValueError(f"sweep methods are random and sus; got {text!r}")
+    if method not in _SWEEP_METHODS:
+        supported = " and ".join(sorted(m.value for m in _SWEEP_METHODS))
+        raise ValueError(f"sweep methods are {supported}; got {text!r}")
     return method
 
 

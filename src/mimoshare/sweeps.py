@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 CSV_HEADER = "method,k_total,k_ground,k_aerial,trial,sum_se,mean_individual_se,fallback_rank"
+# the methods sweep_total_users runs; the layered grid has its own sweep
+_SWEEP_METHODS = frozenset({SelectionMethod.RANDOM, SelectionMethod.SUS})
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ def _schedule_then_evaluate(
         ids = [i for n in positions for i in scheduled[n][1].chosen]
         channels = pool.channels_for(ids).reshape(len(positions), k, pool.m_antennas)
         try:
-            sinr = zfmetrics._closed_form_sinr(channels, 1.0, pool.noise_power)
+            sinr = zfmetrics._closed_form_sinr(channels, pool.noise_power)
         except IllConditionedError as exc:
             failures.append((positions[exc.index], exc))
             continue
@@ -205,7 +207,7 @@ def sweep_total_users(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     methods = set(methods)
-    unsupported = methods - {SelectionMethod.RANDOM, SelectionMethod.SUS}
+    unsupported = methods - _SWEEP_METHODS
     if unsupported:
         raise ValueError(f"unsupported sweep methods: {sorted(m.value for m in unsupported)}")
 

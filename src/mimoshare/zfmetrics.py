@@ -48,7 +48,8 @@ __all__ = [
 DEFAULT_COND_CAP = 1e10
 # crosstalk |V^H H - I| below which a combiner needs no refinement pass
 _CROSSTALK_TOL = 1e-13
-# how far below the cap tr(G) tr(G^-1) must stay to skip the exact SVD
+# how far below the cap tr(G) tr(G^-1) must stay to skip the exact SVD: near
+# the cap the computed tr(G^-1) carries a relative error of ~cond_2(G) eps
 _BOUND_MARGIN = 10.0
 
 
@@ -243,10 +244,8 @@ def stacked_sinr(
     return _sinr_stack(v, a, tx_power, noise_power)
 
 
-def _closed_form_sinr(
-    channels, tx_power: float, noise_power: float, cond_cap: float = DEFAULT_COND_CAP
-) -> np.ndarray:
-    """ZF SINR (B, K) of a (B, K, M) stack as p / (sigma^2 [(H^H H)^-1]_kk).
+def _closed_form_sinr(channels, noise_power: float) -> np.ndarray:
+    """ZF SINR (B, K) of a (B, K, M) stack at unit power, 1 / (sigma^2 [(H^H H)^-1]_kk).
 
     The triangular factor comes from the QR factorization H = Q R, so that
     G = H^H H = R^H R and diag(G^-1)_j = sum_i |(R^-1)_ji|^2. Factoring H
@@ -255,36 +254,34 @@ def _closed_form_sinr(
     60-digit arithmetic, 1e-12 against 1e-6 at cond_2(G) = 1e9.
 
     cond_2(G) is at most tr(G) tr(G^-1), so the exact SVD runs only on the
-    matrices whose bound is not clear of the cap, and each cap decision is
-    still the SVD's. K > M, a capped or not positive definite Gram matrix, or
-    a singular factor sends the whole stack to the literal ``stacked_sinr``,
-    which raises the error and ``index`` it always has. Each matrix gets the
-    same LAPACK calls in a stack of any size, so a row's bits do not depend
-    on the stack.
+    matrices whose bound is not _BOUND_MARGIN below DEFAULT_COND_CAP, and each
+    cap decision is still the SVD's. Within the cap every Gram matrix has a
+    Cholesky factor, so K > M, a singular factor or a capped Gram matrix is
+    the only failure: it sends the whole stack to the literal
+    ``stacked_sinr``, which raises the error and ``index`` it always has.
+    Each matrix gets the same LAPACK calls in a stack of any size, so a row's
+    bits do not depend on the stack.
     """
     a = _as_schedule_stack(channels)
-    _check_powers(tx_power, noise_power)
+    _check_powers(1.0, noise_power)
     _, k_users, m_antennas = a.shape
     if k_users > m_antennas:
-        return stacked_sinr(a, tx_power, noise_power, cond_cap)
+        return stacked_sinr(a, 1.0, noise_power)
     factor = np.linalg.qr(a.transpose(0, 2, 1), mode="r")  # (B, K, K), G = R^H R
     eye = np.eye(k_users, dtype=np.complex128)
     try:
         # a (1, K, K) right-hand side reads as a matrix stack on numpy 1.x and 2.x alike
         factor_inv = np.linalg.solve(factor, eye[None])
     except np.linalg.LinAlgError:
-        return stacked_sinr(a, tx_power, noise_power, cond_cap)
+        return stacked_sinr(a, 1.0, noise_power)
     inv_diag = np.sum(factor_inv.real**2 + factor_inv.imag**2, axis=2)
     bound = np.sum(a.real**2 + a.imag**2, axis=(1, 2)) * np.sum(inv_diag, axis=1)
-    # a bound counts as clear only _BOUND_MARGIN below the cap, or below the
-    # default cap for larger caps, where rounding in tr(G^-1) could reach the cap
-    unclear = ~(bound <= min(cond_cap, DEFAULT_COND_CAP) / _BOUND_MARGIN)
+    unclear = ~(bound <= DEFAULT_COND_CAP / _BOUND_MARGIN)
     if unclear.any():
-        gram = _gram(a)[unclear]  # the bits _zf_stack decides on
-        capped = not _within_cap(_gram_condition(gram), cond_cap).all()
-        if capped or _first_not_positive_definite(gram) is not None:
-            return stacked_sinr(a, tx_power, noise_power, cond_cap)
-    return tx_power / (noise_power * inv_diag)
+        cond = _gram_condition(_gram(a)[unclear])  # the bits _zf_stack decides on
+        if not _within_cap(cond, DEFAULT_COND_CAP).all():
+            return stacked_sinr(a, 1.0, noise_power)
+    return 1.0 / (noise_power * inv_diag)
 
 
 def spectral_efficiency(sinr_values) -> np.ndarray:
@@ -310,6 +307,6 @@ def evaluate_selection(pool: CsiDataset, selection: SelectionResult) -> SeReport
     if pool.noise_power is None:
         raise ValueError("pool has no noise power; normalize it before evaluation")
     channels = pool.channels_for(selection.chosen)
-    sinr_values = _closed_form_sinr(channels[None], 1.0, pool.noise_power)[0]
+    sinr_values = _closed_form_sinr(channels[None], pool.noise_power)[0]
     se_values = spectral_efficiency(sinr_values)
     return SeReport(per_user_sinr=sinr_values, per_user_se=se_values, sum_se=sum_se(se_values))

@@ -331,22 +331,24 @@ def test_stacked_not_positive_definite_found_past_an_uncapped_condition():
     rounded = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-26]])
     gram = rounded @ rounded.T
     assert np.isfinite(np.linalg.cond(gram.astype(np.complex128)))
-    for core in (stacked_sinr, _closed_form_sinr):
-        with pytest.raises(IllConditionedError, match="not positive definite") as info:
-            core(np.stack([good, good, rounded, good]), 1.0, 0.01, cond_cap=np.inf)
-        assert info.value.index == 2
+    with pytest.raises(IllConditionedError, match="not positive definite") as info:
+        stacked_sinr(np.stack([good, good, rounded, good]), 1.0, 0.01, cond_cap=np.inf)
+    assert info.value.index == 2
     with pytest.raises(IllConditionedError, match="not positive definite"):
         zf_combiner(rounded, cond_cap=np.inf)
 
 
 def test_infinite_condition_number_fails_any_cap():
     duplicated = np.array([[1.0, 0.0], [1.0, 0.0]])  # exactly singular Gram matrix
-    for core in (stacked_sinr, _closed_form_sinr):
-        with pytest.raises(IllConditionedError, match="exceeds cap") as info:
-            core(np.stack([np.eye(2), duplicated]), 1.0, 0.01, cond_cap=np.inf)
-        assert info.value.index == 1
+    with pytest.raises(IllConditionedError, match="exceeds cap") as info:
+        stacked_sinr(np.stack([np.eye(2), duplicated]), 1.0, 0.01, cond_cap=np.inf)
+    assert info.value.index == 1
     with pytest.raises(IllConditionedError, match="exceeds cap"):
         zf_combiner(duplicated, cond_cap=np.inf)
+    # the closed form, at the default cap, hands a singular factor to stacked_sinr
+    with pytest.raises(IllConditionedError, match="exceeds cap") as info:
+        _closed_form_sinr(np.stack([np.eye(2), duplicated]), 0.01)
+    assert info.value.index == 1
 
 
 def test_stacked_validates_inputs():
@@ -361,7 +363,7 @@ def test_stacked_validates_inputs():
     with pytest.raises(IllConditionedError, match="K > M"):
         stacked_sinr(np.ones((2, 3, 2)), 1.0, 0.01)
     with pytest.raises(IllConditionedError, match="K > M"):
-        _closed_form_sinr(np.ones((2, 3, 2)), 1.0, 0.01)
+        _closed_form_sinr(np.ones((2, 3, 2)), 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +373,15 @@ def test_stacked_validates_inputs():
 @HYPOTHESIS
 @given(stack=schedule_stacks(), noise_power=st.floats(1e-4, 1.0))
 def test_closed_form_matches_the_literal_stack(stack, noise_power):
+    # at unit power, halving the noise power is the literal path's power of 2
     try:
         literal = stacked_sinr(stack, 2.0, noise_power)
     except IllConditionedError as exc:
         with pytest.raises(IllConditionedError) as info:
-            _closed_form_sinr(stack, 2.0, noise_power)
+            _closed_form_sinr(stack, noise_power / 2.0)
         assert str(info.value) == str(exc) and info.value.index == exc.index
         return
-    closed = _closed_form_sinr(stack, 2.0, noise_power)
+    closed = _closed_form_sinr(stack, noise_power / 2.0)
     assert closed.shape == literal.shape
     assert np.abs(closed / literal - 1.0).max() < 1e-9
 
@@ -389,12 +392,12 @@ def test_closed_form_row_does_not_depend_on_its_stack(stack, noise_power):
     alone = []
     for channels in stack:
         try:
-            alone.append(_closed_form_sinr(channels[None], 2.0, noise_power)[0])
+            alone.append(_closed_form_sinr(channels[None], noise_power)[0])
         except IllConditionedError:
             alone.append(None)
     kept = [b for b, values in enumerate(alone) if values is not None]
     assume(kept)
-    stacked = _closed_form_sinr(stack[kept], 2.0, noise_power)
+    stacked = _closed_form_sinr(stack[kept], noise_power)
     for row, b in enumerate(kept):
         assert np.array_equal(stacked[row], alone[b])
 
@@ -424,13 +427,13 @@ def test_closed_form_cap_decisions_at_the_boundary(monkeypatch):
     monkeypatch.setattr(
         zfmetrics, "_gram_condition", lambda g: exact_svds.append(len(g)) or gram_condition(g)
     )
-    closed = _closed_form_sinr(np.stack([good, under]), 1.0, 0.01)
+    closed = _closed_form_sinr(np.stack([good, under]), 0.01)
     assert exact_svds == [1]  # only the schedule whose bound passes the screen
     literal = stacked_sinr(np.stack([good, under]), 1.0, 0.01)
     assert np.abs(closed / literal - 1.0).max() < 1e-9
     with pytest.raises(IllConditionedError, match="exceeds cap") as info:
         stacked_sinr(np.stack([good, under, over]), 1.0, 0.01)
     with pytest.raises(IllConditionedError, match="exceeds cap") as closed_info:
-        _closed_form_sinr(np.stack([good, under, over]), 1.0, 0.01)
+        _closed_form_sinr(np.stack([good, under, over]), 0.01)
     assert str(closed_info.value) == str(info.value)
     assert closed_info.value.index == info.value.index == 2
