@@ -75,21 +75,22 @@ def _int_range(text: str) -> list[int]:
     return values
 
 
-def _int_at_least(low: int):
-    def cast(text) -> int:
-        value = int(text)
-        if value < low:
-            raise ValueError(f"must be >= {low}; got {value}")
+def _checked(caster, ok, rule: str):
+    """``caster``, then a ValueError naming ``rule`` unless ``ok(value)`` holds."""
+
+    def cast(text):
+        value = caster(text)
+        if not ok(value):  # NaN fails every comparison
+            raise ValueError(f"must be {rule}; got {value}")
         return value
 
     return cast
 
 
-def _finite_float(text) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite; got {value}")
-    return value
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
+# +inf is a valid Rician K-factor: it switches the diffuse term off
+_K_FACTOR_DB = _checked(float, lambda v: v > -math.inf, "> -inf")
 
 
 def _sweep_method(text: str) -> SelectionMethod:
@@ -111,28 +112,32 @@ def _pool_count(text) -> int | None:
 # key -> (caster, default, help); config-file keys and CLI flags share names.
 # _merge_config casts every value, so commands read typed values from cfg.
 _CONFIG_SPEC: dict[str, tuple] = {
-    "m_rows": (int, _SCENARIO.m_rows, "antenna rows of the BS array"),
-    "m_cols": (int, _SCENARIO.m_cols, "antenna columns of the BS array"),
-    "carrier_hz": (float, _SCENARIO.carrier_hz, "carrier frequency in Hz"),
+    "m_rows": (_POSITIVE_INT, _SCENARIO.m_rows, "antenna rows of the BS array"),
+    "m_cols": (_POSITIVE_INT, _SCENARIO.m_cols, "antenna columns of the BS array"),
+    "carrier_hz": (_POSITIVE, _SCENARIO.carrier_hz, "carrier frequency in Hz"),
     "element_spacing_wavelengths":
-        (float, _SCENARIO.element_spacing_wavelengths, "element spacing in wavelengths"),
-    "bs_height_m": (float, _SCENARIO.bs_height_m, "array center height in meters"),
-    "trajectory_length_m": (float, _SCENARIO.trajectory_length_m, "trajectory length in meters"),
-    "trajectory_speed_mps": (float, _SCENARIO.trajectory_speed_mps, "trajectory speed in m/s"),
+        (_POSITIVE, _SCENARIO.element_spacing_wavelengths, "element spacing in wavelengths"),
+    "bs_height_m": (_POSITIVE, _SCENARIO.bs_height_m, "array center height in meters"),
+    "trajectory_length_m":
+        (_POSITIVE, _SCENARIO.trajectory_length_m, "trajectory length in meters"),
+    "trajectory_speed_mps": (_POSITIVE, _SCENARIO.trajectory_speed_mps, "trajectory speed in m/s"),
     "sample_interval_ms":
-        (float, _SCENARIO.sample_interval_ms, "sampling interval in milliseconds"),
+        (_POSITIVE, _SCENARIO.sample_interval_ms, "sampling interval in milliseconds"),
     "altitude_terrestrial_m":
-        (float, _SCENARIO.layer_altitudes_m[0], "terrestrial-layer altitude in meters"),
-    "altitude_aerial_m": (float, _SCENARIO.layer_altitudes_m[1], "aerial-layer altitude in meters"),
-    "standoff_distance_m":
-        (float, _SCENARIO.standoff_distance_m, "horizontal array-to-trajectory distance in meters"),
+        (_POSITIVE, _SCENARIO.layer_altitudes_m[0], "terrestrial-layer altitude in meters"),
+    "altitude_aerial_m":
+        (_POSITIVE, _SCENARIO.layer_altitudes_m[1], "aerial-layer altitude in meters"),
+    "standoff_distance_m": (_POSITIVE, _SCENARIO.standoff_distance_m,
+                            "horizontal array-to-trajectory distance in meters"),
     "rician_k_terrestrial_db":
-        (float, _SCENARIO.rician_k_db[0], "terrestrial Rician K-factor in dB"),
-    "rician_k_aerial_db": (float, _SCENARIO.rician_k_db[1], "aerial Rician K-factor in dB"),
-    "snr_db": (_finite_float, 20.0, "dataset-average SNR target in dB"),
-    "alpha": (float, SusParams().alpha, "SUS orthogonality threshold in (0, 1]"),
-    "seed": (_int_at_least(0), 0, "master seed for generation, pools and random scheduling"),
-    "trials": (_int_at_least(1), 20, "random-scheduling trials per schedule size"),
+        (_K_FACTOR_DB, _SCENARIO.rician_k_db[0], "terrestrial Rician K-factor in dB"),
+    "rician_k_aerial_db": (_K_FACTOR_DB, _SCENARIO.rician_k_db[1], "aerial Rician K-factor in dB"),
+    "snr_db": (_checked(float, math.isfinite, "finite"), 20.0, "dataset-average SNR target in dB"),
+    "alpha": (_checked(float, lambda v: 0 < v <= 1, "in (0, 1]"), SusParams().alpha,
+              "SUS orthogonality threshold in (0, 1]"),
+    "seed": (_checked(int, lambda v: v >= 0, ">= 0"), 0,
+             "master seed for generation, pools and random scheduling"),
+    "trials": (_POSITIVE_INT, 20, "random-scheduling trials per schedule size"),
     "pool_terrestrial": (_pool_count, 36, "terrestrial candidate-pool size (-1 keeps all)"),
     "pool_aerial": (_pool_count, 28, "aerial candidate-pool size (-1 keeps all)"),
     "pool_policy": (PoolPolicy, "stride", "pool subsampling policy: stride or uniform"),
@@ -160,7 +165,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             try:
                 cfg[key] = caster(override)
             except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
+                raise ValueError(f"--{key.replace('_', '-')}: {exc}") from None
     return cfg
 
 
@@ -307,7 +312,7 @@ def _cmd_ingest(cfg: dict) -> int:
 
 
 def _cmd_sweep(cfg: dict, kind: str) -> int:
-    params = SusParams(alpha=cfg["alpha"])  # checked before the dataset is built
+    params = SusParams(alpha=cfg["alpha"])
     pool, mode = _build_pool(cfg)
     if kind == "total":
         table = sweep_total_users(pool, cfg["k_range"], methods=cfg["methods"],

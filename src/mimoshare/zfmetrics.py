@@ -5,22 +5,24 @@ is V = H (H^H H)^-1, so v_k^H h_i is 1 for i == k and 0 otherwise
 (Bjornson, Hoydis & Sanguinetti, *Massive MIMO Networks*, 2017), and the ZF
 SINR has the closed form SINR_k = p / (sigma^2 [(H^H H)^-1]_kk).
 
-Two cores take B schedules of K users as a (B, K, M) channel stack and make,
-per matrix, the same numpy ``linalg`` calls a single schedule gets, so a
-schedule's SINR does not depend on the stack it is evaluated in:
+One stacked closed-form core plus a per-schedule literal reference:
 
-- the literal path builds the combiners and evaluates SINR literally,
-  interference term included, so it is valid for any combiner, not only ZF.
-  ``zf_combiner``, ``sinr`` and ``stacked_sinr`` expose it; it is the
-  reference the closed form is tested against.
-- the private closed form ``_closed_form_sinr`` takes [(H^H H)^-1]_kk from one
-  triangular factor per schedule and runs the exact SVD condition check only
-  where a free bound does not clear the cap. ``evaluate_selection`` and the
+- the private closed form ``_closed_form_sinr`` takes B schedules of K users
+  as a (B, K, M) channel stack, takes [(H^H H)^-1]_kk from one triangular
+  factor per schedule and runs the exact SVD condition check only where a
+  free bound does not clear the cap. It makes, per matrix, the same numpy
+  ``linalg`` calls a single schedule gets, so a schedule's SINR does not
+  depend on the stack it is evaluated in. ``evaluate_selection`` and the
   sweeps use it.
+- the literal reference builds the combiner of one (K, M) schedule and
+  evaluates SINR literally, interference term included, so it is valid for
+  any combiner, not only ZF. ``zf_combiner`` and ``sinr`` expose it, and
+  ``stacked_sinr`` runs it on each schedule of a stack; it is what the
+  closed form is tested against, and what raises the closed form's errors.
 
 SINR depends on the transmit power p only through p / sigma^2, which
 ``normalize_to_snr`` sets from ``snr_db`` for p = 1, so evaluation above the
-cores runs at unit power; ``sinr`` and ``stacked_sinr`` take both powers.
+reference runs at unit power; ``sinr`` and ``stacked_sinr`` take both powers.
 """
 
 from __future__ import annotations
@@ -103,21 +105,6 @@ def _check_powers(tx_power: float, noise_power: float) -> None:
         raise ValueError("tx_power and noise_power must be positive")
 
 
-def _first_not_positive_definite(gram: np.ndarray) -> int | None:
-    """Position of the first matrix of a Gram stack that has no Cholesky factor."""
-    try:
-        np.linalg.cholesky(gram)
-        return None
-    except np.linalg.LinAlgError:
-        pass
-    for b, matrix in enumerate(gram):
-        try:
-            np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError:
-            return b
-    return None
-
-
 def _gram(a: np.ndarray) -> np.ndarray:
     """Gram matrices H^H H (B, K, K) of a (B, K, M) stack."""
     return a.conj() @ a.transpose(0, 2, 1)
@@ -135,74 +122,38 @@ def _within_cap(cond: np.ndarray, cond_cap: float) -> np.ndarray:
     return np.isfinite(cond) & (cond <= cond_cap)
 
 
-def _zf_stack(a: np.ndarray, cond_cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """ZF combiners (B, M, K) and Gram condition numbers (B,) of a (B, K, M) stack.
-
-    Each K x K Gram matrix is inverted once, and the combiners are corrected
-    with that inverse by up to two refinement passes, each applied only to
-    the matrices whose crosstalk V^H H - I still reaches 1e-13, which holds
-    the v_k^H h_i = delta_ki contract to ~1e-12 even near the condition cap.
-    Raises
-    IllConditionedError, naming the first failing matrix, when K > M allows
-    no null space, a Gram condition number exceeds the cap, or a Gram matrix
-    is not positive definite.
-    """
-    _, k_users, m_antennas = a.shape
-    if k_users > m_antennas:
-        raise IllConditionedError(
-            f"cannot null {k_users} users with {m_antennas} antennas (K > M)"
-        )
-    h = a.transpose(0, 2, 1)  # (B, M, K), columns are the user channels
-    gram = _gram(a)
-    cond = _gram_condition(gram)
-    capped = np.flatnonzero(~_within_cap(cond, cond_cap))
-    first_capped = int(capped[0]) if capped.size else len(a)
-    # a matrix is checked as it would be alone: condition first, then Cholesky
-    failed = _first_not_positive_definite(gram[:first_capped])
-    if failed is not None:
-        raise IllConditionedError("Gram matrix is not positive definite", index=failed)
-    if capped.size:
-        raise IllConditionedError(
-            f"Gram condition number {cond[first_capped]:.3e} exceeds cap {cond_cap:.1e}",
-            index=first_capped,
-        )
-
-    eye = np.eye(k_users, dtype=np.complex128)
-    # a (1, K, K) right-hand side reads as a matrix stack on numpy 1.x and 2.x alike
-    gram_inv = np.linalg.solve(gram, eye[None])
-    v = h @ gram_inv
-    active = np.arange(len(a))
-    for _ in range(2):
-        # a[active] is a C-ordered copy, so each matrix keeps the layout it has in h
-        h_active = a[active].transpose(0, 2, 1)
-        crosstalk = v[active].conj().transpose(0, 2, 1) @ h_active - eye
-        still = np.abs(crosstalk).max(axis=(1, 2)) >= _CROSSTALK_TOL
-        if not still.any():
-            break
-        active = active[still]
-        correction = gram_inv[active] @ crosstalk[still].conj().transpose(0, 2, 1)
-        v[active] = v[active] - a[active].transpose(0, 2, 1) @ correction
-    return v, cond
-
-
-def _sinr_stack(v: np.ndarray, a: np.ndarray, tx_power: float, noise_power: float) -> np.ndarray:
-    """Literal per-user SINR (B, K) of combiners (B, M, K) on channels (B, K, M)."""
-    cross = v.conj().transpose(0, 2, 1) @ a.transpose(0, 2, 1)  # cross[b, k, i] = v_k^H h_i
-    desired = tx_power * np.abs(np.diagonal(cross, axis1=1, axis2=2)) ** 2
-    interference = tx_power * np.sum(np.abs(cross) ** 2, axis=2) - desired
-    noise = noise_power * np.sum(np.abs(v) ** 2, axis=1)
-    return desired / (interference + noise)
-
-
 def zf_combiner(channels, cond_cap: float = DEFAULT_COND_CAP) -> CombinerMatrix:
     """Zero-forcing combiner for K user channels given as rows of a (K, M) array.
 
-    Raises IllConditionedError when K > M would allow no null space, when the
-    Gram condition number exceeds the cap, or when the Gram matrix is not
-    positive definite.
+    The K x K Gram matrix is inverted once, and the combiner is corrected with
+    that inverse by up to two refinement passes while its crosstalk V^H H - I
+    still reaches 1e-13, which holds the v_k^H h_i = delta_ki contract to
+    ~1e-12 even near the condition cap. Raises IllConditionedError when K > M
+    would allow no null space, when the Gram condition number exceeds the cap,
+    or when the Gram matrix is not positive definite, checked in that order.
     """
-    v, cond = _zf_stack(_as_user_matrix(channels)[None], cond_cap)
-    return CombinerMatrix(matrix=v[0], gram_condition=float(cond[0]))
+    a = _as_user_matrix(channels)
+    k_users, m_antennas = a.shape
+    if k_users > m_antennas:
+        raise IllConditionedError(f"cannot null {k_users} users with {m_antennas} antennas (K > M)")
+    gram = _gram(a[None])  # the stacked call, so cap decisions match the closed form's screen
+    cond = float(_gram_condition(gram)[0])
+    if not _within_cap(cond, cond_cap):
+        raise IllConditionedError(f"Gram condition number {cond:.3e} exceeds cap {cond_cap:.1e}")
+    try:
+        np.linalg.cholesky(gram[0])
+    except np.linalg.LinAlgError:
+        raise IllConditionedError("Gram matrix is not positive definite") from None
+    h = a.T  # (M, K), columns are the user channels
+    eye = np.eye(k_users, dtype=np.complex128)
+    gram_inv = np.linalg.inv(gram[0])
+    v = h @ gram_inv
+    for _ in range(2):
+        crosstalk = v.conj().T @ h - eye
+        if np.abs(crosstalk).max() < _CROSSTALK_TOL:
+            break
+        v = v - h @ (gram_inv @ crosstalk.conj().T)
+    return CombinerMatrix(matrix=v, gram_condition=cond)
 
 
 def sinr(
@@ -223,7 +174,11 @@ def sinr(
             f"combiner shape {v.shape} does not match {a.shape[0]} channels of length {a.shape[1]}"
         )
     _check_powers(tx_power, noise_power)
-    return _sinr_stack(v[None], a[None], tx_power, noise_power)[0]
+    cross = v.conj().T @ a.T  # cross[k, i] = v_k^H h_i
+    desired = tx_power * np.abs(np.diagonal(cross)) ** 2
+    interference = tx_power * np.sum(np.abs(cross) ** 2, axis=1) - desired
+    noise = noise_power * np.sum(np.abs(v) ** 2, axis=0)
+    return desired / (interference + noise)
 
 
 def stacked_sinr(
@@ -234,14 +189,19 @@ def stacked_sinr(
 ) -> np.ndarray:
     """Per-user ZF SINR (B, K) of B schedules given as a (B, K, M) channel stack.
 
-    Row b equals ``sinr(zf_combiner(channels[b]), channels[b], ...)`` bit for
-    bit. An IllConditionedError carries the position of the first failing
-    schedule as ``index``.
+    Row b is ``sinr(zf_combiner(channels[b]), channels[b], ...)``. An
+    IllConditionedError carries the position of the first failing schedule as
+    ``index``.
     """
     a = _as_schedule_stack(channels)
     _check_powers(tx_power, noise_power)
-    v, _ = _zf_stack(a, cond_cap)
-    return _sinr_stack(v, a, tx_power, noise_power)
+    rows = []
+    for b, schedule in enumerate(a):
+        try:
+            rows.append(sinr(zf_combiner(schedule, cond_cap), schedule, tx_power, noise_power))
+        except IllConditionedError as exc:
+            raise IllConditionedError(str(exc), index=b) from None
+    return np.stack(rows)
 
 
 def _closed_form_sinr(channels, noise_power: float) -> np.ndarray:
@@ -257,10 +217,10 @@ def _closed_form_sinr(channels, noise_power: float) -> np.ndarray:
     matrices whose bound is not _BOUND_MARGIN below DEFAULT_COND_CAP, and each
     cap decision is still the SVD's. Within the cap every Gram matrix has a
     Cholesky factor, so K > M, a singular factor or a capped Gram matrix is
-    the only failure: it sends the whole stack to the literal
-    ``stacked_sinr``, which raises the error and ``index`` it always has.
-    Each matrix gets the same LAPACK calls in a stack of any size, so a row's
-    bits do not depend on the stack.
+    the only failure: it hands the stack to the per-schedule reference
+    ``stacked_sinr``, which raises the error and ``index`` of the first
+    schedule ``zf_combiner`` rejects. Each matrix gets the same LAPACK calls
+    in a stack of any size, so a row's bits do not depend on the stack.
     """
     a = _as_schedule_stack(channels)
     _check_powers(1.0, noise_power)
@@ -268,17 +228,15 @@ def _closed_form_sinr(channels, noise_power: float) -> np.ndarray:
     if k_users > m_antennas:
         return stacked_sinr(a, 1.0, noise_power)
     factor = np.linalg.qr(a.transpose(0, 2, 1), mode="r")  # (B, K, K), G = R^H R
-    eye = np.eye(k_users, dtype=np.complex128)
     try:
-        # a (1, K, K) right-hand side reads as a matrix stack on numpy 1.x and 2.x alike
-        factor_inv = np.linalg.solve(factor, eye[None])
+        factor_inv = np.linalg.inv(factor)
     except np.linalg.LinAlgError:
         return stacked_sinr(a, 1.0, noise_power)
     inv_diag = np.sum(factor_inv.real**2 + factor_inv.imag**2, axis=2)
     bound = np.sum(a.real**2 + a.imag**2, axis=(1, 2)) * np.sum(inv_diag, axis=1)
     unclear = ~(bound <= DEFAULT_COND_CAP / _BOUND_MARGIN)
     if unclear.any():
-        cond = _gram_condition(_gram(a)[unclear])  # the bits _zf_stack decides on
+        cond = _gram_condition(_gram(a)[unclear])  # the bits zf_combiner decides on
         if not _within_cap(cond, DEFAULT_COND_CAP).all():
             return stacked_sinr(a, 1.0, noise_power)
     return 1.0 / (noise_power * inv_diag)

@@ -190,7 +190,7 @@ def test_pool_count_below_minus_one_is_rejected(tmp_path, capsys):
     out = tmp_path / "x"
     code = run_cli("sweep-grid", "--config", MINI_CFG, "--out", out, "--pool-aerial", "-2")
     assert code == 1
-    assert "pool_aerial" in capsys.readouterr().err
+    assert "--pool-aerial:" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
 
 
@@ -199,8 +199,16 @@ def test_pool_count_below_minus_one_is_rejected(tmp_path, capsys):
 def test_nonfinite_snr_is_rejected_without_outputs(command, value, tmp_path, capsys):
     out = tmp_path / "x"
     assert run_cli(command, "--config", MINI_CFG, "--out", out, "--snr-db", value) == 1
-    assert "snr_db" in capsys.readouterr().err
+    assert "--snr-db:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bad_config_file_snr_names_the_file_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = 1\nsnr_db = nan\n")
+    assert run_cli("sweep-total", "--config", cfg, "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:2" in err and "'snr_db'" in err and "--snr-db" not in err
 
 
 def test_report_from_existing_table(tmp_path, capsys):
@@ -216,6 +224,24 @@ def test_report_from_existing_table(tmp_path, capsys):
     assert ">= 2 bits/s/Hz" in text
     captured = capsys.readouterr().out
     assert "peak sum_se=" in captured
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("sweep-grid", ()), ("sweep-total", ("--k-range", "1:6", "--trials", "3"))],
+    ids=["grid", "total"],
+)
+def test_report_round_trips_the_sweep_summary(command, flags, tmp_path):
+    # peaks and capacities recomputed from the written sweep.csv are the sweep's own
+    sweep_dir, report_dir = tmp_path / "sweep", tmp_path / "report"
+    assert run_cli(command, "--config", MINI_CFG, "--out", sweep_dir, *flags) == 0
+    assert run_cli("report", "--table", sweep_dir / "sweep.csv", "--out", report_dir) == 0
+
+    def method_lines(path):
+        return [line for line in path.read_text().splitlines() if line.startswith("method=")]
+
+    expected = method_lines(sweep_dir / "summary.txt")
+    assert expected and method_lines(report_dir / "summary.txt") == expected
 
 
 def test_report_rejects_foreign_csv(tmp_path):
@@ -315,7 +341,7 @@ def test_bad_sweep_value_fails_before_any_dataset_work(command, key, value, tmp_
                    "--" + key.replace("_", "-"), value)
     assert code == 1
     err = capsys.readouterr().err
-    assert key in err and "dataset work" not in err
+    assert f"--{key.replace('_', '-')}:" in err and "dataset work" not in err
     assert not out.exists()
 
 

@@ -178,32 +178,6 @@ def test_sus_rejects_bad_k():
         sus_select(pool, 4)
 
 
-def test_sus_beats_median_subset_at_desk_scale():
-    from itertools import combinations
-
-    from mimoshare.sweeps import exhaustive_oracle
-    from mimoshare.zfmetrics import IllConditionedError, evaluate_selection
-
-    rng = np.random.default_rng(40)
-    for trial in range(20):
-        pool = pool_from_vectors(
-            (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))) / np.sqrt(2)
-        )
-        sus_se = evaluate_selection(pool, sus_select(pool, 3)).sum_se
-        sums = []
-        for combo in combinations(range(8), 3):
-            sel = SelectionResult(
-                combo, {Layer.TERRESTRIAL: 3, Layer.AERIAL: 0}, SelectionMethod.EXHAUSTIVE
-            )
-            try:
-                sums.append(evaluate_selection(pool, sel).sum_se)
-            except IllConditionedError:
-                sums.append(0.0)
-        assert sus_se >= float(np.median(sums))
-        _, best = exhaustive_oracle(pool, 3)
-        assert best >= sus_se - 1e-12
-
-
 # ---------------------------------------------------------------------------
 # layered quota variant
 # ---------------------------------------------------------------------------

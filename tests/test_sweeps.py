@@ -249,30 +249,6 @@ def test_oracle_budget_guard():
         exhaustive_oracle(pool, 15)  # C(30,15) = 155 million
 
 
-def test_oracle_dominance_chain():
-    from itertools import combinations
-
-    from mimoshare.sched import SelectionResult
-    from mimoshare.zfmetrics import IllConditionedError
-
-    rng = np.random.default_rng(14)
-    for trial in range(10):
-        pool = pool_from_vectors(random_unit_channels(rng, 8, 4))
-        _, best = exhaustive_oracle(pool, 3)
-        sus_se = evaluate_selection(pool, sus_select(pool, 3)).sum_se
-        sums = []
-        for combo in combinations(range(8), 3):
-            sel = SelectionResult(
-                combo, {Layer.TERRESTRIAL: 3, Layer.AERIAL: 0}, SelectionMethod.EXHAUSTIVE
-            )
-            try:
-                sums.append(evaluate_selection(pool, sel).sum_se)
-            except IllConditionedError:
-                sums.append(0.0)
-        assert best >= sus_se - 1e-12
-        assert sus_se >= min(sums) - 1e-12
-
-
 # ---------------------------------------------------------------------------
 # failures name the sweep cell
 # ---------------------------------------------------------------------------
