@@ -89,6 +89,7 @@ def _checked(caster, ok, rule: str):
 
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_FINITE = _checked(float, math.isfinite, "finite")
 # +inf is a valid Rician K-factor: it switches the diffuse term off
 _K_FACTOR_DB = _checked(float, lambda v: v > -math.inf, "> -inf")
 
@@ -132,7 +133,7 @@ _CONFIG_SPEC: dict[str, tuple] = {
     "rician_k_terrestrial_db":
         (_K_FACTOR_DB, _SCENARIO.rician_k_db[0], "terrestrial Rician K-factor in dB"),
     "rician_k_aerial_db": (_K_FACTOR_DB, _SCENARIO.rician_k_db[1], "aerial Rician K-factor in dB"),
-    "snr_db": (_checked(float, math.isfinite, "finite"), 20.0, "dataset-average SNR target in dB"),
+    "snr_db": (_FINITE, 20.0, "dataset-average SNR target in dB"),
     "alpha": (_checked(float, lambda v: 0 < v <= 1, "in (0, 1]"), SusParams().alpha,
               "SUS orthogonality threshold in (0, 1]"),
     "seed": (_checked(int, lambda v: v >= 0, ">= 0"), 0,
@@ -145,7 +146,7 @@ _CONFIG_SPEC: dict[str, tuple] = {
     "methods": (_list_of(_sweep_method), "random,sus", "comma-separated sweep methods"),
     "ground_range": (_int_range, "0:36", "grid range of terrestrial users, e.g. 0:36"),
     "aerial_range": (_int_range, "0:28", "grid range of aerial users, e.g. 0:28"),
-    "thresholds": (_list_of(float), "8", "comma-separated minimum individual-SE thresholds"),
+    "thresholds": (_list_of(_FINITE), "8", "comma-separated minimum individual-SE thresholds"),
     "csi": (_comma_list, "", "comma-separated capture binaries to ingest"),
     "format": (_comma_list, "", "comma-separated sidecars (default: <capture>.cfg)"),
     "out": (str, "out", "output directory"),
@@ -393,7 +394,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # every flag but --help takes one value: "--flag value" is joined as "--flag=value",
+    # so that argparse does not read a value such as -1e1 or -inf as an option
+    joined: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        flag = joined[-1] if joined else ""
+        if flag.startswith("--") and "=" not in flag and not "--help".startswith(flag):
+            token = f"{joined.pop()}={token}"
+        joined.append(token)
+    args = _build_parser().parse_args(joined)
     try:
         return _COMMANDS[args.command](_merge_config(args))
     except Exception as exc:  # one-line diagnostic, nonzero exit

@@ -85,12 +85,9 @@ class CsiRecord:
     layer: Layer
     timestep_ms: int
     channel: np.ndarray  # (M,) complex gains across the BS antennas
-    position: np.ndarray | None = None  # (3,) meters, when known
 
     def __post_init__(self):
         object.__setattr__(self, "channel", _as_channel(self.channel))
-        if self.position is not None:
-            object.__setattr__(self, "position", np.asarray(self.position, dtype=np.float64))
 
 
 class _RecordView(Sequence):
@@ -104,9 +101,8 @@ class _RecordView(Sequence):
 
     def __getitem__(self, pos):
         ds = self._dataset
-        position = None if ds.positions is None else ds.positions[pos]
         return CsiRecord(int(ds.ids[pos]), list(Layer)[ds.layer_codes[pos]],
-                         int(ds.timesteps_ms[pos]), ds.channels[pos], position)
+                         int(ds.timesteps_ms[pos]), ds.channels[pos])
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -127,7 +123,6 @@ class CsiDataset:
     ids: np.ndarray  # (N,) int64 record ids, unique, in any order
     layer_codes: np.ndarray  # (N,) int8 Layer.code values
     timesteps_ms: np.ndarray  # (N,) int64
-    positions: np.ndarray | None  # (N, 3) meters; None unless every record has one
     scale_applied: float
     noise_power: float | None  # sigma^2, linear
     snr_target_db: float | None
@@ -141,14 +136,12 @@ class CsiDataset:
                     f"record {rec.index}: channel length {rec.channel.shape[0]} "
                     f"does not match dataset m_antennas={m_antennas}"
                 )
-        positions = [r.position for r in records]
         self._set(
             m_antennas,
             np.array([r.channel for r in records], np.complex128).reshape(len(records), m_antennas),
             np.array([r.index for r in records], dtype=np.int64),
             np.array([r.layer.code for r in records], dtype=np.int8),
             np.array([r.timestep_ms for r in records], dtype=np.int64),
-            np.array(positions) if records and all(p is not None for p in positions) else None,
             scale_applied, noise_power, snr_target_db,
         )
 
@@ -157,7 +150,7 @@ class CsiDataset:
         """Array-built dataset: it takes ownership of the arrays and freezes them."""
         return cls.__new__(cls)._set(*columns, **metadata)
 
-    def _set(self, m_antennas, channels, ids, layer_codes, timesteps_ms, positions=None,
+    def _set(self, m_antennas, channels, ids, layer_codes, timesteps_ms,
              scale_applied=1.0, noise_power=None, snr_target_db=None) -> CsiDataset:
         if m_antennas <= 0:
             raise ValueError("m_antennas must be positive")
@@ -167,12 +160,11 @@ class CsiDataset:
         repeats = ids[id_order][1:][np.diff(ids[id_order]) == 0]
         if repeats.size:
             raise ValueError(f"duplicate record index {repeats[0]}")
-        for array in (channels, ids, layer_codes, timesteps_ms, positions, id_order):
-            if array is not None:
-                array.flags.writeable = False
+        for array in (channels, ids, layer_codes, timesteps_ms, id_order):
+            array.flags.writeable = False
         self.__dict__.update(
             m_antennas=m_antennas, channels=channels, ids=ids, layer_codes=layer_codes,
-            timesteps_ms=timesteps_ms, positions=positions, scale_applied=scale_applied,
+            timesteps_ms=timesteps_ms, scale_applied=scale_applied,
             noise_power=noise_power, snr_target_db=snr_target_db, _id_order=id_order,
         )
         return self
@@ -189,8 +181,7 @@ class CsiDataset:
         """The records at the given rows (positions or a boolean mask), metadata kept."""
         return CsiDataset._of(
             self.m_antennas, self.channels[rows], self.ids[rows], self.layer_codes[rows],
-            self.timesteps_ms[rows], None if self.positions is None else self.positions[rows],
-            self.scale_applied, self.noise_power, self.snr_target_db,
+            self.timesteps_ms[rows], self.scale_applied, self.noise_power, self.snr_target_db,
         )
 
     def _rows_of(self, indices: Iterable[int]) -> np.ndarray:
@@ -418,12 +409,9 @@ def merge_datasets(datasets: Sequence[CsiDataset]) -> CsiDataset:
     if any(d.m_antennas != m for d in datasets):
         raise ValueError("datasets disagree on antenna count")
     channels = np.concatenate([d.channels for d in datasets])
-    positions = None
-    if all(d.positions is not None for d in datasets):
-        positions = np.concatenate([d.positions for d in datasets])
     return CsiDataset._of(m, channels, np.arange(len(channels), dtype=np.int64),
                           np.concatenate([d.layer_codes for d in datasets]),
-                          np.concatenate([d.timesteps_ms for d in datasets]), positions)
+                          np.concatenate([d.timesteps_ms for d in datasets]))
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +527,12 @@ def generate_synthetic(config: ScenarioConfig) -> CsiDataset:
 
     n, m = config.samples_per_layer, config.m_antennas
     channels = np.empty((2 * n, m), dtype=np.complex128)
-    positions = np.empty((2 * n, 3))
     layer_plan = zip(
         (Layer.TERRESTRIAL, Layer.AERIAL), config.layer_altitudes_m, config.rician_k_db
     )
     for layer, altitude, k_db in layer_plan:
         offset = layer.code * n
         pts = trajectory_points(config, altitude)
-        positions[offset:offset + n] = pts
         k_lin = 10.0 ** (k_db / 10.0)
         real = rng.standard_normal((n, m))
         for start in range(0, n, _ROW_BLOCK):
@@ -567,7 +553,7 @@ def generate_synthetic(config: ScenarioConfig) -> CsiDataset:
     steps = np.tile(np.arange(n), 2)
     codes = np.repeat(np.array([layer.code for layer in Layer], dtype=np.int8), n)
     return CsiDataset._of(m, channels, np.arange(2 * n), codes,
-                          np.round(steps * config.sample_interval_ms).astype(np.int64), positions)
+                          np.round(steps * config.sample_interval_ms).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +585,7 @@ def _scaled(dataset: CsiDataset, scale: float, snr_db: float) -> CsiDataset:
         raise ValueError(f"snr_db must be finite, got {snr_db}")
     return CsiDataset._of(
         dataset.m_antennas, dataset.channels * scale, dataset.ids, dataset.layer_codes,
-        dataset.timesteps_ms, dataset.positions,
+        dataset.timesteps_ms,
         scale_applied=dataset.scale_applied * scale,
         noise_power=10.0 ** (-snr_db / 10.0),
         snr_target_db=snr_db,

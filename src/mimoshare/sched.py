@@ -32,7 +32,6 @@ class SelectionMethod(enum.Enum):
     RANDOM = "random"
     SUS = "sus"
     SUS_LAYERED = "sus_layered"
-    EXHAUSTIVE = "exhaustive"  # brute-force oracle provenance, never scheduled live
 
 
 class SelectionError(ValueError):

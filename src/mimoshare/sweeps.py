@@ -30,7 +30,7 @@ from .sched import (
 # the closed-form core is called through the module: perfbench/tracer.py wraps
 # the zfmetrics functions imported here by name and expects an SeReport from each
 from . import zfmetrics
-from .zfmetrics import IllConditionedError, evaluate_selection
+from .zfmetrics import IllConditionedError
 
 __all__ = [
     "CSV_HEADER",
@@ -46,6 +46,7 @@ __all__ = [
 CSV_HEADER = "method,k_total,k_ground,k_aerial,trial,sum_se,mean_individual_se,fallback_rank"
 # the methods sweep_total_users runs; the layered grid has its own sweep
 _SWEEP_METHODS = frozenset({SelectionMethod.RANDOM, SelectionMethod.SUS})
+_ORACLE_BLOCK = 1024  # subsets per stack in exhaustive_oracle, which bounds its memory
 
 
 @dataclass(frozen=True)
@@ -321,8 +322,9 @@ def exhaustive_oracle(
 ) -> tuple[tuple[int, ...], float]:
     """Exact optimum schedule of size k by enumerating every subset.
 
-    Subsets whose Gram matrix is beyond the condition cap are skipped (their
-    SE is effectively zero). Intended for desk-scale checks only.
+    Subsets the closed form does not clear (K > M, or a Gram matrix beyond the
+    condition cap) are skipped: their SE is effectively zero. Ties go to the
+    first subset. Intended for desk-scale checks only.
     """
     n = len(pool)
     if not 1 <= k <= n:
@@ -330,18 +332,19 @@ def exhaustive_oracle(
     n_subsets = math.comb(n, k)
     if n_subsets > budget:
         raise ValueError(f"C({n},{k}) = {n_subsets} exceeds the enumeration budget {budget}")
+    if pool.noise_power is None:
+        raise ValueError("pool has no noise power; normalize it before evaluation")
 
     best_ids: tuple[int, ...] | None = None
     best_sum = -math.inf
-    for combo in itertools.combinations(pool.ids.tolist(), k):
-        selection = SelectionResult(combo, pool.layer_counts(combo), SelectionMethod.EXHAUSTIVE)
-        try:
-            report = evaluate_selection(pool, selection)
-        except IllConditionedError:
-            continue
-        if report.sum_se > best_sum:
-            best_sum = report.sum_se
-            best_ids = combo
+    subsets = itertools.combinations(range(n), k)
+    while block := list(itertools.islice(subsets, _ORACLE_BLOCK)):
+        rows = np.array(block)  # (B, k) dataset rows, in enumeration order
+        sinr, cleared = zfmetrics._screened_sinr(pool.channels[rows], pool.noise_power)
+        sums = np.sum(zfmetrics.spectral_efficiency(sinr[cleared]), axis=1)
+        if sums.size and sums.max() > best_sum:
+            best = int(np.argmax(sums))  # the first maximum
+            best_sum, best_ids = float(sums[best]), tuple(pool.ids[rows[cleared][best]].tolist())
     if best_ids is None:
         raise IllConditionedError("every size-k subset is ill-conditioned")
     return best_ids, best_sum

@@ -7,13 +7,13 @@ SINR has the closed form SINR_k = p / (sigma^2 [(H^H H)^-1]_kk).
 
 One stacked closed-form core plus a per-schedule literal reference:
 
-- the private closed form ``_closed_form_sinr`` takes B schedules of K users
+- the private closed form ``_screened_sinr`` takes B schedules of K users
   as a (B, K, M) channel stack, takes [(H^H H)^-1]_kk from one triangular
-  factor per schedule and runs the exact SVD condition check only where a
-  free bound does not clear the cap. It makes, per matrix, the same numpy
-  ``linalg`` calls a single schedule gets, so a schedule's SINR does not
-  depend on the stack it is evaluated in. ``evaluate_selection`` and the
-  sweeps use it.
+  factor per schedule, runs the exact SVD condition check only where a free
+  bound does not clear the cap, and says which schedules cleared; a
+  schedule's result does not depend on its stack. ``exhaustive_oracle``
+  skips the subsets that do not clear, and ``_closed_form_sinr``, for
+  ``evaluate_selection`` and the sweeps, hands any other stack to the reference.
 - the literal reference builds the combiner of one (K, M) schedule and
   evaluates SINR literally, interference term included, so it is valid for
   any combiner, not only ZF. ``zf_combiner`` and ``sinr`` expose it, and
@@ -204,42 +204,41 @@ def stacked_sinr(
     return np.stack(rows)
 
 
-def _closed_form_sinr(channels, noise_power: float) -> np.ndarray:
-    """ZF SINR (B, K) of a (B, K, M) stack at unit power, 1 / (sigma^2 [(H^H H)^-1]_kk).
+def _screened_sinr(channels, noise_power: float) -> tuple[np.ndarray, np.ndarray]:
+    """ZF SINR (B, K) of a (B, K, M) stack at unit power, and the (B,) schedules it clears.
 
-    The triangular factor comes from the QR factorization H = Q R, so that
-    G = H^H H = R^H R and diag(G^-1)_j = sum_i |(R^-1)_ji|^2. Factoring H
-    rather than G keeps the relative error near cond_2(H) eps = sqrt(cond_2(G))
-    eps, where a Cholesky factor of G would carry cond_2(G) eps: against
-    60-digit arithmetic, 1e-12 against 1e-6 at cond_2(G) = 1e9.
-
-    cond_2(G) is at most tr(G) tr(G^-1), so the exact SVD runs only on the
-    matrices whose bound is not _BOUND_MARGIN below DEFAULT_COND_CAP, and each
-    cap decision is still the SVD's. Within the cap every Gram matrix has a
-    Cholesky factor, so K > M, a singular factor or a capped Gram matrix is
-    the only failure: it hands the stack to the per-schedule reference
-    ``stacked_sinr``, which raises the error and ``index`` of the first
-    schedule ``zf_combiner`` rejects. Each matrix gets the same LAPACK calls
-    in a stack of any size, so a row's bits do not depend on the stack.
+    With H = Q R, G = H^H H = R^H R and diag(G^-1)_j = sum_i |(R^-1)_ji|^2;
+    factoring H, not G, keeps the relative error near sqrt(cond_2(G)) eps
+    (1e-12 at cond_2(G) = 1e9, where a Cholesky factor of G gives 1e-6). A
+    schedule clears, as ``zf_combiner`` would accept it, when K <= M, R has no
+    zero on its diagonal and G is within DEFAULT_COND_CAP: by the bound
+    cond_2(G) <= tr(G) tr(G^-1) where it is _BOUND_MARGIN below the cap, else
+    by the exact SVD. A row that does not clear holds no SINR.
     """
     a = _as_schedule_stack(channels)
     _check_powers(1.0, noise_power)
     _, k_users, m_antennas = a.shape
     if k_users > m_antennas:
-        return stacked_sinr(a, 1.0, noise_power)
+        return np.zeros(a.shape[:2]), np.zeros(len(a), dtype=bool)
     factor = np.linalg.qr(a.transpose(0, 2, 1), mode="r")  # (B, K, K), G = R^H R
-    try:
-        factor_inv = np.linalg.inv(factor)
-    except np.linalg.LinAlgError:
-        return stacked_sinr(a, 1.0, noise_power)
+    singular = np.any(np.diagonal(factor, axis1=1, axis2=2) == 0.0, axis=1)
+    if singular.any():
+        factor[singular] = np.eye(k_users)  # stand-ins, so that inv runs on the others
+    factor_inv = np.linalg.inv(factor)
     inv_diag = np.sum(factor_inv.real**2 + factor_inv.imag**2, axis=2)
     bound = np.sum(a.real**2 + a.imag**2, axis=(1, 2)) * np.sum(inv_diag, axis=1)
-    unclear = ~(bound <= DEFAULT_COND_CAP / _BOUND_MARGIN)
+    cleared = ~singular & (bound <= DEFAULT_COND_CAP / _BOUND_MARGIN)
+    unclear = ~singular & ~cleared
     if unclear.any():
         cond = _gram_condition(_gram(a)[unclear])  # the bits zf_combiner decides on
-        if not _within_cap(cond, DEFAULT_COND_CAP).all():
-            return stacked_sinr(a, 1.0, noise_power)
-    return 1.0 / (noise_power * inv_diag)
+        cleared[unclear] = _within_cap(cond, DEFAULT_COND_CAP)
+    return 1.0 / (noise_power * inv_diag), cleared
+
+
+def _closed_form_sinr(channels, noise_power: float) -> np.ndarray:
+    """``_screened_sinr`` of a stack that clears whole; ``stacked_sinr`` raises on any other."""
+    sinr_values, cleared = _screened_sinr(channels, noise_power)
+    return sinr_values if cleared.all() else stacked_sinr(channels, 1.0, noise_power)
 
 
 def spectral_efficiency(sinr_values) -> np.ndarray:

@@ -1,0 +1,46 @@
+"""Per-subset brute-force optimum, the literal form of ``sweeps.exhaustive_oracle``.
+
+The library evaluates the subsets as stacks and skips those the closed form
+does not clear; this loop evaluates each subset on its own through
+``evaluate_selection`` and skips those that raise, for tests that compare
+the two.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+from mimoshare.csi import CsiDataset
+from mimoshare.sched import SelectionMethod, SelectionResult
+from mimoshare.zfmetrics import IllConditionedError, evaluate_selection
+
+__all__ = ["per_subset_oracle"]
+
+
+def per_subset_oracle(
+    pool: CsiDataset, k: int, budget: int = 1_000_000
+) -> tuple[tuple[int, ...], float]:
+    """Exact optimum schedule of size k, one ``evaluate_selection`` call per subset."""
+    n = len(pool)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
+    n_subsets = math.comb(n, k)
+    if n_subsets > budget:
+        raise ValueError(f"C({n},{k}) = {n_subsets} exceeds the enumeration budget {budget}")
+
+    best_ids: tuple[int, ...] | None = None
+    best_sum = -math.inf
+    for combo in itertools.combinations(pool.ids.tolist(), k):
+        # the method tag plays no part in the evaluation
+        selection = SelectionResult(combo, pool.layer_counts(combo), SelectionMethod.RANDOM)
+        try:
+            report = evaluate_selection(pool, selection)
+        except IllConditionedError:
+            continue
+        if report.sum_se > best_sum:
+            best_sum = report.sum_se
+            best_ids = combo
+    if best_ids is None:
+        raise IllConditionedError("every size-k subset is ill-conditioned")
+    return best_ids, best_sum

@@ -203,6 +203,14 @@ def test_nonfinite_snr_is_rejected_without_outputs(command, value, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-1e1", "-1.5E+1", "-.5"])
+def test_negative_flag_value_reaches_its_caster(value, tmp_path):
+    # argparse on its own reads -1e1 as an option: "expected one argument", exit 2
+    out = tmp_path / "x"
+    assert run_cli("sweep-grid", "--config", MINI_CFG, "--out", out, "--snr-db", value) == 0
+    assert json.loads((out / "meta.json").read_text())["snr_db"] == float(value)
+
+
 def test_bad_config_file_snr_names_the_file_line_and_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed = 1\nsnr_db = nan\n")
@@ -323,6 +331,9 @@ BAD_SWEEP_VALUES = [
     ("sweep-grid", "seed", "-1"),
     ("sweep-grid", "snr_db", "inf"),
     ("sweep-total", "methods", "sus_layered"),
+    ("sweep-grid", "thresholds", "nan"),
+    ("sweep-total", "thresholds", "8,-inf"),
+    ("sweep-grid", "rician_k_aerial_db", "-inf"),  # a negative value, not an option
 ]
 
 

@@ -78,14 +78,13 @@ def ingested(capture_dir):
 
 
 def shuffled_ids_dataset():
-    """Records whose ids are neither positions nor sorted, with and without positions."""
+    """Records whose ids are neither positions nor sorted."""
     rng = np.random.default_rng(11)
     ids = [40, 7, 23, 1, 99, 5]
     return CsiDataset(
         records=[
             CsiRecord(i, Layer.AERIAL if i % 2 else Layer.TERRESTRIAL, 3 * pos,
-                      rng.standard_normal(4) + 1j * rng.standard_normal(4),
-                      rng.standard_normal(3))
+                      rng.standard_normal(4) + 1j * rng.standard_normal(4))
             for pos, i in enumerate(ids)
         ],
         m_antennas=4,
@@ -145,10 +144,6 @@ def test_rebuild_from_records_equals_array_built(dataset):
     )
     for name in ("channels", "ids", "layer_codes", "timesteps_ms"):
         assert np.array_equal(getattr(rebuilt, name), getattr(dataset, name)), name
-    if dataset.positions is None:
-        assert rebuilt.positions is None
-    else:
-        assert np.array_equal(rebuilt.positions, dataset.positions)
     assert rebuilt.fingerprint() == dataset.fingerprint() == literal_fingerprint(dataset)
     assert rebuilt.layer_counts() == dataset.layer_counts()
     for layer in Layer:
@@ -162,8 +157,6 @@ def test_returned_arrays_are_read_only(dataset):
         dataset.channels, dataset.ids, dataset.layer_codes, dataset.timesteps_ms,
         dataset.channels_for(picked), dataset.records[0].channel,
     ]
-    if dataset.positions is not None:
-        returned += [dataset.positions, dataset.records[-1].position]
     for array in returned:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0

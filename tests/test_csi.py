@@ -238,8 +238,10 @@ def test_los_phase_matches_independent_distance_computation():
     elems = element_positions(cfg)
     lam = cfg.wavelength_m
     rec = ds.records[7]
+    assert rec.layer is Layer.TERRESTRIAL
+    position = trajectory_points(cfg, cfg.layer_altitudes_m[0])[7]
     for e in range(cfg.m_antennas):
-        d = math.dist(rec.position, elems[e])
+        d = math.dist(position, elems[e])
         expected = (lam / (4 * math.pi * d)) * np.exp(-2j * np.pi * d / lam)
         assert abs(rec.channel[e] - expected) < 1e-15
 
@@ -257,14 +259,15 @@ def test_broadside_user_has_equal_gain_magnitudes():
     ds = generate_synthetic(cfg)
     middle = ds.records[1]  # x = 0: broadside
     assert middle.layer is Layer.TERRESTRIAL
-    assert abs(middle.position[0]) < 1e-12 and middle.position[2] == 11.0
+    position = trajectory_points(cfg, cfg.layer_altitudes_m[0])[1]
+    assert abs(position[0]) < 1e-12 and position[2] == 11.0
     mags = np.abs(middle.channel)
     assert mags.max() / mags.min() - 1 < 1e-6
     # phases still follow the exact per-element path lengths
     elems = element_positions(cfg)
     lam = cfg.wavelength_m
     for e in range(cfg.m_antennas):
-        d = math.dist(middle.position, elems[e])
+        d = math.dist(position, elems[e])
         assert abs(middle.channel[e] / mags[e] - np.exp(-2j * np.pi * d / lam)) < 1e-9
 
 

@@ -68,7 +68,6 @@ def literal_generate_synthetic(config: ScenarioConfig) -> CsiDataset:
 
     n = config.samples_per_layer
     channels = np.empty((2 * n, config.m_antennas), dtype=np.complex128)
-    positions = np.empty((2 * n, 3))
     layer_plan = zip(
         (Layer.TERRESTRIAL, Layer.AERIAL), config.layer_altitudes_m, config.rician_k_db
     )
@@ -90,11 +89,10 @@ def literal_generate_synthetic(config: ScenarioConfig) -> CsiDataset:
             (pts.shape[0], config.m_antennas)
         )
         gains += np.sqrt(diffuse_power / 2.0)[:, None] * noise
-        positions[rows] = pts
     steps = np.tile(np.arange(n), 2)
     codes = np.repeat(np.array([layer.code for layer in Layer], dtype=np.int8), n)
     return CsiDataset._of(config.m_antennas, channels, np.arange(2 * n), codes,
-                          np.round(steps * config.sample_interval_ms).astype(np.int64), positions)
+                          np.round(steps * config.sample_interval_ms).astype(np.int64))
 
 
 def literal_mean_sq_norm(gains) -> float:
@@ -111,10 +109,6 @@ def assert_same_dataset(got, want):
     np.testing.assert_array_equal(got.ids, want.ids)
     np.testing.assert_array_equal(got.layer_codes, want.layer_codes)
     np.testing.assert_array_equal(got.timesteps_ms, want.timesteps_ms)
-    if want.positions is None:
-        assert got.positions is None
-    else:
-        np.testing.assert_array_equal(bits(got.positions), bits(want.positions))
     assert (got.scale_applied, got.noise_power, got.snr_target_db) == (
         want.scale_applied, want.noise_power, want.snr_target_db)
     assert got.fingerprint() == want.fingerprint()

@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import mimoshare.sweeps as sweeps
 from conftest import pool_from_vectors, random_unit_channels
-from mimoshare.csi import Layer
+from mimoshare.csi import CsiDataset, CsiRecord, Layer, normalize_to_snr
 from mimoshare.sched import (
     SelectionMethod,
     SelectionResult,
@@ -22,6 +27,7 @@ from mimoshare.sweeps import (
     sweep_total_users,
 )
 from mimoshare.zfmetrics import IllConditionedError, evaluate_selection
+from oracle_reference import per_subset_oracle
 
 
 def two_layer_random_pool(seed=1, n_per_layer=10, m=8):
@@ -242,6 +248,60 @@ def test_oracle_prefers_orthogonal_pair():
     assert ids == (0, 2)  # near-parallel pair suffers ZF noise amplification
 
 
+@st.composite
+def oracle_cases(draw):
+    """Small raw pools and a subset size k in 1..N, k > M included.
+
+    A pool is random or near-collinear: multiples of one channel, each
+    perturbed by 1e-7 .. 1e-3 of a random one. Some channels are then
+    replaced by a copy of another, a near-collinear copy or zeros.
+    """
+    # sampled_from draws evenly, where small integers would dominate
+    n = draw(st.sampled_from(range(1, 9)))
+    m = draw(st.sampled_from(range(1, 7)))
+    k = draw(st.sampled_from(range(1, n + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    if draw(st.booleans()):
+        eps = 10.0 ** draw(st.floats(-7.0, -3.0))
+        vectors = rng.standard_normal((n, 1)) * vectors[0] + eps * vectors
+    for row in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        source = vectors[draw(st.integers(0, n - 1))]
+        kind = draw(st.sampled_from(["duplicate", "near-collinear", "zero"]))
+        if kind == "duplicate":
+            vectors[row] = source
+        elif kind == "near-collinear":
+            vectors[row] = source + 10.0 ** draw(st.floats(-7.0, -3.0)) * vectors[row]
+        else:
+            vectors[row] = 0.0
+    assume(np.any(vectors))
+    layers = [Layer.AERIAL if draw(st.booleans()) else Layer.TERRESTRIAL for _ in range(n)]
+    records = [CsiRecord(i, layer, i, v) for i, (v, layer) in enumerate(zip(vectors, layers))]
+    return CsiDataset(records, m_antennas=m), k
+
+
+def oracle_outcome(oracle, pool, k):
+    try:
+        ids, total = oracle(pool, k)
+    except ValueError as exc:  # IllConditionedError included
+        return type(exc), str(exc)
+    return ids, total.hex()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=oracle_cases(), block=st.integers(1, 9))
+def test_oracle_matches_the_per_subset_reference(case, block):
+    raw, k = case
+    pool = normalize_to_snr(raw, 20.0)
+    # small blocks put the optimum and the skipped subsets in different stacks
+    # the raw dataset has no noise power; sizes 0 and N + 1 are out of range
+    cases = [(pool, k), (raw, k), (pool, 0), (pool, len(pool) + 1)]
+    with mock.patch.object(sweeps, "_ORACLE_BLOCK", block):
+        for dataset, size in cases:
+            expected = oracle_outcome(per_subset_oracle, dataset, size)
+            assert oracle_outcome(exhaustive_oracle, dataset, size) == expected
+
+
 def test_oracle_budget_guard():
     rng = np.random.default_rng(1)
     pool = pool_from_vectors(random_unit_channels(rng, 30, 4))
@@ -316,9 +376,9 @@ def test_grid_names_an_earlier_singular_cell_before_a_later_scheduling_error():
 def test_earliest_failing_row_wins_across_schedule_sizes():
     # the size-2 stack is evaluated first, but its failing row comes later
     pool = collinear_pool()
-    good = SelectionResult((0, 1), pool.layer_counts((0, 1)), SelectionMethod.EXHAUSTIVE)
-    triple = SelectionResult((0, 1, 2), pool.layer_counts((0, 1, 2)), SelectionMethod.EXHAUSTIVE)
-    copies = SelectionResult((0, 3), pool.layer_counts((0, 3)), SelectionMethod.EXHAUSTIVE)
+    good = SelectionResult((0, 1), pool.layer_counts((0, 1)), SelectionMethod.RANDOM)
+    triple = SelectionResult((0, 1, 2), pool.layer_counts((0, 1, 2)), SelectionMethod.RANDOM)
+    copies = SelectionResult((0, 3), pool.layer_counts((0, 3)), SelectionMethod.RANDOM)
     scheduled = [("first", good, 0), ("second", triple, 0), ("third", copies, 0)]
     with pytest.raises(IllConditionedError, match=r"^second: "):
         _schedule_then_evaluate(pool, iter(scheduled))

@@ -167,7 +167,7 @@ def one_layer_selection(ids):
     return SelectionResult(
         tuple(ids),
         {Layer.TERRESTRIAL: len(ids), Layer.AERIAL: 0},
-        SelectionMethod.EXHAUSTIVE,
+        SelectionMethod.RANDOM,
     )
 
 
