@@ -22,14 +22,10 @@ from .csi import (
     Layer,
     PoolPolicy,
     ScenarioConfig,
+    _generated_pool,
+    _loaded_captures,
     _parse_keyvalues,
-    _scaled,
-    _snr_scale,
     encode_csi_binary,
-    generate_synthetic,
-    load_capture,
-    merge_datasets,
-    normalize_to_snr,
     sidecar_text,
     subsample_pool,
 )
@@ -180,32 +176,32 @@ def _scenario_from(cfg: dict) -> ScenarioConfig:
 
 
 def _load_captures(cfg: dict) -> CsiDataset:
+    """The named captures, merged and normalized to ``snr_db``."""
     bins, sidecars = cfg["csi"], cfg["format"]
     if not bins:
         raise ValueError("no capture files given (set csi=... or --csi)")
     if sidecars and len(sidecars) != len(bins):
         raise ValueError("number of --format sidecars must match --csi captures")
     sidecars = sidecars or [None] * len(bins)  # None: load_capture's <capture>.cfg default
-    return merge_datasets([load_capture(b, s) for b, s in zip(bins, sidecars)])
+    return _loaded_captures(zip(bins, sidecars), cfg["snr_db"])
 
 
 def _build_pool(cfg: dict) -> tuple[CsiDataset, str]:
     """Data source resolution: ingest when captures are named, generate otherwise.
 
     The pool is ``subsample_pool(normalize_to_snr(dataset, snr_db), ...)``,
-    bit for bit, built without a normalized copy of the whole dataset: the
-    whole dataset's factor scales only the rows the pool keeps.
+    bit for bit. A generated dataset is never held whole: ``_generated_pool``
+    keeps only the pool's rows of each generated block. Ingested captures
+    are decoded into one matrix and scaled in place. The csi functions are
+    imported by name, which is how a tracer that wraps them finds them.
     """
-    if cfg["csi"]:
-        dataset = _load_captures(cfg)
-        mode = "ingest"
-    else:
-        dataset = generate_synthetic(_scenario_from(cfg))
-        mode = "generate"
-    scale = _snr_scale(dataset)
     per_layer = (cfg["pool_terrestrial"], cfg["pool_aerial"])
-    pool = subsample_pool(dataset, per_layer, cfg["pool_policy"], seed=cfg["seed"])
-    return _scaled(pool, scale, cfg["snr_db"]), mode
+    if cfg["csi"]:
+        pool = subsample_pool(_load_captures(cfg), per_layer, cfg["pool_policy"], seed=cfg["seed"])
+        return pool, "ingest"
+    pool = _generated_pool(_scenario_from(cfg), per_layer, cfg["pool_policy"], cfg["seed"],
+                           cfg["snr_db"])
+    return pool, "generate"
 
 
 def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
@@ -264,14 +260,17 @@ def _meta_json(table_meta: dict, cfg: dict, command: str, mode: str) -> bytes:
 
 def _cmd_generate(cfg: dict) -> int:
     scenario = _scenario_from(cfg)
-    dataset = normalize_to_snr(generate_synthetic(scenario), cfg["snr_db"])
+    # the whole dataset, generated and normalized without a raw copy
+    dataset = _generated_pool(scenario, (None, None), PoolPolicy.STRIDE, 0, cfg["snr_db"])
     out_dir = Path(cfg["out"])
     fmt = FixedPointFormat(m_antennas=dataset.m_antennas)
     counts = dataset.layer_counts()
     files: dict[str, bytes] = {}
+    start = 0  # each layer's rows are contiguous, so a slice takes them without a copy
     for layer, altitude in zip((Layer.TERRESTRIAL, Layer.AERIAL), scenario.layer_altitudes_m):
-        sub = dataset.take(dataset.layer_codes == layer.code)
-        files[f"{layer.value}.bin"] = encode_csi_binary(sub, fmt)
+        rows = slice(start, start + counts[layer])
+        start = rows.stop
+        files[f"{layer.value}.bin"] = encode_csi_binary(dataset.take(rows), fmt)
         files[f"{layer.value}.bin.cfg"] = sidecar_text(
             fmt,
             layer,
@@ -292,7 +291,7 @@ def _cmd_generate(cfg: dict) -> int:
 
 
 def _cmd_ingest(cfg: dict) -> int:
-    dataset = normalize_to_snr(_load_captures(cfg), cfg["snr_db"])
+    dataset = _load_captures(cfg)
     counts = dataset.layer_counts()
     fingerprint = dataset.fingerprint()
     meta = {

@@ -15,7 +15,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -64,13 +64,17 @@ class CaptureError(ValueError):
     """Raised when a capture file does not match its declared binary format."""
 
 
+def _check_finite(gains: np.ndarray) -> None:
+    if not np.isfinite(gains).all():
+        raise ValueError("channel vector contains NaN or Inf components")
+
+
 def _as_channel(gains) -> np.ndarray:
     """Validate and coerce one channel vector to a read-only complex array."""
     h = np.asarray(gains, dtype=np.complex128)
     if h.ndim != 1 or h.shape[0] == 0:
         raise ValueError(f"channel vector must be 1-D and non-empty, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("channel vector contains NaN or Inf components")
+    _check_finite(h)
     if h.flags.writeable:
         h = h.copy()
         h.flags.writeable = False
@@ -154,8 +158,7 @@ class CsiDataset:
              scale_applied=1.0, noise_power=None, snr_target_db=None) -> CsiDataset:
         if m_antennas <= 0:
             raise ValueError("m_antennas must be positive")
-        if not np.isfinite(channels).all():
-            raise ValueError("channel vector contains NaN or Inf components")
+        _check_finite(channels)
         id_order = np.argsort(ids, kind="stable")
         repeats = ids[id_order][1:][np.diff(ids[id_order]) == 0]
         if repeats.size:
@@ -261,23 +264,22 @@ def load_csi_binary(
     part of the binary stream; they come from the sidecar (see
     :func:`read_sidecar`) or from the keyword arguments.
     """
-    data = Path(path).read_bytes()
-    if len(data) == 0:
+    return CsiDataset._of(*_decoded_captures([(path, fmt, layer, sample_interval_ms)]))
+
+
+def _capture_rows(path, fmt: FixedPointFormat, sample_interval_ms: float) -> int:
+    """Records in a capture file, once its length and sample interval pass their checks."""
+    size = Path(path).stat().st_size
+    if size == 0:
         raise CaptureError(f"{path}: empty capture file")
-    if len(data) % fmt.bytes_per_record != 0:
+    if size % fmt.bytes_per_record != 0:
         raise CaptureError(
-            f"{path}: length {len(data)} is not a multiple of the "
+            f"{path}: length {size} is not a multiple of the "
             f"{fmt.bytes_per_record}-byte record size for M={fmt.m_antennas} "
             "(truncated file or wrong antenna count)"
         )
     _check_interval(path, sample_interval_ms)
-    scale = float(1 << fmt.frac_bits)
-    # interleaved float64 I, Q pairs are complex128's memory layout
-    gains = (np.frombuffer(data, fmt.dtype) / scale).view(np.complex128).reshape(-1, fmt.m_antennas)
-    steps = np.arange(gains.shape[0])
-    codes = np.full(len(steps), layer.code, dtype=np.int8)
-    return CsiDataset._of(fmt.m_antennas, gains, steps, codes,
-                          np.round(steps * sample_interval_ms).astype(np.int64))
+    return size // fmt.bytes_per_record
 
 
 def _check_interval(path, sample_interval_ms: float) -> None:
@@ -285,6 +287,31 @@ def _check_interval(path, sample_interval_ms: float) -> None:
         raise CaptureError(
             f"{path}: sample_interval_ms must be finite and positive, got {sample_interval_ms}"
         )
+
+
+def _decoded_captures(captures: Iterable[tuple]) -> tuple:
+    """``CsiDataset._of`` columns of (path, format, layer, interval) captures, in order.
+
+    Every capture is checked before any is decoded; each then decodes
+    straight into its rows of one matrix, and ids run 0.. across them all.
+    """
+    plan = [(path, fmt, layer, interval, _capture_rows(path, fmt, interval))
+            for path, fmt, layer, interval in captures]
+    m = plan[0][1].m_antennas
+    if any(fmt.m_antennas != m for _, fmt, _, _, _ in plan):
+        raise ValueError("datasets disagree on antenna count")
+    channels = np.empty((sum(rows for *_, rows in plan), m), dtype=np.complex128)
+    codes, timesteps = [], []
+    start = 0
+    for path, fmt, layer, interval, rows in plan:
+        # interleaved float64 I, Q pairs are complex128's memory layout
+        gains = channels[start:start + rows].view(np.float64).reshape(-1)
+        np.divide(np.fromfile(path, fmt.dtype), float(1 << fmt.frac_bits), out=gains)
+        codes.append(np.full(rows, layer.code, dtype=np.int8))
+        timesteps.append(np.round(np.arange(rows) * interval).astype(np.int64))
+        start += rows
+    return (m, channels, np.arange(start, dtype=np.int64),
+            np.concatenate(codes), np.concatenate(timesteps))
 
 
 def encode_csi_binary(dataset: CsiDataset, fmt: FixedPointFormat | None = None) -> bytes:
@@ -390,18 +417,37 @@ def load_capture(bin_path, sidecar_path=None) -> CsiDataset:
 
     The sidecar defaults to the binary path with a ``.cfg`` suffix appended.
     """
-    bin_path = Path(bin_path)
-    if sidecar_path is None:
-        sidecar_path = bin_path.with_suffix(bin_path.suffix + ".cfg")
-    fmt, layer, interval = read_sidecar(sidecar_path)
+    fmt, layer, interval = read_sidecar(_sidecar_of(bin_path, sidecar_path))
     return load_csi_binary(bin_path, fmt, layer=layer, sample_interval_ms=interval)
+
+
+def _sidecar_of(bin_path, sidecar_path) -> Path:
+    """The given sidecar, or by default the binary path with ``.cfg`` appended."""
+    bin_path = Path(bin_path)
+    return bin_path.with_suffix(bin_path.suffix + ".cfg") if sidecar_path is None else sidecar_path
+
+
+def _loaded_captures(captures: Iterable[tuple], snr_db: float) -> CsiDataset:
+    """``normalize_to_snr(merge_datasets([load_capture(b, s) ...]), snr_db)``, bit for bit.
+
+    ``captures`` are (binary, sidecar or None) pairs. Each capture decodes
+    into its rows of the one matrix that is then scaled in place, so neither
+    the per-capture datasets nor a normalized copy is ever held.
+    """
+    columns = _decoded_captures(
+        (bin_path, *read_sidecar(_sidecar_of(bin_path, sidecar_path)))
+        for bin_path, sidecar_path in captures
+    )
+    return _normalized(*columns, energies=_row_energies(columns[1]), snr_db=snr_db)
 
 
 def merge_datasets(datasets: Sequence[CsiDataset]) -> CsiDataset:
     """Concatenate datasets (e.g. one capture per layer) into one pool.
 
     Records are renumbered sequentially so ids stay unique. Normalization
-    metadata is dropped; normalize the merged pool afterwards.
+    metadata is dropped; normalize the merged pool afterwards. This holds
+    the inputs and their merge at once; the CLI's loader decodes captures
+    straight into one matrix instead.
     """
     if not datasets:
         raise ValueError("nothing to merge")
@@ -516,25 +562,39 @@ def generate_synthetic(config: ScenarioConfig) -> CsiDataset:
     layer's Rician K-factor. K of +inf disables the diffuse term. Deterministic
     for a fixed seed.
 
-    Each layer draws all its real Gaussian parts, then fills the channel
-    matrix in blocks of rows, drawing each block's imaginary parts as it goes:
+    The rows come from ``_generated_blocks``, copied into one (N, M) matrix.
+    A sweep never holds that matrix: the CLI's pool build reads the same
+    blocks and keeps only the pool's rows.
+    """
+    m = config.m_antennas
+    channels = np.empty((2 * config.samples_per_layer, m), dtype=np.complex128)
+    for first, block in _generated_blocks(config):
+        channels[first:first + len(block)] = block
+    return CsiDataset._of(m, channels, *_generated_columns(config))
+
+
+def _generated_blocks(config: ScenarioConfig) -> Iterator[tuple[int, np.ndarray]]:
+    """``generate_synthetic``'s rows as (first row, (B, M) block), in row order.
+
+    Each layer draws all its real Gaussian parts, then builds its rows in
+    blocks of ``_ROW_BLOCK``, drawing each block's imaginary parts as it goes:
     the same stream and the same bits as one whole-array pass, without its
-    full-size temporaries.
+    full-size temporaries. Both layers' real parts are drawn into one buffer,
+    so only one layer's are ever alive.
     """
     rng = np.random.default_rng(config.seed)
     elems = element_positions(config)
     lam = config.wavelength_m
 
     n, m = config.samples_per_layer, config.m_antennas
-    channels = np.empty((2 * n, m), dtype=np.complex128)
+    real = np.empty((n, m))
     layer_plan = zip(
         (Layer.TERRESTRIAL, Layer.AERIAL), config.layer_altitudes_m, config.rician_k_db
     )
     for layer, altitude, k_db in layer_plan:
-        offset = layer.code * n
         pts = trajectory_points(config, altitude)
         k_lin = 10.0 ** (k_db / 10.0)
-        real = rng.standard_normal((n, m))
+        rng.standard_normal(out=real)
         for start in range(0, n, _ROW_BLOCK):
             block = pts[start:start + _ROW_BLOCK]
             rows = len(block)
@@ -545,51 +605,74 @@ def generate_synthetic(config: ScenarioConfig) -> CsiDataset:
                 dists += np.square(block[:, None, axis] - elems[None, :, axis])
             np.sqrt(dists, out=dists)  # (B, M)
             amps = lam / (4.0 * np.pi * dists)
-            gains = np.multiply(amps, np.exp(-2j * np.pi * dists / lam),
-                                out=channels[offset + start:offset + start + rows])
+            gains = amps * np.exp(-2j * np.pi * dists / lam)
             diffuse_power = np.mean(amps**2, axis=1) / k_lin  # (B,) ; 0 when K=inf
             noise = real[start:start + rows] + 1j * rng.standard_normal((rows, m))
             gains += np.sqrt(diffuse_power / 2.0)[:, None] * noise
-    steps = np.tile(np.arange(n), 2)
+            yield layer.code * n + start, gains
+
+
+def _generated_columns(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ids, layer codes and timesteps of ``generate_synthetic``'s rows."""
+    n = config.samples_per_layer
     codes = np.repeat(np.array([layer.code for layer in Layer], dtype=np.int8), n)
-    return CsiDataset._of(m, channels, np.arange(2 * n), codes,
-                          np.round(steps * config.sample_interval_ms).astype(np.int64))
+    timesteps = np.round(np.tile(np.arange(n), 2) * config.sample_interval_ms).astype(np.int64)
+    return np.arange(2 * n), codes, timesteps
 
 
 # ---------------------------------------------------------------------------
 # Normalization and pool subsampling
 # ---------------------------------------------------------------------------
 
-def _snr_scale(dataset: CsiDataset) -> float:
-    """The global factor that makes mean ||h||^2 over the records 1.
+def _row_energies(gains: np.ndarray) -> np.ndarray:
+    """||h||^2 of each row, summed ``_ROW_BLOCK`` rows at a time.
 
-    Row energies are summed block by block into one (N,) vector, whose mean
-    has the bits of the whole-array sum's.
+    A row's energy does not depend on the block it is summed in, so the mean
+    of these has the bits of the whole-array sum's, however the rows were
+    grouped.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot normalize an empty dataset")
-    gains = dataset.channels
     energies = np.empty(len(gains))
     for start in range(0, len(gains), _ROW_BLOCK):
         block = gains[start:start + _ROW_BLOCK]
         energies[start:start + len(block)] = np.sum(np.abs(block) ** 2, axis=1)
+    return energies
+
+
+def _scale_of(energies: np.ndarray) -> float:
+    """The global factor that makes the mean of these row energies 1."""
     mean_sq_norm = float(np.mean(energies))
     if mean_sq_norm == 0.0:
         raise ValueError("cannot normalize an all-zero dataset")
     return 1.0 / math.sqrt(mean_sq_norm)
 
 
-def _scaled(dataset: CsiDataset, scale: float, snr_db: float) -> CsiDataset:
-    """The dataset with every gain times ``scale``, normalized to ``snr_db``."""
+def _snr_scale(dataset: CsiDataset) -> float:
+    """The global factor that makes mean ||h||^2 over the records 1."""
+    if len(dataset) == 0:
+        raise ValueError("cannot normalize an empty dataset")
+    return _scale_of(_row_energies(dataset.channels))
+
+
+def _noise_power_of(snr_db: float) -> float:
+    """The linear noise power that puts unit mean channel energy at ``snr_db``."""
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
-    return CsiDataset._of(
-        dataset.m_antennas, dataset.channels * scale, dataset.ids, dataset.layer_codes,
-        dataset.timesteps_ms,
-        scale_applied=dataset.scale_applied * scale,
-        noise_power=10.0 ** (-snr_db / 10.0),
-        snr_target_db=snr_db,
-    )
+    return 10.0 ** (-snr_db / 10.0)
+
+
+def _normalized(m_antennas, channels, ids, layer_codes, timesteps_ms, *,
+                energies: np.ndarray, snr_db: float) -> CsiDataset:
+    """Un-normalized columns as a dataset normalized to ``snr_db``; ``channels`` is scaled in place.
+
+    ``energies`` are the row energies of the whole dataset, of which
+    ``channels`` may hold only some rows: the bits of ``normalize_to_snr``
+    on the whole, then a ``take`` of those rows.
+    """
+    scale = _scale_of(energies)
+    channels *= scale
+    return CsiDataset._of(m_antennas, channels, ids, layer_codes, timesteps_ms,
+                          scale_applied=scale, noise_power=_noise_power_of(snr_db),
+                          snr_target_db=snr_db)
 
 
 def normalize_to_snr(dataset: CsiDataset, snr_db: float) -> CsiDataset:
@@ -600,7 +683,14 @@ def normalize_to_snr(dataset: CsiDataset, snr_db: float) -> CsiDataset:
     Re-applying is a no-op up to floating-point roundoff. Row energies are
     summed in blocks of rows, with the same bits as a whole-array sum.
     """
-    return _scaled(dataset, _snr_scale(dataset), snr_db)
+    scale = _snr_scale(dataset)
+    return CsiDataset._of(
+        dataset.m_antennas, dataset.channels * scale, dataset.ids, dataset.layer_codes,
+        dataset.timesteps_ms,
+        scale_applied=dataset.scale_applied * scale,
+        noise_power=_noise_power_of(snr_db),
+        snr_target_db=snr_db,
+    )
 
 
 class PoolPolicy(enum.Enum):
@@ -622,13 +712,23 @@ def subsample_pool(
     STRIDE takes evenly spaced timesteps; SEEDED_UNIFORM draws without
     replacement from the given seed. Record ids and order are preserved.
     """
+    return dataset.take(_keep_rows(dataset.layer_codes, per_layer_count, policy, seed))
+
+
+def _keep_rows(
+    layer_codes: np.ndarray,
+    per_layer_count: tuple[int | None, int | None],
+    policy: PoolPolicy,
+    seed: int,
+) -> np.ndarray:
+    """The (N,) mask of the rows ``subsample_pool`` keeps of rows with these layer codes."""
     if len(per_layer_count) != 2:
         raise ValueError("per_layer_count must be a (terrestrial, aerial) pair")
     rng = np.random.default_rng(seed)
-    keep = np.zeros(len(dataset), dtype=bool)
+    keep = np.zeros(len(layer_codes), dtype=bool)
     requested = dict(zip((Layer.TERRESTRIAL, Layer.AERIAL), per_layer_count))
     for layer, count in requested.items():
-        positions = np.flatnonzero(dataset.layer_codes == layer.code)
+        positions = np.flatnonzero(layer_codes == layer.code)
         if count is None:
             keep[positions] = True
             continue
@@ -646,4 +746,36 @@ def subsample_pool(
         else:
             ranks = rng.choice(population, size=count, replace=False)
         keep[positions[ranks]] = True
-    return dataset.take(keep)
+    return keep
+
+
+def _generated_pool(
+    config: ScenarioConfig,
+    per_layer_count: tuple[int | None, int | None],
+    policy: PoolPolicy,
+    seed: int,
+    snr_db: float,
+) -> CsiDataset:
+    """``subsample_pool(normalize_to_snr(generate_synthetic(config), snr_db), ...)``, bit for bit.
+
+    It never holds the (N, M) matrix. The kept rows are chosen, and the
+    counts checked, before any row is generated. Each block of
+    ``_generated_blocks`` adds its row energies to one (N,) vector and
+    hands over only its kept rows, which the whole dataset's factor then
+    scales. ``CsiDataset`` never sees the whole matrix, so each block is
+    checked for NaN and Inf here.
+    """
+    ids, codes, timesteps = _generated_columns(config)
+    keep = _keep_rows(codes, per_layer_count, policy, seed)
+    energies = np.empty(len(keep))
+    channels = np.empty((np.count_nonzero(keep), config.m_antennas), dtype=np.complex128)
+    kept = 0
+    for first, block in _generated_blocks(config):
+        _check_finite(block)
+        rows = slice(first, first + len(block))
+        energies[rows] = _row_energies(block)
+        pool_rows = block[keep[rows]]
+        channels[kept:kept + len(pool_rows)] = pool_rows
+        kept += len(pool_rows)
+    return _normalized(config.m_antennas, channels, ids[keep], codes[keep], timesteps[keep],
+                       energies=energies, snr_db=snr_db)

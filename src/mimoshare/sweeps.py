@@ -126,8 +126,7 @@ def _schedule_then_evaluate(
     row-by-row run would have stopped at.
     """
     scheduled = list(schedules)
-    if scheduled and pool.noise_power is None:
-        raise ValueError("pool has no noise power; normalize it before evaluation")
+    noise_power = zfmetrics._noise_power(pool) if scheduled else None
     by_size: dict[int, list[int]] = {}
     for n, (_, selection, _) in enumerate(scheduled):
         by_size.setdefault(len(selection), []).append(n)
@@ -137,7 +136,7 @@ def _schedule_then_evaluate(
         ids = [i for n in positions for i in scheduled[n][1].chosen]
         channels = pool.channels_for(ids).reshape(len(positions), k, pool.m_antennas)
         try:
-            sinr = zfmetrics._closed_form_sinr(channels, pool.noise_power)
+            sinr = zfmetrics._closed_form_sinr(channels, noise_power)
         except IllConditionedError as exc:
             failures.append((positions[exc.index], exc))
             continue
@@ -332,15 +331,14 @@ def exhaustive_oracle(
     n_subsets = math.comb(n, k)
     if n_subsets > budget:
         raise ValueError(f"C({n},{k}) = {n_subsets} exceeds the enumeration budget {budget}")
-    if pool.noise_power is None:
-        raise ValueError("pool has no noise power; normalize it before evaluation")
+    noise_power = zfmetrics._noise_power(pool)
 
     best_ids: tuple[int, ...] | None = None
     best_sum = -math.inf
     subsets = itertools.combinations(range(n), k)
     while block := list(itertools.islice(subsets, _ORACLE_BLOCK)):
         rows = np.array(block)  # (B, k) dataset rows, in enumeration order
-        sinr, cleared = zfmetrics._screened_sinr(pool.channels[rows], pool.noise_power)
+        sinr, cleared = zfmetrics._screened_sinr(pool.channels[rows], noise_power)
         sums = np.sum(zfmetrics.spectral_efficiency(sinr[cleared]), axis=1)
         if sums.size and sums.max() > best_sum:
             best = int(np.argmax(sums))  # the first maximum

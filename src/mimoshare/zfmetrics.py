@@ -259,11 +259,17 @@ def sum_se(se_values) -> float:
     return float(np.sum(se))
 
 
-def evaluate_selection(pool: CsiDataset, selection: SelectionResult) -> SeReport:
-    """ZF SINR and SE, at unit transmit power, of the scheduled users of a normalized pool."""
+def _noise_power(pool: CsiDataset) -> float:
+    """The pool's noise power; a pool that was never normalized has none to evaluate at."""
     if pool.noise_power is None:
         raise ValueError("pool has no noise power; normalize it before evaluation")
+    return pool.noise_power
+
+
+def evaluate_selection(pool: CsiDataset, selection: SelectionResult) -> SeReport:
+    """ZF SINR and SE, at unit transmit power, of the scheduled users of a normalized pool."""
+    noise_power = _noise_power(pool)
     channels = pool.channels_for(selection.chosen)
-    sinr_values = _closed_form_sinr(channels[None], pool.noise_power)[0]
+    sinr_values = _closed_form_sinr(channels[None], noise_power)[0]
     se_values = spectral_efficiency(sinr_values)
     return SeReport(per_user_sinr=sinr_values, per_user_se=se_values, sum_se=sum_se(se_values))

@@ -2,10 +2,12 @@
 
 ``literal_generate_synthetic`` is the whole-array generator, kept here
 unchanged as the oracle: the blocked generator must reproduce its bits for
-every block size. The CLI's pool build scales only the kept rows; it must
-give exactly ``subsample_pool(normalize_to_snr(dataset, snr), ...)``.
+every block size. The streamed pool build keeps only the pool's rows of each
+generated block and scales them by the whole dataset's factor; it must give
+exactly ``subsample_pool(normalize_to_snr(dataset, snr), ...)``.
 """
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -45,12 +47,14 @@ MINI_FLAGS = ["--trajectory-length-m", "4", "--trajectory-speed-mps", "1",
 DEFAULT_TOTAL_SHA256 = "46ca5196772a43e568afc3262dc7932fdb7d2da06a806ac599b3df2ba2bb6afa"
 DEFAULT_GRID_SHA256 = "f9ae4ff3d6132bd3d53cda969c102f3a9162a556e10e03e089a9410e04b551eb"
 
-# interpreter and numpy, one 58 MB channel matrix, one layer's 14.5 MB real
-# draws, and margin; building a full-size normalized copy exceeds it
-SWEEP_PEAK_RSS_BUDGET_MB = 160
-# interpreter and numpy, the two 29 MB decoded layers and their 58 MB merge,
-# and margin; decoding through separate float and complex copies exceeds it
-INGEST_PEAK_RSS_BUDGET_MB = 170
+# interpreter and numpy (~32 MB), one layer's 14.5 MB real draws, the pool
+# and one block's temporaries, and margin; the 58 MB (N, M) channel matrix
+# exceeds it, so a generate-mode sweep must never hold the whole dataset
+SWEEP_PEAK_RSS_BUDGET_MB = 80
+# interpreter and numpy, the 58 MB matrix the captures decode into, one
+# capture's 7 MB of int16 samples, and margin; the per-capture datasets held
+# beside their merge, or a normalized copy of it, exceed it
+INGEST_PEAK_RSS_BUDGET_MB = 120
 
 
 def literal_generate_synthetic(config: ScenarioConfig) -> CsiDataset:
@@ -180,6 +184,59 @@ def test_blocked_energy_factor_is_the_literal_factor(gains, block):
 def test_default_scenario_matches_the_oracle():
     config = ScenarioConfig(seed=1)
     assert_same_dataset(generate_synthetic(config), literal_generate_synthetic(config))
+
+
+# ---------------------------------------------------------------------------
+# the streamed pool build against normalize-then-thin
+# ---------------------------------------------------------------------------
+
+COUNTS = st.sampled_from([None, 0, 1, "population"])
+
+
+@HYPOTHESIS
+@given(config=small_scenarios(), counts=st.tuples(COUNTS, COUNTS),
+       policy=st.sampled_from(PoolPolicy), pool_seed=st.integers(0, 2**32 - 1),
+       snr_db=st.floats(-20.0, 40.0))
+def test_streamed_pool_is_normalize_then_thin(config, counts, policy, pool_seed, snr_db):
+    n = config.samples_per_layer
+    per_layer = tuple(n if count == "population" else count for count in counts)
+    want = subsample_pool(normalize_to_snr(generate_synthetic(config), snr_db), per_layer,
+                          policy, seed=pool_seed)
+    # one row, a block that does not divide n (n >= 3), and one larger than n
+    for block in (1, n - 1, n + 1):
+        with mock.patch.object(csi, "_ROW_BLOCK", block):
+            got = csi._generated_pool(config, per_layer, policy, pool_seed, snr_db)
+        assert_same_dataset(got, want)
+
+
+MINI_SCENARIO = ScenarioConfig(trajectory_length_m=1.9, trajectory_speed_mps=1.0,
+                               sample_interval_ms=100.0, seed=5)
+
+
+def test_streamed_pool_rejects_a_nonfinite_scenario_as_the_whole_build_does():
+    # K of -4000 dB is 0 linear, so the terrestrial diffuse power divides by zero;
+    # the pool keeps only an aerial row, which the whole-dataset factor then zeroes
+    bad = dataclasses.replace(MINI_SCENARIO, rician_k_db=(-4000.0, 3.0))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="NaN or Inf") as whole:
+            generate_synthetic(bad)
+        with pytest.raises(ValueError) as streamed:
+            csi._generated_pool(bad, (0, 1), PoolPolicy.STRIDE, 0, 20.0)
+    assert str(streamed.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("policy", PoolPolicy)
+@pytest.mark.parametrize("excess", [(1, 0), (0, 1), (-1, 0)])
+def test_streamed_pool_checks_its_counts_before_generating(policy, excess):
+    n = MINI_SCENARIO.samples_per_layer
+    per_layer = tuple(n + extra if extra >= 0 else extra for extra in excess)
+    with pytest.raises(ValueError) as whole:
+        subsample_pool(generate_synthetic(MINI_SCENARIO), per_layer, policy)
+    with mock.patch.object(csi, "_generated_blocks",
+                           side_effect=AssertionError("generation started")):
+        with pytest.raises(ValueError) as streamed:
+            csi._generated_pool(MINI_SCENARIO, per_layer, policy, 0, 20.0)
+    assert str(streamed.value) == str(whole.value)
 
 
 # ---------------------------------------------------------------------------
