@@ -22,12 +22,14 @@ from .csi import (
     Layer,
     PoolPolicy,
     ScenarioConfig,
-    _generated_pool,
-    _loaded_captures,
+    _capture_source,
+    _generated_source,
     _parse_keyvalues,
+    _sidecar_of,
+    _streamed_pool,
     encode_csi_binary,
+    read_sidecar,
     sidecar_text,
-    subsample_pool,
 )
 from .sched import SelectionMethod, SusParams
 from .sweeps import (
@@ -175,33 +177,25 @@ def _scenario_from(cfg: dict) -> ScenarioConfig:
     )
 
 
-def _load_captures(cfg: dict) -> CsiDataset:
-    """The named captures, merged and normalized to ``snr_db``."""
+def _source(cfg: dict) -> tuple[tuple, str]:
+    """Data source resolution: (block source, mode) of the named captures, else the generator."""
     bins, sidecars = cfg["csi"], cfg["format"]
     if not bins:
-        raise ValueError("no capture files given (set csi=... or --csi)")
+        return _generated_source(_scenario_from(cfg)), "generate"
     if sidecars and len(sidecars) != len(bins):
         raise ValueError("number of --format sidecars must match --csi captures")
     sidecars = sidecars or [None] * len(bins)  # None: load_capture's <capture>.cfg default
-    return _loaded_captures(zip(bins, sidecars), cfg["snr_db"])
+    # each capture's sidecar is read just before its length is checked
+    captures = ((path, *read_sidecar(_sidecar_of(path, sidecar)))
+                for path, sidecar in zip(bins, sidecars))
+    return _capture_source(captures), "ingest"
 
 
 def _build_pool(cfg: dict) -> tuple[CsiDataset, str]:
-    """Data source resolution: ingest when captures are named, generate otherwise.
-
-    The pool is ``subsample_pool(normalize_to_snr(dataset, snr_db), ...)``,
-    bit for bit. A generated dataset is never held whole: ``_generated_pool``
-    keeps only the pool's rows of each generated block. Ingested captures
-    are decoded into one matrix and scaled in place. The csi functions are
-    imported by name, which is how a tracer that wraps them finds them.
-    """
-    per_layer = (cfg["pool_terrestrial"], cfg["pool_aerial"])
-    if cfg["csi"]:
-        pool = subsample_pool(_load_captures(cfg), per_layer, cfg["pool_policy"], seed=cfg["seed"])
-        return pool, "ingest"
-    pool = _generated_pool(_scenario_from(cfg), per_layer, cfg["pool_policy"], cfg["seed"],
-                           cfg["snr_db"])
-    return pool, "generate"
+    """The sweep's pool, reduced from the resolved source's blocks, and the mode."""
+    source, mode = _source(cfg)
+    return _streamed_pool(source, cfg["snr_db"], (cfg["pool_terrestrial"], cfg["pool_aerial"]),
+                          cfg["pool_policy"], cfg["seed"]), mode
 
 
 def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
@@ -261,7 +255,7 @@ def _meta_json(table_meta: dict, cfg: dict, command: str, mode: str) -> bytes:
 def _cmd_generate(cfg: dict) -> int:
     scenario = _scenario_from(cfg)
     # the whole dataset, generated and normalized without a raw copy
-    dataset = _generated_pool(scenario, (None, None), PoolPolicy.STRIDE, 0, cfg["snr_db"])
+    dataset = _streamed_pool(_generated_source(scenario), cfg["snr_db"])
     out_dir = Path(cfg["out"])
     fmt = FixedPointFormat(m_antennas=dataset.m_antennas)
     counts = dataset.layer_counts()
@@ -291,7 +285,9 @@ def _cmd_generate(cfg: dict) -> int:
 
 
 def _cmd_ingest(cfg: dict) -> int:
-    dataset = _load_captures(cfg)
+    if not cfg["csi"]:
+        raise ValueError("no capture files given (set csi=... or --csi)")
+    dataset = _streamed_pool(_source(cfg)[0], cfg["snr_db"])
     counts = dataset.layer_counts()
     fingerprint = dataset.fingerprint()
     meta = {

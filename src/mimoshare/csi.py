@@ -10,6 +10,7 @@ link-level evaluation.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import math
 from collections.abc import Sequence
@@ -264,7 +265,8 @@ def load_csi_binary(
     part of the binary stream; they come from the sidecar (see
     :func:`read_sidecar`) or from the keyword arguments.
     """
-    return CsiDataset._of(*_decoded_captures([(path, fmt, layer, sample_interval_ms)]))
+    source = _capture_source([(path, fmt, layer, sample_interval_ms)])
+    return CsiDataset._of(fmt.m_antennas, _assembled(source), *source[1])
 
 
 def _capture_rows(path, fmt: FixedPointFormat, sample_interval_ms: float) -> int:
@@ -289,29 +291,45 @@ def _check_interval(path, sample_interval_ms: float) -> None:
         )
 
 
-def _decoded_captures(captures: Iterable[tuple]) -> tuple:
-    """``CsiDataset._of`` columns of (path, format, layer, interval) captures, in order.
+def _capture_source(captures: Iterable[tuple]) -> tuple:
+    """(path, format, layer, interval) captures as one block source; ids run 0.. across them.
 
-    Every capture is checked before any is decoded; each then decodes
-    straight into its rows of one matrix, and ids run 0.. across them all.
+    A source is (M, (ids, layer codes, timesteps), blocks): ``blocks(out)``
+    yields (first row, (B, M) block) in row order, each block being rows of
+    ``out`` if it is the (N, M) matrix, else a new array. Every capture is
+    checked before any is decoded.
     """
     plan = [(path, fmt, layer, interval, _capture_rows(path, fmt, interval))
             for path, fmt, layer, interval in captures]
     m = plan[0][1].m_antennas
     if any(fmt.m_antennas != m for _, fmt, _, _, _ in plan):
         raise ValueError("datasets disagree on antenna count")
-    channels = np.empty((sum(rows for *_, rows in plan), m), dtype=np.complex128)
-    codes, timesteps = [], []
-    start = 0
-    for path, fmt, layer, interval, rows in plan:
-        # interleaved float64 I, Q pairs are complex128's memory layout
-        gains = channels[start:start + rows].view(np.float64).reshape(-1)
-        np.divide(np.fromfile(path, fmt.dtype), float(1 << fmt.frac_bits), out=gains)
-        codes.append(np.full(rows, layer.code, dtype=np.int8))
-        timesteps.append(np.round(np.arange(rows) * interval).astype(np.int64))
-        start += rows
-    return (m, channels, np.arange(start, dtype=np.int64),
-            np.concatenate(codes), np.concatenate(timesteps))
+    codes = np.concatenate([np.full(rows, layer.code, dtype=np.int8)
+                            for _, _, layer, _, rows in plan])
+    timesteps = np.concatenate([np.round(np.arange(rows) * interval).astype(np.int64)
+                                for _, _, _, interval, rows in plan])
+    columns = (np.arange(len(codes), dtype=np.int64), codes, timesteps)
+    return m, columns, functools.partial(_decoded_blocks, plan)
+
+
+def _decoded_blocks(plan: list[tuple], out: np.ndarray | None) -> Iterator[tuple]:
+    """The captures' blocks (see ``_capture_source``), ``_ROW_BLOCK`` rows at a time.
+
+    Interleaved int16 I, Q samples are scaled straight into complex128 rows,
+    which have the memory layout of interleaved float64 pairs.
+    """
+    stop = 0
+    for path, fmt, _, _, rows in plan:
+        first, stop = stop, stop + rows
+        with open(path, "rb") as fh:
+            for start in range(first, stop, _ROW_BLOCK):
+                end = min(start + _ROW_BLOCK, stop)
+                block = (np.empty((end - start, fmt.m_antennas), dtype=np.complex128)
+                         if out is None else out[start:end])
+                samples = np.frombuffer(fh.read(len(block) * fmt.bytes_per_record), fmt.dtype)
+                np.divide(samples, float(1 << fmt.frac_bits),
+                          out=block.view(np.float64).reshape(-1))
+                yield start, block
 
 
 def encode_csi_binary(dataset: CsiDataset, fmt: FixedPointFormat | None = None) -> bytes:
@@ -328,14 +346,18 @@ def encode_csi_binary(dataset: CsiDataset, fmt: FixedPointFormat | None = None) 
             f"format M={fmt.m_antennas} does not match dataset M={dataset.m_antennas}"
         )
     scale = float(1 << fmt.frac_bits)
-    quant = np.ascontiguousarray(dataset.channels).view(np.float64) * scale  # I, Q interleaved
-    np.round(quant, out=quant)
-    if quant.size and (quant.max() > 32767 or quant.min() < -32768):
-        raise ValueError(
-            "gain component outside the representable fixed-point range; "
-            "normalize or rescale the dataset before encoding"
-        )
-    return quant.astype(fmt.dtype).tobytes()
+    quant = np.empty((len(dataset), 2 * fmt.m_antennas), dtype=fmt.dtype)  # I, Q interleaved
+    for start in range(0, len(dataset), _ROW_BLOCK):
+        block = np.ascontiguousarray(dataset.channels[start:start + _ROW_BLOCK])
+        scaled = block.view(np.float64) * scale
+        np.round(scaled, out=scaled)
+        if scaled.max() > 32767 or scaled.min() < -32768:
+            raise ValueError(
+                "gain component outside the representable fixed-point range; "
+                "normalize or rescale the dataset before encoding"
+            )
+        quant[start:start + len(block)] = scaled
+    return quant.tobytes()
 
 
 def sidecar_text(
@@ -427,27 +449,11 @@ def _sidecar_of(bin_path, sidecar_path) -> Path:
     return bin_path.with_suffix(bin_path.suffix + ".cfg") if sidecar_path is None else sidecar_path
 
 
-def _loaded_captures(captures: Iterable[tuple], snr_db: float) -> CsiDataset:
-    """``normalize_to_snr(merge_datasets([load_capture(b, s) ...]), snr_db)``, bit for bit.
-
-    ``captures`` are (binary, sidecar or None) pairs. Each capture decodes
-    into its rows of the one matrix that is then scaled in place, so neither
-    the per-capture datasets nor a normalized copy is ever held.
-    """
-    columns = _decoded_captures(
-        (bin_path, *read_sidecar(_sidecar_of(bin_path, sidecar_path)))
-        for bin_path, sidecar_path in captures
-    )
-    return _normalized(*columns, energies=_row_energies(columns[1]), snr_db=snr_db)
-
-
 def merge_datasets(datasets: Sequence[CsiDataset]) -> CsiDataset:
     """Concatenate datasets (e.g. one capture per layer) into one pool.
 
     Records are renumbered sequentially so ids stay unique. Normalization
-    metadata is dropped; normalize the merged pool afterwards. This holds
-    the inputs and their merge at once; the CLI's loader decodes captures
-    straight into one matrix instead.
+    metadata is dropped; normalize the merged pool afterwards.
     """
     if not datasets:
         raise ValueError("nothing to merge")
@@ -562,19 +568,33 @@ def generate_synthetic(config: ScenarioConfig) -> CsiDataset:
     layer's Rician K-factor. K of +inf disables the diffuse term. Deterministic
     for a fixed seed.
 
-    The rows come from ``_generated_blocks``, copied into one (N, M) matrix.
-    A sweep never holds that matrix: the CLI's pool build reads the same
-    blocks and keeps only the pool's rows.
+    The rows are ``_generated_source``'s blocks, written into one (N, M)
+    matrix; a sweep's pool build keeps only the pool's rows of each block.
     """
-    m = config.m_antennas
-    channels = np.empty((2 * config.samples_per_layer, m), dtype=np.complex128)
-    for first, block in _generated_blocks(config):
-        channels[first:first + len(block)] = block
-    return CsiDataset._of(m, channels, *_generated_columns(config))
+    source = _generated_source(config)
+    return CsiDataset._of(config.m_antennas, _assembled(source), *source[1])
 
 
-def _generated_blocks(config: ScenarioConfig) -> Iterator[tuple[int, np.ndarray]]:
-    """``generate_synthetic``'s rows as (first row, (B, M) block), in row order.
+def _generated_source(config: ScenarioConfig) -> tuple:
+    """``generate_synthetic``'s rows as a block source (see ``_capture_source``)."""
+    n = config.samples_per_layer
+    codes = np.repeat(np.array([layer.code for layer in Layer], dtype=np.int8), n)
+    timesteps = np.round(np.tile(np.arange(n), 2) * config.sample_interval_ms).astype(np.int64)
+    return (config.m_antennas, (np.arange(2 * n), codes, timesteps),
+            functools.partial(_generated_blocks, config))
+
+
+def _assembled(source: tuple) -> np.ndarray:
+    """The (N, M) matrix of a block source's rows, which its blocks are written into."""
+    m, columns, blocks = source
+    channels = np.empty((len(columns[0]), m), dtype=np.complex128)
+    for _ in blocks(channels):
+        pass
+    return channels
+
+
+def _generated_blocks(config: ScenarioConfig, out: np.ndarray | None) -> Iterator[tuple]:
+    """``generate_synthetic``'s blocks (see ``_capture_source``).
 
     Each layer draws all its real Gaussian parts, then builds its rows in
     blocks of ``_ROW_BLOCK``, drawing each block's imaginary parts as it goes:
@@ -598,6 +618,7 @@ def _generated_blocks(config: ScenarioConfig) -> Iterator[tuple[int, np.ndarray]
         for start in range(0, n, _ROW_BLOCK):
             block = pts[start:start + _ROW_BLOCK]
             rows = len(block)
+            first = layer.code * n + start
             # squares summed x, y, z in turn, as np.linalg.norm does, bit for
             # bit, without its (B, M, 3) temporary
             dists = np.zeros((rows, m))
@@ -605,19 +626,12 @@ def _generated_blocks(config: ScenarioConfig) -> Iterator[tuple[int, np.ndarray]
                 dists += np.square(block[:, None, axis] - elems[None, :, axis])
             np.sqrt(dists, out=dists)  # (B, M)
             amps = lam / (4.0 * np.pi * dists)
-            gains = amps * np.exp(-2j * np.pi * dists / lam)
+            gains = np.multiply(amps, np.exp(-2j * np.pi * dists / lam),
+                                out=None if out is None else out[first:first + rows])
             diffuse_power = np.mean(amps**2, axis=1) / k_lin  # (B,) ; 0 when K=inf
             noise = real[start:start + rows] + 1j * rng.standard_normal((rows, m))
             gains += np.sqrt(diffuse_power / 2.0)[:, None] * noise
-            yield layer.code * n + start, gains
-
-
-def _generated_columns(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ids, layer codes and timesteps of ``generate_synthetic``'s rows."""
-    n = config.samples_per_layer
-    codes = np.repeat(np.array([layer.code for layer in Layer], dtype=np.int8), n)
-    timesteps = np.round(np.tile(np.arange(n), 2) * config.sample_interval_ms).astype(np.int64)
-    return np.arange(2 * n), codes, timesteps
+            yield first, gains
 
 
 # ---------------------------------------------------------------------------
@@ -640,17 +654,12 @@ def _row_energies(gains: np.ndarray) -> np.ndarray:
 
 def _scale_of(energies: np.ndarray) -> float:
     """The global factor that makes the mean of these row energies 1."""
+    if len(energies) == 0:
+        raise ValueError("cannot normalize an empty dataset")
     mean_sq_norm = float(np.mean(energies))
     if mean_sq_norm == 0.0:
         raise ValueError("cannot normalize an all-zero dataset")
     return 1.0 / math.sqrt(mean_sq_norm)
-
-
-def _snr_scale(dataset: CsiDataset) -> float:
-    """The global factor that makes mean ||h||^2 over the records 1."""
-    if len(dataset) == 0:
-        raise ValueError("cannot normalize an empty dataset")
-    return _scale_of(_row_energies(dataset.channels))
 
 
 def _noise_power_of(snr_db: float) -> float:
@@ -658,21 +667,6 @@ def _noise_power_of(snr_db: float) -> float:
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
     return 10.0 ** (-snr_db / 10.0)
-
-
-def _normalized(m_antennas, channels, ids, layer_codes, timesteps_ms, *,
-                energies: np.ndarray, snr_db: float) -> CsiDataset:
-    """Un-normalized columns as a dataset normalized to ``snr_db``; ``channels`` is scaled in place.
-
-    ``energies`` are the row energies of the whole dataset, of which
-    ``channels`` may hold only some rows: the bits of ``normalize_to_snr``
-    on the whole, then a ``take`` of those rows.
-    """
-    scale = _scale_of(energies)
-    channels *= scale
-    return CsiDataset._of(m_antennas, channels, ids, layer_codes, timesteps_ms,
-                          scale_applied=scale, noise_power=_noise_power_of(snr_db),
-                          snr_target_db=snr_db)
 
 
 def normalize_to_snr(dataset: CsiDataset, snr_db: float) -> CsiDataset:
@@ -683,7 +677,7 @@ def normalize_to_snr(dataset: CsiDataset, snr_db: float) -> CsiDataset:
     Re-applying is a no-op up to floating-point roundoff. Row energies are
     summed in blocks of rows, with the same bits as a whole-array sum.
     """
-    scale = _snr_scale(dataset)
+    scale = _scale_of(_row_energies(dataset.channels))
     return CsiDataset._of(
         dataset.m_antennas, dataset.channels * scale, dataset.ids, dataset.layer_codes,
         dataset.timesteps_ms,
@@ -749,33 +743,39 @@ def _keep_rows(
     return keep
 
 
-def _generated_pool(
-    config: ScenarioConfig,
-    per_layer_count: tuple[int | None, int | None],
-    policy: PoolPolicy,
-    seed: int,
+def _streamed_pool(
+    source: tuple,
     snr_db: float,
+    per_layer_count: tuple[int | None, int | None] = (None, None),
+    policy: PoolPolicy = PoolPolicy.STRIDE,
+    seed: int = 0,
 ) -> CsiDataset:
-    """``subsample_pool(normalize_to_snr(generate_synthetic(config), snr_db), ...)``, bit for bit.
+    """``subsample_pool(normalize_to_snr(dataset, snr_db), ...)`` of a block source, bit for bit.
 
-    It never holds the (N, M) matrix. The kept rows are chosen, and the
-    counts checked, before any row is generated. Each block of
-    ``_generated_blocks`` adds its row energies to one (N,) vector and
-    hands over only its kept rows, which the whole dataset's factor then
-    scales. ``CsiDataset`` never sees the whole matrix, so each block is
-    checked for NaN and Inf here.
+    The counts are checked before any block is made. Unless every row is
+    kept, each block adds its row energies to one (N,) vector and hands over
+    its kept rows, and ``CsiDataset`` never sees the rest, so this checks
+    them for NaN and Inf. The whole dataset's factor then scales the pool.
     """
-    ids, codes, timesteps = _generated_columns(config)
+    m, (ids, codes, timesteps), blocks = source
     keep = _keep_rows(codes, per_layer_count, policy, seed)
-    energies = np.empty(len(keep))
-    channels = np.empty((np.count_nonzero(keep), config.m_antennas), dtype=np.complex128)
-    kept = 0
-    for first, block in _generated_blocks(config):
-        _check_finite(block)
-        rows = slice(first, first + len(block))
-        energies[rows] = _row_energies(block)
-        pool_rows = block[keep[rows]]
-        channels[kept:kept + len(pool_rows)] = pool_rows
-        kept += len(pool_rows)
-    return _normalized(config.m_antennas, channels, ids[keep], codes[keep], timesteps[keep],
-                       energies=energies, snr_db=snr_db)
+    if keep.all():  # the pool is the dataset: its blocks are written in place
+        channels = _assembled(source)
+        energies = _row_energies(channels)
+    else:
+        energies = np.empty(len(keep))
+        channels = np.empty((np.count_nonzero(keep), m), dtype=np.complex128)
+        kept = 0
+        for first, block in blocks(None):
+            rows = slice(first, first + len(block))
+            energies[rows] = _row_energies(block)
+            if not np.isfinite(energies[rows]).all():  # as any NaN or Inf component makes them
+                _check_finite(block)
+            pool_rows = block[keep[rows]]
+            channels[kept:kept + len(pool_rows)] = pool_rows
+            kept += len(pool_rows)
+    scale = _scale_of(energies)
+    channels *= scale
+    return CsiDataset._of(m, channels, ids[keep], codes[keep], timesteps[keep],
+                          scale_applied=scale, noise_power=_noise_power_of(snr_db),
+                          snr_target_db=snr_db)

@@ -36,10 +36,15 @@ def random_unit_channels(rng, k, m):
 
 
 @pytest.fixture(scope="session")
-def default_pool():
+def default_dataset():
+    """The whole default scenario, normalized to 20 dB: generated once per session."""
+    return normalize_to_snr(generate_synthetic(ScenarioConfig()), 20.0)
+
+
+@pytest.fixture(scope="session")
+def default_pool(default_dataset):
     """The default scenario at 20 dB, thinned to the 36/28 candidate pool."""
-    dataset = normalize_to_snr(generate_synthetic(ScenarioConfig()), 20.0)
-    return subsample_pool(dataset, (36, 28))
+    return subsample_pool(default_dataset, (36, 28))
 
 
 @pytest.fixture(scope="session")

@@ -345,8 +345,8 @@ def test_bad_sweep_value_fails_before_any_dataset_work(command, key, value, tmp_
     def no_dataset_work(*args, **kwargs):
         raise AssertionError("dataset work started")
 
-    # the CLI's only ways to a dataset: the streamed generator and the capture loader
-    for name in ("_generated_pool", "_loaded_captures"):
+    # the CLI's only ways to a dataset: the generator's and the captures' block sources
+    for name in ("_generated_source", "_capture_source"):
         monkeypatch.setattr(cli, name, no_dataset_work)
     out = tmp_path / "x"
     code = run_cli(command, "--config", MINI_CFG, "--out", out,

@@ -95,10 +95,9 @@ def shuffled_ids_dataset():
 # fingerprints pinned from the per-record implementation
 # ---------------------------------------------------------------------------
 
-def test_default_scenario_fingerprint_is_pinned():
-    dataset = normalize_to_snr(generate_synthetic(ScenarioConfig()), 20.0)
-    assert len(dataset) == 56_642
-    assert dataset.fingerprint() == "33108585713da58b"
+def test_default_scenario_fingerprint_is_pinned(default_dataset):
+    assert len(default_dataset) == 56_642
+    assert default_dataset.fingerprint() == "33108585713da58b"
 
 
 def test_pool_fingerprints_are_pinned(default_pool, mini_pool):

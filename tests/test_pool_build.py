@@ -2,9 +2,10 @@
 
 ``literal_generate_synthetic`` is the whole-array generator, kept here
 unchanged as the oracle: the blocked generator must reproduce its bits for
-every block size. The streamed pool build keeps only the pool's rows of each
-generated block and scales them by the whole dataset's factor; it must give
-exactly ``subsample_pool(normalize_to_snr(dataset, snr), ...)``.
+every block size, and so must the blocked capture decoder those of one
+whole-file decode. The streamed pool build keeps only the pool's rows of each
+generated or decoded block and scales them by the whole dataset's factor; it
+must give exactly ``subsample_pool(normalize_to_snr(dataset, snr), ...)``.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -26,14 +28,18 @@ import mimoshare
 from mimoshare import cli, csi
 from mimoshare.csi import (
     CsiDataset,
+    FixedPointFormat,
     Layer,
     PoolPolicy,
     ScenarioConfig,
     element_positions,
+    encode_csi_binary,
     generate_synthetic,
     load_capture,
+    load_csi_binary,
     merge_datasets,
     normalize_to_snr,
+    read_sidecar,
     subsample_pool,
     trajectory_points,
 )
@@ -49,12 +55,17 @@ DEFAULT_GRID_SHA256 = "f9ae4ff3d6132bd3d53cda969c102f3a9162a556e10e03e089a9410e0
 
 # interpreter and numpy (~32 MB), one layer's 14.5 MB real draws, the pool
 # and one block's temporaries, and margin; the 58 MB (N, M) channel matrix
-# exceeds it, so a generate-mode sweep must never hold the whole dataset
+# exceeds it, so a sweep must never hold the whole dataset, generated or
+# decoded from captures
 SWEEP_PEAK_RSS_BUDGET_MB = 80
-# interpreter and numpy, the 58 MB matrix the captures decode into, one
-# capture's 7 MB of int16 samples, and margin; the per-capture datasets held
-# beside their merge, or a normalized copy of it, exceed it
+# interpreter and numpy, the 58 MB matrix the captures are decoded
+# into, and margin; the per-capture datasets held beside their merge, or a
+# normalized copy of it, exceed it
 INGEST_PEAK_RSS_BUDGET_MB = 120
+# interpreter and numpy, the 58 MB normalized matrix, the 14.5 MB of real
+# draws, both layers' 7.2 MB int16 encodings with their bytes copies, and
+# margin; a float64 copy of a layer (29 MB) before the int16 cast exceeds it
+GENERATE_PEAK_RSS_BUDGET_MB = 130
 
 
 def literal_generate_synthetic(config: ScenarioConfig) -> CsiDataset:
@@ -172,18 +183,37 @@ def test_blocked_energy_factor_is_the_literal_factor(gains, block):
     with mock.patch.object(csi, "_ROW_BLOCK", block):
         if mean_sq_norm == 0.0:
             with pytest.raises(ValueError, match="all-zero"):
-                csi._snr_scale(dataset)
+                normalize_to_snr(dataset, 10.0)
             return
-        scale = csi._snr_scale(dataset)
         normalized = normalize_to_snr(dataset, 10.0)
+    scale = normalized.scale_applied
     assert scale == 1 / np.sqrt(mean_sq_norm)
     np.testing.assert_array_equal(bits(normalized.channels), bits(gains * scale))
-    assert normalized.scale_applied == scale
 
 
 def test_default_scenario_matches_the_oracle():
     config = ScenarioConfig(seed=1)
     assert_same_dataset(generate_synthetic(config), literal_generate_synthetic(config))
+
+
+@HYPOTHESIS
+@given(rows=st.integers(1, 12), m=st.integers(1, 5), frac_bits=st.integers(0, 15),
+       little_endian=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_blocked_capture_codec_is_the_whole_file_codec(rows, m, frac_bits, little_endian, seed):
+    fmt = FixedPointFormat(m, frac_bits, little_endian)
+    raw = np.random.default_rng(seed).integers(-32768, 32768, size=rows * m * 2,
+                                               dtype=np.int16).astype(fmt.dtype).tobytes()
+    # the whole-file decode: every sample scaled at once, viewed as complex gains
+    want = (np.frombuffer(raw, fmt.dtype) / float(1 << frac_bits)).view(np.complex128)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "capture.bin"
+        path.write_bytes(raw)
+        # one row, a block that does not divide the rows (when there are 3+), one larger
+        for block in (1, max(rows - 1, 1), rows + 1):
+            with mock.patch.object(csi, "_ROW_BLOCK", block):
+                dataset = load_csi_binary(path, fmt)
+                assert encode_csi_binary(dataset, fmt) == raw
+            np.testing.assert_array_equal(bits(dataset.channels), bits(want.reshape(rows, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +235,8 @@ def test_streamed_pool_is_normalize_then_thin(config, counts, policy, pool_seed,
     # one row, a block that does not divide n (n >= 3), and one larger than n
     for block in (1, n - 1, n + 1):
         with mock.patch.object(csi, "_ROW_BLOCK", block):
-            got = csi._generated_pool(config, per_layer, policy, pool_seed, snr_db)
+            got = csi._streamed_pool(csi._generated_source(config), snr_db, per_layer, policy,
+                                     pool_seed)
         assert_same_dataset(got, want)
 
 
@@ -215,27 +246,50 @@ MINI_SCENARIO = ScenarioConfig(trajectory_length_m=1.9, trajectory_speed_mps=1.0
 
 def test_streamed_pool_rejects_a_nonfinite_scenario_as_the_whole_build_does():
     # K of -4000 dB is 0 linear, so the terrestrial diffuse power divides by zero;
-    # the pool keeps only an aerial row, which the whole-dataset factor then zeroes
+    # the (0, 1) pool keeps only an aerial row, which the whole-dataset factor
+    # then zeroes, and the keep-all pool holds the bad rows themselves
     bad = dataclasses.replace(MINI_SCENARIO, rician_k_db=(-4000.0, 3.0))
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="NaN or Inf") as whole:
             generate_synthetic(bad)
-        with pytest.raises(ValueError) as streamed:
-            csi._generated_pool(bad, (0, 1), PoolPolicy.STRIDE, 0, 20.0)
-    assert str(streamed.value) == str(whole.value)
+        for counts in ((0, 1), (None, None)):
+            with pytest.raises(ValueError) as streamed:
+                csi._streamed_pool(csi._generated_source(bad), 20.0, counts)
+            assert str(streamed.value) == str(whole.value)
 
 
+@pytest.fixture(scope="module")
+def mini_captures(tmp_path_factory):
+    """``MINI_SCENARIO``'s captures as ``generate`` writes them, one binary per layer."""
+    out = tmp_path_factory.mktemp("mini_captures")
+    assert cli.main(["generate", "--out", str(out), "--trajectory-length-m", "1.9",
+                     "--trajectory-speed-mps", "1", "--sample-interval-ms", "100",
+                     "--seed", "5"]) == 0
+    return [str(out / f"{layer.value}.bin") for layer in Layer]
+
+
+# source -> (its block generator, its constructor from the mini captures)
+SOURCES = {
+    "generated": ("_generated_blocks", lambda captures: csi._generated_source(MINI_SCENARIO)),
+    "captures": ("_decoded_blocks", lambda captures: csi._capture_source(
+        (path, *read_sidecar(f"{path}.cfg")) for path in captures)),
+}
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
 @pytest.mark.parametrize("policy", PoolPolicy)
 @pytest.mark.parametrize("excess", [(1, 0), (0, 1), (-1, 0)])
-def test_streamed_pool_checks_its_counts_before_generating(policy, excess):
+def test_streamed_pool_checks_its_counts_before_generating(source, policy, excess,
+                                                           mini_captures):
     n = MINI_SCENARIO.samples_per_layer
     per_layer = tuple(n + extra if extra >= 0 else extra for extra in excess)
     with pytest.raises(ValueError) as whole:
         subsample_pool(generate_synthetic(MINI_SCENARIO), per_layer, policy)
-    with mock.patch.object(csi, "_generated_blocks",
-                           side_effect=AssertionError("generation started")):
+    blocks, make_source = SOURCES[source]
+    # no generated row and no capture byte before the counts pass
+    with mock.patch.object(csi, blocks, side_effect=AssertionError("a block was made")):
         with pytest.raises(ValueError) as streamed:
-            csi._generated_pool(MINI_SCENARIO, per_layer, policy, 0, 20.0)
+            csi._streamed_pool(make_source(mini_captures), 20.0, per_layer, policy)
     assert str(streamed.value) == str(whole.value)
 
 
@@ -277,10 +331,15 @@ def test_ingested_pool_is_normalize_then_thin(case, tmp_path):
     assert cli.main(["generate", "--out", str(tmp_path), *MINI_FLAGS]) == 0
     captures = [str(tmp_path / f"{layer.value}.bin") for layer in Layer]
     cfg = cli_config("--csi", ",".join(captures), *POOL_CASES[case])
-    pool, mode = cli._build_pool(cfg)
-    assert mode == "ingest"
     merged = merge_datasets([load_capture(path) for path in captures])
-    assert_same_dataset(pool, expected_pool(merged, cfg))
+    want = expected_pool(merged, cfg)
+    n = len(merged) // 2
+    # one row, a block that does not divide a capture's rows, and one larger than them
+    for block in (1, n - 1, n + 1):
+        with mock.patch.object(csi, "_ROW_BLOCK", block):
+            pool, mode = cli._build_pool(cfg)
+        assert mode == "ingest"
+        assert_same_dataset(pool, want)
 
 
 def test_default_pool_is_normalize_then_thin(default_pool):
@@ -332,13 +391,14 @@ def test_sweep_peak_memory_stays_within_budget(tmp_path):
     src = str(Path(mimoshare.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    peak_mb = cli_peak_rss_mb(env, "sweep-total", "--k-range", "1:4", "--trials", "1",
-                              "--out", str(tmp_path / "sweep"))
+    sweep = ("sweep-total", "--k-range", "1:4", "--trials", "1")
+    peak_mb = cli_peak_rss_mb(env, *sweep, "--out", str(tmp_path / "sweep"))
     assert peak_mb <= SWEEP_PEAK_RSS_BUDGET_MB, f"sweep peak RSS {peak_mb:.1f} MB"
-    # ingest of the default capture: the decoder scales the int16 samples once
-    # and views the result as complex gains
     capture = tmp_path / "capture"
-    cli_peak_rss_mb(env, "generate", "--out", str(capture))
+    peak_mb = cli_peak_rss_mb(env, "generate", "--out", str(capture))
+    assert peak_mb <= GENERATE_PEAK_RSS_BUDGET_MB, f"generate peak RSS {peak_mb:.1f} MB"
     captures = ",".join(str(capture / f"{layer.value}.bin") for layer in Layer)
     peak_mb = cli_peak_rss_mb(env, "ingest", "--csi", captures, "--out", str(tmp_path / "ingest"))
     assert peak_mb <= INGEST_PEAK_RSS_BUDGET_MB, f"ingest peak RSS {peak_mb:.1f} MB"
+    peak_mb = cli_peak_rss_mb(env, *sweep, "--csi", captures, "--out", str(tmp_path / "ingested"))
+    assert peak_mb <= SWEEP_PEAK_RSS_BUDGET_MB, f"ingest-mode sweep peak RSS {peak_mb:.1f} MB"
