@@ -34,8 +34,6 @@ from .csi import (
 from .sched import SelectionMethod, SusParams
 from .sweeps import (
     _SWEEP_METHODS,
-    CSV_HEADER,
-    SweepRow,
     SweepTable,
     find_peak,
     max_users_for_min_se,
@@ -141,7 +139,8 @@ _CONFIG_SPEC: dict[str, tuple] = {
     "pool_aerial": (_pool_count, 28, "aerial candidate-pool size (-1 keeps all)"),
     "pool_policy": (PoolPolicy, "stride", "pool subsampling policy: stride or uniform"),
     "k_range": (_int_range, "1:64", "total-user sweep range, e.g. 1:64"),
-    "methods": (_list_of(_sweep_method), "random,sus", "comma-separated sweep methods"),
+    "methods": (_checked(_list_of(_sweep_method), bool, "a non-empty list"), "random,sus",
+                "comma-separated sweep methods"),
     "ground_range": (_int_range, "0:36", "grid range of terrestrial users, e.g. 0:36"),
     "aerial_range": (_int_range, "0:28", "grid range of aerial users, e.g. 0:28"),
     "thresholds": (_list_of(_FINITE), "8", "comma-separated minimum individual-SE thresholds"),
@@ -177,29 +176,31 @@ def _scenario_from(cfg: dict) -> ScenarioConfig:
     )
 
 
-def _source(cfg: dict) -> tuple[tuple, str]:
-    """Data source resolution: (block source, mode) of the named captures, else the generator."""
+def _source(cfg: dict) -> tuple:
+    """Data source resolution: the block source of the named captures, else the generator."""
     bins, sidecars = cfg["csi"], cfg["format"]
     if not bins:
-        return _generated_source(_scenario_from(cfg)), "generate"
+        return _generated_source(_scenario_from(cfg))
     if sidecars and len(sidecars) != len(bins):
         raise ValueError("number of --format sidecars must match --csi captures")
     sidecars = sidecars or [None] * len(bins)  # None: load_capture's <capture>.cfg default
     # each capture's sidecar is read just before its length is checked
     captures = ((path, *read_sidecar(_sidecar_of(path, sidecar)))
                 for path, sidecar in zip(bins, sidecars))
-    return _capture_source(captures), "ingest"
+    return _capture_source(captures)
 
 
-def _build_pool(cfg: dict) -> tuple[CsiDataset, str]:
-    """The sweep's pool, reduced from the resolved source's blocks, and the mode."""
-    source, mode = _source(cfg)
-    return _streamed_pool(source, cfg["snr_db"], (cfg["pool_terrestrial"], cfg["pool_aerial"]),
-                          cfg["pool_policy"], cfg["seed"]), mode
+def _build_pool(cfg: dict) -> CsiDataset:
+    """The sweep's pool, reduced from the resolved source's blocks."""
+    per_layer = (cfg["pool_terrestrial"], cfg["pool_aerial"])
+    return _streamed_pool(_source(cfg), cfg["snr_db"], per_layer, cfg["pool_policy"], cfg["seed"])
 
 
 def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
-    """Two-phase atomic write: stage every temp file, then rename all."""
+    """Two-phase atomic write: check every target, stage every temp file, then rename all."""
+    for name in files:
+        if (out_dir / name).is_dir():  # os.replace would fail after earlier renames
+            raise IsADirectoryError(f"{out_dir / name}: output is a directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     staged: list[tuple[Path, Path]] = []
     try:
@@ -238,18 +239,29 @@ def _summary_text(table: SweepTable, thresholds: list[float]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _meta_json(table_meta: dict, cfg: dict, command: str, mode: str) -> bytes:
-    meta = dict(table_meta)
-    meta.update(
-        {
-            "command": command,
-            "mode": mode,
-            "snr_db": cfg["snr_db"],
-            "alpha": cfg["alpha"],
-            "seed": cfg["seed"],
-        }
-    )
+def _meta_json(table_meta: dict, cfg: dict, command: str) -> bytes:
+    # generate ignores captures; ingest and the sweeps read them when named
+    mode = "ingest" if cfg["csi"] and command != "generate" else "generate"
+    meta = {
+        **table_meta,
+        "command": command,
+        "mode": mode,
+        "snr_db": cfg["snr_db"],
+        "alpha": cfg["alpha"],
+        "seed": cfg["seed"],
+    }
     return (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode()
+
+
+def _dataset_meta(dataset: CsiDataset) -> dict:
+    """The meta keys generate and ingest share."""
+    counts = dataset.layer_counts()
+    return {
+        "m_antennas": dataset.m_antennas,
+        "records_terrestrial": counts[Layer.TERRESTRIAL],
+        "records_aerial": counts[Layer.AERIAL],
+        "dataset_fingerprint": dataset.fingerprint(),
+    }
 
 
 def _cmd_generate(cfg: dict) -> int:
@@ -272,13 +284,7 @@ def _cmd_generate(cfg: dict) -> int:
             sample_interval_ms=scenario.sample_interval_ms,
             extra={"snr_db": f"{cfg['snr_db']:g}", "scale_applied": f"{dataset.scale_applied:.12g}"},
         ).encode()
-    meta = {
-        "m_antennas": dataset.m_antennas,
-        "records_terrestrial": counts[Layer.TERRESTRIAL],
-        "records_aerial": counts[Layer.AERIAL],
-        "dataset_fingerprint": dataset.fingerprint(),
-    }
-    files["meta.json"] = _meta_json(meta, cfg, "generate", "generate")
+    files["meta.json"] = _meta_json(_dataset_meta(dataset), cfg, "generate")
     _write_outputs(out_dir, files)
     print(f"wrote {counts[Layer.TERRESTRIAL]}+{counts[Layer.AERIAL]} records to {out_dir}")
     return 0
@@ -287,29 +293,20 @@ def _cmd_generate(cfg: dict) -> int:
 def _cmd_ingest(cfg: dict) -> int:
     if not cfg["csi"]:
         raise ValueError("no capture files given (set csi=... or --csi)")
-    dataset = _streamed_pool(_source(cfg)[0], cfg["snr_db"])
-    counts = dataset.layer_counts()
-    fingerprint = dataset.fingerprint()
-    meta = {
-        "m_antennas": dataset.m_antennas,
-        "records_terrestrial": counts[Layer.TERRESTRIAL],
-        "records_aerial": counts[Layer.AERIAL],
-        "scale_applied": dataset.scale_applied,
-        "noise_power": dataset.noise_power,
-        "dataset_fingerprint": fingerprint,
-    }
-    _write_outputs(Path(cfg["out"]), {"meta.json": _meta_json(meta, cfg, "ingest", "ingest")})
+    dataset = _streamed_pool(_source(cfg), cfg["snr_db"])
+    meta = {**_dataset_meta(dataset), "scale_applied": dataset.scale_applied,
+            "noise_power": dataset.noise_power}
+    _write_outputs(Path(cfg["out"]), {"meta.json": _meta_json(meta, cfg, "ingest")})
     print(
-        f"ingested {len(dataset)} records "
-        f"({counts[Layer.TERRESTRIAL]} terrestrial, {counts[Layer.AERIAL]} aerial), "
-        f"fingerprint {fingerprint}"
+        f"ingested {len(dataset)} records ({meta['records_terrestrial']} terrestrial, "
+        f"{meta['records_aerial']} aerial), fingerprint {meta['dataset_fingerprint']}"
     )
     return 0
 
 
 def _cmd_sweep(cfg: dict, kind: str) -> int:
     params = SusParams(alpha=cfg["alpha"])
-    pool, mode = _build_pool(cfg)
+    pool = _build_pool(cfg)
     if kind == "total":
         table = sweep_total_users(pool, cfg["k_range"], methods=cfg["methods"],
                                   trials=cfg["trials"], seed=cfg["seed"], params=params)
@@ -319,46 +316,17 @@ def _cmd_sweep(cfg: dict, kind: str) -> int:
     files = {
         "sweep.csv": table.csv_text().encode(),
         "summary.txt": _summary_text(table, cfg["thresholds"]).encode(),
-        "meta.json": _meta_json(table.meta, cfg, f"sweep-{kind}", mode),
+        "meta.json": _meta_json(table.meta, cfg, f"sweep-{kind}"),
     }
     _write_outputs(Path(cfg["out"]), files)
     print(f"wrote {len(table.rows)} rows to {Path(cfg['out']) / 'sweep.csv'}")
     return 0
 
 
-def _parse_csv_table(path: str) -> SweepTable:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: not a sweep table (unexpected header)")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 8:
-            raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
-        try:
-            row = SweepRow(
-                method=SelectionMethod(fields[0]),
-                k_total=int(fields[1]),
-                k_ground=int(fields[2]),
-                k_aerial=int(fields[3]),
-                trial=int(fields[4]),
-                sum_se=float(fields[5]),
-                mean_individual_se=float(fields[6]),
-                fallback_rank=int(fields[7]) if fields[7] else None,
-                selection=None,
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        rows.append(row)
-    return SweepTable(rows=tuple(rows), meta={"sweep": "from_csv", "source": path})
-
-
 def _cmd_report(cfg: dict) -> int:
     if not cfg["table"]:
         raise ValueError("report needs an input table (set table=... or --table)")
-    summary = _summary_text(_parse_csv_table(cfg["table"]), cfg["thresholds"])
+    summary = _summary_text(SweepTable.from_csv(cfg["table"]), cfg["thresholds"])
     _write_outputs(Path(cfg["out"]), {"summary.txt": summary.encode()})
     sys.stdout.write(summary)
     return 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -71,6 +72,34 @@ class SweepRow:
         )
 
 
+# CSV field -> its caster; the fields of SweepRow carry the same names
+_CSV_CASTERS = {
+    "method": SelectionMethod, "k_total": int, "k_ground": int, "k_aerial": int, "trial": int,
+    "sum_se": float, "mean_individual_se": float,
+    "fallback_rank": lambda text: int(text) if text else None,
+}
+
+
+def _csv_row(line: str) -> SweepRow:
+    """The row of a CSV line, by field name; a ValueError names what no sweep writes."""
+    texts = line.split(",")
+    names = CSV_HEADER.split(",")
+    if len(texts) != len(names):
+        raise ValueError(f"malformed row {line!r}")
+    row = SweepRow(**{name: _CSV_CASTERS[name](text) for name, text in zip(names, texts)},
+                   selection=None)
+    for se in (row.sum_se, row.mean_individual_se):
+        if not 0 <= se < math.inf:  # NaN fails both
+            raise ValueError(f"SE must be finite and >= 0; got {se}")
+    if min(row.k_ground, row.k_aerial, row.trial) < 0:
+        raise ValueError("k_ground, k_aerial and trial must be >= 0")
+    if not row.k_total == row.k_ground + row.k_aerial >= 1:
+        raise ValueError(f"k_total must be k_ground + k_aerial >= 1; got k_total={row.k_total}")
+    if row.fallback_rank is not None and not 0 <= row.fallback_rank < row.k_total:
+        raise ValueError(f"fallback_rank must be in 0..{row.k_total - 1}; got {row.fallback_rank}")
+    return row
+
+
 @dataclass(frozen=True)
 class SweepTable:
     """Result rows plus the run metadata needed to reproduce them."""
@@ -83,57 +112,47 @@ class SweepTable:
         lines.extend(row.csv_line() for row in self.rows)
         return "\n".join(lines) + "\n"
 
-
-def _row_from(selection: SelectionResult, sum_se: float, trial: int) -> SweepRow:
-    k_total = len(selection)
-    return SweepRow(
-        method=selection.method,
-        k_total=k_total,
-        k_ground=selection.per_layer_counts[Layer.TERRESTRIAL],
-        k_aerial=selection.per_layer_counts[Layer.AERIAL],
-        trial=trial,
-        sum_se=sum_se,
-        mean_individual_se=sum_se / k_total,
-        fallback_rank=selection.fallback_used_from,
-        selection=selection,
-    )
-
-
-def _base_meta(pool: CsiDataset, seed: int, params: SusParams) -> dict:
-    counts = pool.layer_counts()
-    return {
-        "seed": seed,
-        "alpha": params.alpha,
-        "snr_db": pool.snr_target_db,
-        "pool_terrestrial": counts[Layer.TERRESTRIAL],
-        "pool_aerial": counts[Layer.AERIAL],
-        "m_antennas": pool.m_antennas,
-        "dataset_fingerprint": pool.fingerprint(),
-    }
+    @classmethod
+    def from_csv(cls, path) -> SweepTable:
+        """The table ``csv_text`` wrote, without schedules; a bad row names its file and line."""
+        lines = Path(path).read_text().splitlines()
+        if not lines or lines[0] != CSV_HEADER:
+            raise ValueError(f"{path}: not a sweep table (unexpected header)")
+        rows = []
+        for lineno, line in enumerate(lines[1:], start=2):
+            if line.strip():
+                try:
+                    rows.append(_csv_row(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+        return cls(rows=tuple(rows), meta={"sweep": "from_csv", "source": str(path)})
 
 
-# one scheduled row: (cell name, schedule, trial)
-_Scheduled = tuple[str, SelectionResult, int]
+def _cell(selection: SelectionResult, trial: int) -> str:
+    """The sweep cell a scheduled row fills, as errors name it."""
+    if selection.method is SelectionMethod.SUS_LAYERED:
+        counts = selection.per_layer_counts
+        return f"cell (k_ground={counts[Layer.TERRESTRIAL]}, k_aerial={counts[Layer.AERIAL]})"
+    return f"cell (method={selection.method.value}, k={len(selection)}, trial={trial})"
 
 
-def _schedule_then_evaluate(
-    pool: CsiDataset, schedules: Iterator[_Scheduled]
-) -> tuple[SweepRow, ...]:
-    """Rows of every schedule the iterator yields, in its order.
+def _table(pool: CsiDataset, schedules: Iterator[tuple[SelectionResult, int]],
+           **meta) -> SweepTable:
+    """The table of every (schedule, trial) the iterator yields, in its order.
 
     The schedules of each size K are evaluated as one (B, K, M) stack. An
     ill-conditioned row is named by the earliest failing cell, the one a
-    row-by-row run would have stopped at.
+    row-by-row run would have stopped at. The table's meta is the pool's and ``meta``.
     """
     scheduled = list(schedules)
     noise_power = zfmetrics._noise_power(pool) if scheduled else None
     by_size: dict[int, list[int]] = {}
-    for n, (_, selection, _) in enumerate(scheduled):
+    for n, (selection, _) in enumerate(scheduled):
         by_size.setdefault(len(selection), []).append(n)
     sums = [0.0] * len(scheduled)
     failures: list[tuple[int, IllConditionedError]] = []
     for k, positions in by_size.items():
-        ids = [i for n in positions for i in scheduled[n][1].chosen]
+        ids = [i for n in positions for i in scheduled[n][0].chosen]
         channels = pool.channels_for(ids).reshape(len(positions), k, pool.m_antennas)
         try:
             sinr = zfmetrics._closed_form_sinr(channels, noise_power)
@@ -144,11 +163,30 @@ def _schedule_then_evaluate(
             sums[n] = zfmetrics.sum_se(row_se)
     if failures:
         n, exc = min(failures, key=lambda failure: failure[0])
-        raise IllConditionedError(f"{scheduled[n][0]}: {exc}") from exc
-    return tuple(
-        _row_from(selection, total, trial)
-        for (_, selection, trial), total in zip(scheduled, sums)
+        raise IllConditionedError(f"{_cell(*scheduled[n])}: {exc}") from exc
+    rows = tuple(
+        SweepRow(
+            method=selection.method,
+            k_total=len(selection),
+            k_ground=selection.per_layer_counts[Layer.TERRESTRIAL],
+            k_aerial=selection.per_layer_counts[Layer.AERIAL],
+            trial=trial,
+            sum_se=total,
+            mean_individual_se=total / len(selection),
+            fallback_rank=selection.fallback_used_from,
+            selection=selection,
+        )
+        for (selection, trial), total in zip(scheduled, sums)
     )
+    counts = pool.layer_counts()
+    pool_meta = {
+        "snr_db": pool.snr_target_db,
+        "pool_terrestrial": counts[Layer.TERRESTRIAL],
+        "pool_aerial": counts[Layer.AERIAL],
+        "m_antennas": pool.m_antennas,
+        "dataset_fingerprint": pool.fingerprint(),
+    }
+    return SweepTable(rows=rows, meta={**pool_meta, **meta})
 
 
 def _record_branches(run: _SusRun, quotas: dict, branches: dict) -> None:
@@ -171,19 +209,18 @@ def _total_schedules(
     trials: int,
     seed: int,
     params: SusParams,
-) -> Iterator[_Scheduled]:
+) -> Iterator[tuple[SelectionResult, int]]:
     if SelectionMethod.RANDOM in methods:
         for k in ks:
             for trial in range(trials):
-                cell = f"cell (method=random, k={k}, trial={trial})"
-                yield cell, random_select(pool, k, _trial_seed(seed, k, trial)), trial
+                yield random_select(pool, k, _trial_seed(seed, k, trial)), trial
     if SelectionMethod.SUS in methods:
         # one run serves every k: the k-user SUS schedule is its first k picks
         run = _SusRun(pool, params)
         for k in ks:
             while len(run.chosen) < k:
                 run.step()
-            yield f"cell (method=sus, k={k}, trial=0)", run.result(SelectionMethod.SUS), 0
+            yield run.result(SelectionMethod.SUS), 0
 
 
 def sweep_total_users(
@@ -207,20 +244,20 @@ def sweep_total_users(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     methods = set(methods)
+    if not methods:
+        raise ValueError("no sweep methods")
     unsupported = methods - _SWEEP_METHODS
     if unsupported:
         raise ValueError(f"unsupported sweep methods: {sorted(m.value for m in unsupported)}")
 
     schedules = _total_schedules(pool, ks, methods, trials, seed, params)
-    rows = _schedule_then_evaluate(pool, schedules)
-    meta = _base_meta(pool, seed, params)
-    meta.update({"sweep": "total_users", "trials": trials, "k_min": ks[0], "k_max": ks[-1]})
-    return SweepTable(rows=rows, meta=meta)
+    return _table(pool, schedules, sweep="total_users", seed=seed, alpha=params.alpha,
+                  trials=trials, k_min=ks[0], k_max=ks[-1])
 
 
 def _grid_schedules(
     pool: CsiDataset, grounds: list[int], aerials: list[int], params: SusParams
-) -> Iterator[_Scheduled]:
+) -> Iterator[tuple[SelectionResult, int]]:
     # A layered run follows the unconstrained run until one layer meets its
     # quota, then picks from the other layer only. So one shared unconstrained
     # run, cloned where it first meets each grid quota, plus one single-layer
@@ -245,8 +282,7 @@ def _grid_schedules(
             open_layer = next(layer for layer in Layer if layer is not full[0])
             while branch.counts[open_layer] < quota[open_layer]:
                 branch.step(branch.layer_mask[open_layer])
-            cell = f"cell (k_ground={k_ground}, k_aerial={k_aerial})"
-            yield cell, branch.result(SelectionMethod.SUS_LAYERED), 0
+            yield branch.result(SelectionMethod.SUS_LAYERED), 0
 
 
 def sweep_layer_grid(
@@ -274,18 +310,9 @@ def sweep_layer_grid(
         )
 
     schedules = _grid_schedules(pool, grounds, aerials, params)
-    rows = _schedule_then_evaluate(pool, schedules)
-    meta = _base_meta(pool, seed, params)
-    meta.update(
-        {
-            "sweep": "layer_grid",
-            "ground_min": grounds[0],
-            "ground_max": grounds[-1],
-            "aerial_min": aerials[0],
-            "aerial_max": aerials[-1],
-        }
-    )
-    return SweepTable(rows=rows, meta=meta)
+    return _table(pool, schedules, sweep="layer_grid", seed=seed, alpha=params.alpha,
+                  ground_min=grounds[0], ground_max=grounds[-1],
+                  aerial_min=aerials[0], aerial_max=aerials[-1])
 
 
 def max_users_for_min_se(table: SweepTable, method: SelectionMethod, threshold_se: float) -> int:

@@ -84,6 +84,15 @@ def test_generate_then_ingest_roundtrip(tmp_path):
     assert meta["records_aerial"] == 41
     assert meta["mode"] == "ingest"
 
+    # generate makes its own data: named captures are not read, and not its mode
+    regen_dir = tmp_path / "regenerated"
+    code = run_cli(
+        "generate", "--config", MINI_CFG, "--out", regen_dir,
+        "--csi", f"{gen_dir / 'terrestrial.bin'},{gen_dir / 'aerial.bin'}",
+    )
+    assert code == 0
+    assert json.loads((regen_dir / "meta.json").read_text())["mode"] == "generate"
+
     # captured data drives a sweep through the same pipeline
     sweep_dir = tmp_path / "sweep"
     code = run_cli(
@@ -334,6 +343,7 @@ BAD_SWEEP_VALUES = [
     ("sweep-grid", "thresholds", "nan"),
     ("sweep-total", "thresholds", "8,-inf"),
     ("sweep-grid", "rician_k_aerial_db", "-inf"),  # a negative value, not an option
+    ("sweep-total", "methods", ","),
 ]
 
 
@@ -370,6 +380,13 @@ def test_report_names_a_bad_threshold(tmp_path, capsys):
         ("bogus,3,2,1,0,10.5,3.5,", "bogus"),  # method
         ("sus,3,2,x1,0,10.5,3.5,", "x1"),  # int field
         ("sus,3,2,1,0,10.5,3.5e,", "3.5e"),  # float field
+        ("sus,3,2,1,0,nan,nan,", "nan"),  # SE a sweep never writes
+        ("sus,3,2,1,0,-3,-1,", "-3"),
+        ("sus,3,2,1,0,inf,3.5,", "inf"),
+        ("sus,5,1,1,0,10.5,2.1,", "k_total"),  # counts that do not add up
+        ("sus,3,4,-1,0,10.5,3.5,", "k_aerial"),
+        ("sus,3,2,1,0,10.5,3.5,3", "fallback_rank"),  # rank beyond the schedule
+        ("sus,3,2,1,0,10.5,3.5,-1", "fallback_rank"),
     ],
 )
 def test_report_names_the_file_and_line_of_a_bad_row(bad_row, bad_value, tmp_path, capsys):
@@ -379,3 +396,29 @@ def test_report_names_the_file_and_line_of_a_bad_row(bad_row, bad_value, tmp_pat
     err = capsys.readouterr().err
     assert f"{table}:3:" in err and bad_value in err
     assert not (tmp_path / "x").exists()
+
+
+def test_a_directory_in_place_of_an_output_fails_before_any_rename(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "summary.txt").mkdir(parents=True)
+    assert run_cli("sweep-grid", "--config", MINI_CFG, "--out", out) == 1
+    assert str(out / "summary.txt") in capsys.readouterr().err
+    assert sorted(path.name for path in out.iterdir()) == ["summary.txt"]
+
+
+def test_a_failed_staging_removes_the_staged_files(tmp_path, monkeypatch):
+    from mimoshare.cli import _write_outputs
+
+    write_bytes = Path.write_bytes
+    written = []
+
+    def fail_on_the_second(path, payload):
+        if written:
+            raise OSError("disk full")
+        written.append(path)
+        return write_bytes(path, payload)
+
+    monkeypatch.setattr(Path, "write_bytes", fail_on_the_second)
+    with pytest.raises(OSError, match="disk full"):
+        _write_outputs(tmp_path, {"sweep.csv": b"a", "meta.json": b"b"})
+    assert written and list(tmp_path.iterdir()) == []

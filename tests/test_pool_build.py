@@ -10,6 +10,7 @@ must give exactly ``subsample_pool(normalize_to_snr(dataset, snr), ...)``.
 
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -321,8 +322,8 @@ def expected_pool(dataset, cfg):
 @pytest.mark.parametrize("case", sorted(POOL_CASES))
 def test_generated_pool_is_normalize_then_thin(case):
     cfg = cli_config(*MINI_FLAGS, *POOL_CASES[case])
-    pool, mode = cli._build_pool(cfg)
-    assert mode == "generate"
+    pool = cli._build_pool(cfg)
+    assert json.loads(cli._meta_json({}, cfg, "sweep-grid"))["mode"] == "generate"
     assert_same_dataset(pool, expected_pool(generate_synthetic(cli._scenario_from(cfg)), cfg))
 
 
@@ -337,13 +338,13 @@ def test_ingested_pool_is_normalize_then_thin(case, tmp_path):
     # one row, a block that does not divide a capture's rows, and one larger than them
     for block in (1, n - 1, n + 1):
         with mock.patch.object(csi, "_ROW_BLOCK", block):
-            pool, mode = cli._build_pool(cfg)
-        assert mode == "ingest"
+            pool = cli._build_pool(cfg)
+        assert json.loads(cli._meta_json({}, cfg, "sweep-grid"))["mode"] == "ingest"
         assert_same_dataset(pool, want)
 
 
 def test_default_pool_is_normalize_then_thin(default_pool):
-    pool, _ = cli._build_pool(cli_config())
+    pool = cli._build_pool(cli_config())
     assert_same_dataset(pool, default_pool)
     assert pool.fingerprint() == "29b278189045c8f6"
 

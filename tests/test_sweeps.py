@@ -1,3 +1,5 @@
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,7 @@ from mimoshare.sweeps import (
     CSV_HEADER,
     SweepRow,
     SweepTable,
-    _schedule_then_evaluate,
+    _table,
     exhaustive_oracle,
     find_peak,
     max_users_for_min_se,
@@ -108,6 +110,8 @@ def test_sweep_validates_inputs():
         sweep_total_users(pool, [1], trials=0)
     with pytest.raises(ValueError):
         sweep_total_users(pool, [1], methods={SelectionMethod.SUS_LAYERED})
+    with pytest.raises(ValueError, match="no sweep methods"):
+        sweep_total_users(pool, [1], methods=())
 
 
 def test_sus_never_below_random_mean_on_small_pool():
@@ -379,10 +383,10 @@ def test_earliest_failing_row_wins_across_schedule_sizes():
     good = SelectionResult((0, 1), pool.layer_counts((0, 1)), SelectionMethod.RANDOM)
     triple = SelectionResult((0, 1, 2), pool.layer_counts((0, 1, 2)), SelectionMethod.RANDOM)
     copies = SelectionResult((0, 3), pool.layer_counts((0, 3)), SelectionMethod.RANDOM)
-    scheduled = [("first", good, 0), ("second", triple, 0), ("third", copies, 0)]
-    with pytest.raises(IllConditionedError, match=r"^second: "):
-        _schedule_then_evaluate(pool, iter(scheduled))
-    [row] = _schedule_then_evaluate(pool, iter(scheduled[:1]))
+    scheduled = [(good, 0), (triple, 1), (copies, 2)]
+    with pytest.raises(IllConditionedError, match=r"^cell \(method=random, k=3, trial=1\): "):
+        _table(pool, iter(scheduled))
+    [row] = _table(pool, iter(scheduled[:1])).rows
     assert row.sum_se == evaluate_selection(pool, good).sum_se
 
 
@@ -440,3 +444,32 @@ def test_csv_header_and_shape():
 def test_csv_six_significant_digits():
     row = manual_row(SelectionMethod.SUS, 3, 0, 0, sum_se=123.4567891, fallback=2)
     assert row.csv_line() == "sus,3,3,0,0,123.457,41.1523,2"
+
+
+@st.composite
+def sweep_rows(draw):
+    """Any row a sweep could write: counts that add up, finite SE >= 0, a fallback rank in range."""
+    k_ground = draw(st.integers(0, 64))
+    k_aerial = draw(st.integers(0 if k_ground else 1, 64))
+    se = st.floats(min_value=0, allow_infinity=False)
+    return SweepRow(
+        method=draw(st.sampled_from(SelectionMethod)),
+        k_total=k_ground + k_aerial,
+        k_ground=k_ground,
+        k_aerial=k_aerial,
+        trial=draw(st.integers(0, 10**6)),
+        sum_se=draw(se),
+        mean_individual_se=draw(se),
+        fallback_rank=draw(st.none() | st.integers(0, k_ground + k_aerial - 1)),
+        selection=None,
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(sweep_rows(), max_size=20))
+def test_from_csv_reads_back_what_csv_text_writes(rows):
+    text = SweepTable(tuple(rows), meta={}).csv_text()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.csv"
+        path.write_text(text)
+        assert SweepTable.from_csv(path).csv_text() == text
