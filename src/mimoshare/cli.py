@@ -35,6 +35,8 @@ from .sched import SelectionMethod, SusParams
 from .sweeps import (
     _SWEEP_METHODS,
     SweepTable,
+    _RangeError,
+    _sweep_ranges,
     find_peak,
     max_users_for_min_se,
     sweep_layer_grid,
@@ -54,10 +56,16 @@ def _list_of(caster):
     return lambda text: [caster(part) for part in _comma_list(text)]
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _range_part(part: str) -> range:
     if ":" not in part:
         return range(int(part), int(part) + 1)
-    lo, hi = (int(v) for v in part.split(":", 1))
+    if part.count(":") > 1:
+        raise ValueError(f"range {part!r} has more than one ':'")
+    lo, hi = (int(v) for v in part.split(":"))
     if hi < lo:
         raise ValueError(f"descending range {part!r}")
     return range(lo, hi + 1)
@@ -163,7 +171,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             try:
                 cfg[key] = caster(override)
             except ValueError as exc:
-                raise ValueError(f"--{key.replace('_', '-')}: {exc}") from None
+                raise ValueError(f"{_flag(key)}: {exc}") from None
     return cfg
 
 
@@ -306,13 +314,20 @@ def _cmd_ingest(cfg: dict) -> int:
 
 def _cmd_sweep(cfg: dict, kind: str) -> int:
     params = SusParams(alpha=cfg["alpha"])
-    pool = _build_pool(cfg)
-    if kind == "total":
-        table = sweep_total_users(pool, cfg["k_range"], methods=cfg["methods"],
-                                  trials=cfg["trials"], seed=cfg["seed"], params=params)
-    else:
-        table = sweep_layer_grid(pool, cfg["ground_range"], cfg["aerial_range"], params=params,
-                                 seed=cfg["seed"])
+    keys = ("k_range",) if kind == "total" else ("ground_range", "aerial_range")
+    populations = (cfg["pool_terrestrial"], cfg["pool_aerial"])
+    try:
+        if None not in populations:  # both pool sizes are known before any dataset work
+            _sweep_ranges(populations, **{key: cfg[key] for key in keys})
+        pool = _build_pool(cfg)
+        if kind == "total":
+            table = sweep_total_users(pool, cfg["k_range"], methods=cfg["methods"],
+                                      trials=cfg["trials"], seed=cfg["seed"], params=params)
+        else:
+            table = sweep_layer_grid(pool, cfg["ground_range"], cfg["aerial_range"],
+                                     params=params, seed=cfg["seed"])
+    except _RangeError as exc:
+        raise ValueError(f"{', '.join(map(_flag, exc.keys))}: {exc}") from None
     files = {
         "sweep.csv": table.csv_text().encode(),
         "summary.txt": _summary_text(table, cfg["thresholds"]).encode(),
@@ -351,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="flat key-value config file")
         for key, (_, default, help_text) in _CONFIG_SPEC.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+            p.add_argument(_flag(key), dest=key, default=None,
                            help=f"{help_text} (default: {default})")
     return parser
 

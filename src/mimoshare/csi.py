@@ -265,8 +265,7 @@ def load_csi_binary(
     part of the binary stream; they come from the sidecar (see
     :func:`read_sidecar`) or from the keyword arguments.
     """
-    source = _capture_source([(path, fmt, layer, sample_interval_ms)])
-    return CsiDataset._of(fmt.m_antennas, _assembled(source), *source[1])
+    return _dataset(_capture_source([(path, fmt, layer, sample_interval_ms)]))
 
 
 def _capture_rows(path, fmt: FixedPointFormat, sample_interval_ms: float) -> int:
@@ -294,10 +293,10 @@ def _check_interval(path, sample_interval_ms: float) -> None:
 def _capture_source(captures: Iterable[tuple]) -> tuple:
     """(path, format, layer, interval) captures as one block source; ids run 0.. across them.
 
-    A source is (M, (ids, layer codes, timesteps), blocks): ``blocks(out)``
-    yields (first row, (B, M) block) in row order, each block being rows of
-    ``out`` if it is the (N, M) matrix, else a new array. Every capture is
-    checked before any is decoded.
+    A source is (M, (ids, layer codes, timesteps), blocks): ``blocks()``
+    yields the (N, M) rows as new (B, M) blocks, in row order, and yields
+    the same bits each time it is called. Every capture is checked before
+    any is decoded.
     """
     plan = [(path, fmt, layer, interval, _capture_rows(path, fmt, interval))
             for path, fmt, layer, interval in captures]
@@ -312,24 +311,19 @@ def _capture_source(captures: Iterable[tuple]) -> tuple:
     return m, columns, functools.partial(_decoded_blocks, plan)
 
 
-def _decoded_blocks(plan: list[tuple], out: np.ndarray | None) -> Iterator[tuple]:
+def _decoded_blocks(plan: list[tuple]) -> Iterator[np.ndarray]:
     """The captures' blocks (see ``_capture_source``), ``_ROW_BLOCK`` rows at a time.
 
-    Interleaved int16 I, Q samples are scaled straight into complex128 rows,
-    which have the memory layout of interleaved float64 pairs.
+    Interleaved int16 I, Q samples are scaled to float64 and viewed as
+    complex128 rows, which have the memory layout of interleaved float64 pairs.
     """
-    stop = 0
     for path, fmt, _, _, rows in plan:
-        first, stop = stop, stop + rows
         with open(path, "rb") as fh:
-            for start in range(first, stop, _ROW_BLOCK):
-                end = min(start + _ROW_BLOCK, stop)
-                block = (np.empty((end - start, fmt.m_antennas), dtype=np.complex128)
-                         if out is None else out[start:end])
-                samples = np.frombuffer(fh.read(len(block) * fmt.bytes_per_record), fmt.dtype)
-                np.divide(samples, float(1 << fmt.frac_bits),
-                          out=block.view(np.float64).reshape(-1))
-                yield start, block
+            for start in range(0, rows, _ROW_BLOCK):
+                count = min(_ROW_BLOCK, rows - start)
+                samples = np.frombuffer(fh.read(count * fmt.bytes_per_record), fmt.dtype)
+                scaled = np.divide(samples, float(1 << fmt.frac_bits), dtype=np.float64)
+                yield scaled.view(np.complex128).reshape(count, fmt.m_antennas)
 
 
 def encode_csi_binary(dataset: CsiDataset, fmt: FixedPointFormat | None = None) -> bytes:
@@ -444,9 +438,14 @@ def load_capture(bin_path, sidecar_path=None) -> CsiDataset:
 
 
 def _sidecar_of(bin_path, sidecar_path) -> Path:
-    """The given sidecar, or by default the binary path with ``.cfg`` appended."""
+    """The given sidecar, or by default the binary path with ``.cfg`` appended, if it exists."""
+    if sidecar_path is not None:
+        return sidecar_path
     bin_path = Path(bin_path)
-    return bin_path.with_suffix(bin_path.suffix + ".cfg") if sidecar_path is None else sidecar_path
+    default = bin_path.with_suffix(bin_path.suffix + ".cfg")
+    if not default.exists():
+        raise CaptureError(f"{default}: no such file (the default sidecar of capture {bin_path})")
+    return default
 
 
 def merge_datasets(datasets: Sequence[CsiDataset]) -> CsiDataset:
@@ -568,11 +567,10 @@ def generate_synthetic(config: ScenarioConfig) -> CsiDataset:
     layer's Rician K-factor. K of +inf disables the diffuse term. Deterministic
     for a fixed seed.
 
-    The rows are ``_generated_source``'s blocks, written into one (N, M)
+    The rows are ``_generated_source``'s blocks, copied into one (N, M)
     matrix; a sweep's pool build keeps only the pool's rows of each block.
     """
-    source = _generated_source(config)
-    return CsiDataset._of(config.m_antennas, _assembled(source), *source[1])
+    return _dataset(_generated_source(config))
 
 
 def _generated_source(config: ScenarioConfig) -> tuple:
@@ -584,16 +582,18 @@ def _generated_source(config: ScenarioConfig) -> tuple:
             functools.partial(_generated_blocks, config))
 
 
-def _assembled(source: tuple) -> np.ndarray:
-    """The (N, M) matrix of a block source's rows, which its blocks are written into."""
+def _dataset(source: tuple) -> CsiDataset:
+    """The un-normalized dataset of a block source, its blocks copied into one matrix."""
     m, columns, blocks = source
     channels = np.empty((len(columns[0]), m), dtype=np.complex128)
-    for _ in blocks(channels):
-        pass
-    return channels
+    stop = 0
+    for block in blocks():
+        start, stop = stop, stop + len(block)
+        channels[start:stop] = block
+    return CsiDataset._of(m, channels, *columns)
 
 
-def _generated_blocks(config: ScenarioConfig, out: np.ndarray | None) -> Iterator[tuple]:
+def _generated_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
     """``generate_synthetic``'s blocks (see ``_capture_source``).
 
     Each layer draws all its real Gaussian parts, then builds its rows in
@@ -618,7 +618,6 @@ def _generated_blocks(config: ScenarioConfig, out: np.ndarray | None) -> Iterato
         for start in range(0, n, _ROW_BLOCK):
             block = pts[start:start + _ROW_BLOCK]
             rows = len(block)
-            first = layer.code * n + start
             # squares summed x, y, z in turn, as np.linalg.norm does, bit for
             # bit, without its (B, M, 3) temporary
             dists = np.zeros((rows, m))
@@ -626,12 +625,11 @@ def _generated_blocks(config: ScenarioConfig, out: np.ndarray | None) -> Iterato
                 dists += np.square(block[:, None, axis] - elems[None, :, axis])
             np.sqrt(dists, out=dists)  # (B, M)
             amps = lam / (4.0 * np.pi * dists)
-            gains = np.multiply(amps, np.exp(-2j * np.pi * dists / lam),
-                                out=None if out is None else out[first:first + rows])
+            gains = amps * np.exp(-2j * np.pi * dists / lam)
             diffuse_power = np.mean(amps**2, axis=1) / k_lin  # (B,) ; 0 when K=inf
             noise = real[start:start + rows] + 1j * rng.standard_normal((rows, m))
             gains += np.sqrt(diffuse_power / 2.0)[:, None] * noise
-            yield first, gains
+            yield gains
 
 
 # ---------------------------------------------------------------------------
@@ -752,28 +750,25 @@ def _streamed_pool(
 ) -> CsiDataset:
     """``subsample_pool(normalize_to_snr(dataset, snr_db), ...)`` of a block source, bit for bit.
 
-    The counts are checked before any block is made. Unless every row is
-    kept, each block adds its row energies to one (N,) vector and hands over
-    its kept rows, and ``CsiDataset`` never sees the rest, so this checks
-    them for NaN and Inf. The whole dataset's factor then scales the pool.
+    The counts are checked before any block is made. Each block adds its
+    row energies to one (N,) vector and hands over its kept rows, and
+    ``CsiDataset`` never sees the rest, so this checks them for NaN and Inf.
+    The whole dataset's factor then scales the pool.
     """
     m, (ids, codes, timesteps), blocks = source
     keep = _keep_rows(codes, per_layer_count, policy, seed)
-    if keep.all():  # the pool is the dataset: its blocks are written in place
-        channels = _assembled(source)
-        energies = _row_energies(channels)
-    else:
-        energies = np.empty(len(keep))
-        channels = np.empty((np.count_nonzero(keep), m), dtype=np.complex128)
-        kept = 0
-        for first, block in blocks(None):
-            rows = slice(first, first + len(block))
-            energies[rows] = _row_energies(block)
-            if not np.isfinite(energies[rows]).all():  # as any NaN or Inf component makes them
-                _check_finite(block)
-            pool_rows = block[keep[rows]]
-            channels[kept:kept + len(pool_rows)] = pool_rows
-            kept += len(pool_rows)
+    energies = np.empty(len(keep))
+    channels = np.empty((np.count_nonzero(keep), m), dtype=np.complex128)
+    stop = kept = 0
+    for block in blocks():
+        rows = slice(stop, stop + len(block))
+        stop = rows.stop
+        energies[rows] = _row_energies(block)
+        if not np.isfinite(energies[rows]).all():  # as any NaN or Inf component makes them
+            _check_finite(block)
+        pool_rows = channels[kept:kept + np.count_nonzero(keep[rows])]
+        np.compress(keep[rows], block, axis=0, out=pool_rows)
+        kept += len(pool_rows)
     scale = _scale_of(energies)
     channels *= scale
     return CsiDataset._of(m, channels, ids[keep], codes[keep], timesteps[keep],

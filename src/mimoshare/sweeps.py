@@ -128,6 +128,42 @@ class SweepTable:
         return cls(rows=tuple(rows), meta={"sweep": "from_csv", "source": str(path)})
 
 
+class _RangeError(ValueError):
+    """A sweep range the pool cannot serve; ``keys`` name the range parameters at fault."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
+
+
+def _sweep_ranges(populations: tuple[int, int], **ranges: Iterable[int]) -> list[list[int]]:
+    """The named ranges, ``k_range`` or ``ground_range`` and ``aerial_range``, checked.
+
+    Each comes back as sorted distinct counts. ``populations`` are the
+    pool's (terrestrial, aerial) record counts: k runs from 1 to their sum,
+    and each layer's quota from 0 to its population. A grid also needs a
+    cell other than (0, 0), which schedules no user.
+    """
+    bounds = {
+        "k_range": (1, sum(populations), "pool size"),
+        "ground_range": (0, populations[0], "layer population"),
+        "aerial_range": (0, populations[1], "layer population"),
+    }
+    checked = []
+    for key, values in ranges.items():
+        ks = sorted(set(int(k) for k in values))
+        lo, hi, bound = bounds[key]
+        name = key.replace("_", " ")
+        if not ks:
+            raise _RangeError(f"empty {name}", key)
+        if ks[0] < lo or ks[-1] > hi:
+            raise _RangeError(f"{name} {ks[0]}..{ks[-1]} outside {bound} {hi}", key)
+        checked.append(ks)
+    if checked == [[0], [0]]:  # only a grid has two ranges
+        raise _RangeError("the grid's only cell is (0, 0), which schedules no user", *ranges)
+    return checked
+
+
 def _cell(selection: SelectionResult, trial: int) -> str:
     """The sweep cell a scheduled row fills, as errors name it."""
     if selection.method is SelectionMethod.SUS_LAYERED:
@@ -236,11 +272,7 @@ def sweep_total_users(
     Random selection is drawn ``trials`` times per k; SUS is deterministic and
     recorded once (trial 0).
     """
-    ks = sorted(set(int(k) for k in k_range))
-    if not ks:
-        raise ValueError("empty k range")
-    if ks[0] < 1 or ks[-1] > len(pool):
-        raise ValueError(f"k range {ks[0]}..{ks[-1]} outside pool size {len(pool)}")
+    [ks] = _sweep_ranges(tuple(pool.layer_counts().values()), k_range=k_range)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     methods = set(methods)
@@ -292,22 +324,12 @@ def sweep_layer_grid(
     params: SusParams = SusParams(),
     seed: int = 0,
 ) -> SweepTable:
-    """Layered SUS over every (k_ground, k_aerial) pair except (0, 0)."""
-    grounds = sorted(set(int(k) for k in ground_range))
-    aerials = sorted(set(int(k) for k in aerial_range))
-    if not grounds or not aerials:
-        raise ValueError("empty grid range")
-    counts = pool.layer_counts()
-    if grounds[0] < 0 or grounds[-1] > counts[Layer.TERRESTRIAL]:
-        raise ValueError(
-            f"ground range {grounds[0]}..{grounds[-1]} outside layer population "
-            f"{counts[Layer.TERRESTRIAL]}"
-        )
-    if aerials[0] < 0 or aerials[-1] > counts[Layer.AERIAL]:
-        raise ValueError(
-            f"aerial range {aerials[0]}..{aerials[-1]} outside layer population "
-            f"{counts[Layer.AERIAL]}"
-        )
+    """Layered SUS over every (k_ground, k_aerial) pair except (0, 0).
+
+    A grid whose only pair is (0, 0) raises ValueError.
+    """
+    grounds, aerials = _sweep_ranges(tuple(pool.layer_counts().values()),
+                                     ground_range=ground_range, aerial_range=aerial_range)
 
     schedules = _grid_schedules(pool, grounds, aerials, params)
     return _table(pool, schedules, sweep="layer_grid", seed=seed, alpha=params.alpha,

@@ -153,15 +153,27 @@ def test_cli_defaults_are_the_library_defaults():
     assert cfg["alpha"] == SusParams().alpha
 
 
-def test_descending_range_is_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("k_range, part", [("30:3,5", "'30:3'"), ("1:2:3", "'1:2:3'")])
+def test_descending_range_is_rejected(k_range, part, tmp_path, capsys):
     out = tmp_path / "x"
-    code = run_cli("sweep-total", "--config", MINI_CFG, "--out", out, "--k-range", "30:3,5")
+    code = run_cli("sweep-total", "--config", MINI_CFG, "--out", out, "--k-range", k_range)
     assert code == 1
-    assert "'30:3'" in capsys.readouterr().err
+    assert part in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
 
 
-def test_ingest_with_explicit_sidecars(tmp_path):
+# with a -1 pool count the ranges are checked after the pool build, and named the same way
+@pytest.mark.parametrize("pool_flags", [[], ["--pool-aerial", "-1"]])
+def test_grid_with_only_the_origin_cell_writes_nothing(pool_flags, tmp_path, capsys):
+    out = tmp_path / "x"
+    code = run_cli("sweep-grid", "--config", MINI_CFG, "--out", out,
+                   "--ground-range", "0", "--aerial-range", "0", *pool_flags)
+    assert code == 1
+    assert "--ground-range, --aerial-range:" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_ingest_with_explicit_sidecars(tmp_path, capsys):
     gen_dir = tmp_path / "capture"
     assert run_cli("generate", "--config", MINI_CFG, "--out", gen_dir) == 0
     bins = f"{gen_dir / 'terrestrial.bin'},{gen_dir / 'aerial.bin'}"
@@ -173,6 +185,9 @@ def test_ingest_with_explicit_sidecars(tmp_path):
     assert (meta["records_terrestrial"], meta["records_aerial"]) == (41, 41)
     # the default sidecar names are gone, so ingesting without --format fails
     assert run_cli("ingest", "--csi", bins, "--out", tmp_path / "b") == 1
+    default = gen_dir / "terrestrial.bin.cfg"
+    assert (f"{default}: no such file (the default sidecar of capture "
+            f"{gen_dir / 'terrestrial.bin'})") in capsys.readouterr().err
 
 
 def test_unknown_pool_policy_is_rejected(tmp_path, capsys):
@@ -344,6 +359,10 @@ BAD_SWEEP_VALUES = [
     ("sweep-total", "thresholds", "8,-inf"),
     ("sweep-grid", "rician_k_aerial_db", "-inf"),  # a negative value, not an option
     ("sweep-total", "methods", ","),
+    # past mini_grid.cfg's 10/10 pools: checked against the pool counts before generating
+    ("sweep-total", "k_range", "1:21"),
+    ("sweep-grid", "ground_range", "0:11"),
+    ("sweep-grid", "aerial_range", "11"),
 ]
 
 

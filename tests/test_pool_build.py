@@ -294,6 +294,18 @@ def test_streamed_pool_checks_its_counts_before_generating(source, policy, exces
     assert str(streamed.value) == str(whole.value)
 
 
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_a_source_yields_the_same_blocks_each_time_it_is_read(source, mini_captures):
+    m, (ids, _, _), blocks = SOURCES[source][1](mini_captures)
+    with mock.patch.object(csi, "_ROW_BLOCK", 7):  # several blocks per layer
+        first, second = list(blocks()), list(blocks())
+    assert sum(map(len, first)) == len(ids)
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
+        assert a.shape[1] == m
+        np.testing.assert_array_equal(bits(a), bits(b))
+
+
 # ---------------------------------------------------------------------------
 # the CLI pool build against normalize-then-thin
 # ---------------------------------------------------------------------------

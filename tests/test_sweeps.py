@@ -160,6 +160,12 @@ def test_grid_rejects_range_beyond_population():
         sweep_layer_grid(pool, range(0, 2), range(0, 7))
 
 
+def test_grid_with_only_the_origin_cell_is_rejected():
+    pool = two_layer_random_pool()
+    with pytest.raises(ValueError, match=r"only cell is \(0, 0\)"):
+        sweep_layer_grid(pool, [0], [0])
+
+
 def test_grid_rows_canonically_ordered():
     pool = two_layer_random_pool()
     table = sweep_layer_grid(pool, range(0, 3), range(0, 3))
