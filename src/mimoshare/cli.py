@@ -60,6 +60,12 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+# ZF serves at most M users, and one 256-row block at M = 2**20 is already
+# 4 GiB, so no sweep can use a longer range; the cap keeps a typo such as
+# 1:1000000000 from materializing its values before any bound is checked
+_MAX_RANGE_SPAN = 2**20
+
+
 def _range_part(part: str) -> range:
     if ":" not in part:
         return range(int(part), int(part) + 1)
@@ -68,6 +74,8 @@ def _range_part(part: str) -> range:
     lo, hi = (int(v) for v in part.split(":"))
     if hi < lo:
         raise ValueError(f"descending range {part!r}")
+    if hi - lo + 1 > _MAX_RANGE_SPAN:
+        raise ValueError(f"range {part!r} spans {hi - lo + 1} values, more than {_MAX_RANGE_SPAN}")
     return range(lo, hi + 1)
 
 

@@ -176,9 +176,10 @@ def _table(pool: CsiDataset, schedules: Iterator[tuple[SelectionResult, int]],
            **meta) -> SweepTable:
     """The table of every (schedule, trial) the iterator yields, in its order.
 
-    The schedules of each size K are evaluated as one (B, K, M) stack. An
-    ill-conditioned row is named by the earliest failing cell, the one a
-    row-by-row run would have stopped at. The table's meta is the pool's and ``meta``.
+    The schedules of each size K are evaluated as one (B, K, M) stack. The
+    earliest row the closed form does not clear, the one a row-by-row run
+    would have stopped at, raises its error named by its cell. The table's
+    meta is the pool's and ``meta``.
     """
     scheduled = list(schedules)
     noise_power = zfmetrics._noise_power(pool) if scheduled else None
@@ -186,20 +187,20 @@ def _table(pool: CsiDataset, schedules: Iterator[tuple[SelectionResult, int]],
     for n, (selection, _) in enumerate(scheduled):
         by_size.setdefault(len(selection), []).append(n)
     sums = [0.0] * len(scheduled)
-    failures: list[tuple[int, IllConditionedError]] = []
+    uncleared: list[int] = []
     for k, positions in by_size.items():
         ids = [i for n in positions for i in scheduled[n][0].chosen]
         channels = pool.channels_for(ids).reshape(len(positions), k, pool.m_antennas)
-        try:
-            sinr = zfmetrics._closed_form_sinr(channels, noise_power)
-        except IllConditionedError as exc:
-            failures.append((positions[exc.index], exc))
-            continue
-        for n, row_se in zip(positions, zfmetrics.spectral_efficiency(sinr)):
-            sums[n] = zfmetrics.sum_se(row_se)
-    if failures:
-        n, exc = min(failures, key=lambda failure: failure[0])
-        raise IllConditionedError(f"{_cell(*scheduled[n])}: {exc}") from exc
+        sinr, cleared = zfmetrics._screened_sinr(channels, noise_power)
+        for n, ok, row_se in zip(positions, cleared, zfmetrics.spectral_efficiency(sinr)):
+            if ok:
+                sums[n] = zfmetrics.sum_se(row_se)
+            else:
+                uncleared.append(n)
+    if uncleared:
+        selection, trial = scheduled[min(uncleared)]
+        exc = zfmetrics._rejection(pool.channels_for(selection.chosen))
+        raise IllConditionedError(f"{_cell(selection, trial)}: {exc}") from exc
     rows = tuple(
         SweepRow(
             method=selection.method,

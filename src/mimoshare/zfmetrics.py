@@ -5,24 +5,23 @@ is V = H (H^H H)^-1, so v_k^H h_i is 1 for i == k and 0 otherwise
 (Bjornson, Hoydis & Sanguinetti, *Massive MIMO Networks*, 2017), and the ZF
 SINR has the closed form SINR_k = p / (sigma^2 [(H^H H)^-1]_kk).
 
-One stacked closed-form core plus a per-schedule literal reference:
+One stacked closed form that decides every schedule, plus a per-schedule literal reference:
 
 - the private closed form ``_screened_sinr`` takes B schedules of K users
   as a (B, K, M) channel stack, takes [(H^H H)^-1]_kk from one triangular
   factor per schedule, runs the exact SVD condition check only where a free
   bound does not clear the cap, and says which schedules cleared; a
-  schedule's result does not depend on its stack. ``exhaustive_oracle``
-  skips the subsets that do not clear, and ``_closed_form_sinr``, for
-  ``evaluate_selection`` and the sweeps, hands any other stack to the reference.
+  schedule's result does not depend on its stack. ``evaluate_selection``,
+  the sweeps and ``exhaustive_oracle`` keep the SINR of the schedules it
+  clears, and ``_rejection`` gives the error of one that it does not.
 - the literal reference builds the combiner of one (K, M) schedule and
   evaluates SINR literally, interference term included, so it is valid for
   any combiner, not only ZF. ``zf_combiner`` and ``sinr`` expose it, and
-  ``stacked_sinr`` runs it on each schedule of a stack; it is what the
-  closed form is tested against, and what raises the closed form's errors.
+  ``zf_combiner``'s error is the one a schedule the screen rejects raises.
 
 SINR depends on the transmit power p only through p / sigma^2, which
 ``normalize_to_snr`` sets from ``snr_db`` for p = 1, so evaluation above the
-reference runs at unit power; ``sinr`` and ``stacked_sinr`` take both powers.
+reference runs at unit power; ``sinr`` takes both powers.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "SeReport",
     "zf_combiner",
     "sinr",
-    "stacked_sinr",
     "spectral_efficiency",
     "sum_se",
     "evaluate_selection",
@@ -56,15 +54,7 @@ _BOUND_MARGIN = 10.0
 
 
 class IllConditionedError(ValueError):
-    """Gram matrix of the scheduled channels is singular or near-singular.
-
-    ``index`` is the position, in the evaluated stack, of the first matrix
-    that failed (0 for a single schedule).
-    """
-
-    def __init__(self, message: str, index: int = 0):
-        super().__init__(message)
-        self.index = index
+    """Gram matrix of the scheduled channels is singular or near-singular."""
 
 
 @dataclass(frozen=True)
@@ -181,29 +171,6 @@ def sinr(
     return desired / (interference + noise)
 
 
-def stacked_sinr(
-    channels,
-    tx_power: float,
-    noise_power: float,
-    cond_cap: float = DEFAULT_COND_CAP,
-) -> np.ndarray:
-    """Per-user ZF SINR (B, K) of B schedules given as a (B, K, M) channel stack.
-
-    Row b is ``sinr(zf_combiner(channels[b]), channels[b], ...)``. An
-    IllConditionedError carries the position of the first failing schedule as
-    ``index``.
-    """
-    a = _as_schedule_stack(channels)
-    _check_powers(tx_power, noise_power)
-    rows = []
-    for b, schedule in enumerate(a):
-        try:
-            rows.append(sinr(zf_combiner(schedule, cond_cap), schedule, tx_power, noise_power))
-        except IllConditionedError as exc:
-            raise IllConditionedError(str(exc), index=b) from None
-    return np.stack(rows)
-
-
 def _screened_sinr(channels, noise_power: float) -> tuple[np.ndarray, np.ndarray]:
     """ZF SINR (B, K) of a (B, K, M) stack at unit power, and the (B,) schedules it clears.
 
@@ -235,10 +202,13 @@ def _screened_sinr(channels, noise_power: float) -> tuple[np.ndarray, np.ndarray
     return 1.0 / (noise_power * inv_diag), cleared
 
 
-def _closed_form_sinr(channels, noise_power: float) -> np.ndarray:
-    """``_screened_sinr`` of a stack that clears whole; ``stacked_sinr`` raises on any other."""
-    sinr_values, cleared = _screened_sinr(channels, noise_power)
-    return sinr_values if cleared.all() else stacked_sinr(channels, 1.0, noise_power)
+def _rejection(channels) -> IllConditionedError:
+    """``zf_combiner``'s error on a (K, M) schedule that ``_screened_sinr`` did not clear."""
+    try:
+        zf_combiner(channels)
+    except IllConditionedError as exc:
+        return exc
+    raise RuntimeError("broken invariant: zf_combiner accepts a schedule the screen rejected")
 
 
 def spectral_efficiency(sinr_values) -> np.ndarray:
@@ -270,6 +240,8 @@ def evaluate_selection(pool: CsiDataset, selection: SelectionResult) -> SeReport
     """ZF SINR and SE, at unit transmit power, of the scheduled users of a normalized pool."""
     noise_power = _noise_power(pool)
     channels = pool.channels_for(selection.chosen)
-    sinr_values = _closed_form_sinr(channels[None], noise_power)[0]
+    [sinr_values], [cleared] = _screened_sinr(channels[None], noise_power)
+    if not cleared:
+        raise _rejection(channels)
     se_values = spectral_efficiency(sinr_values)
     return SeReport(per_user_sinr=sinr_values, per_user_se=se_values, sum_se=sum_se(se_values))

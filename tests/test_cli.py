@@ -258,16 +258,20 @@ def test_report_from_existing_table(tmp_path, capsys):
     assert "peak sum_se=" in captured
 
 
+@pytest.mark.parametrize("seed", [7, 0, 1, 2, 3])  # 7 is mini_grid.cfg's own seed
 @pytest.mark.parametrize(
     "command, flags",
-    [("sweep-grid", ()), ("sweep-total", ("--k-range", "1:6", "--trials", "3"))],
+    [("sweep-grid", ()), ("sweep-total", ("--k-range", "1:16", "--trials", "3"))],
     ids=["grid", "total"],
 )
-def test_report_round_trips_the_sweep_summary(command, flags, tmp_path):
+def test_report_round_trips_the_sweep_summary(command, flags, seed, tmp_path):
     # peaks and capacities recomputed from the written sweep.csv are the sweep's own
     sweep_dir, report_dir = tmp_path / "sweep", tmp_path / "report"
-    assert run_cli(command, "--config", MINI_CFG, "--out", sweep_dir, *flags) == 0
-    assert run_cli("report", "--table", sweep_dir / "sweep.csv", "--out", report_dir) == 0
+    thresholds = ("--thresholds", "1,2,4,8")
+    assert run_cli(command, "--config", MINI_CFG, "--out", sweep_dir, "--seed", seed,
+                   *thresholds, *flags) == 0
+    assert run_cli("report", "--table", sweep_dir / "sweep.csv", "--out", report_dir,
+                   *thresholds) == 0
 
     def method_lines(path):
         return [line for line in path.read_text().splitlines() if line.startswith("method=")]
@@ -363,6 +367,9 @@ BAD_SWEEP_VALUES = [
     ("sweep-total", "k_range", "1:21"),
     ("sweep-grid", "ground_range", "0:11"),
     ("sweep-grid", "aerial_range", "11"),
+    # a span of 10^12 fails as it is read, before its values are materialized
+    ("sweep-total", "k_range", "1:1000000000000"),
+    ("sweep-grid", "ground_range", "0:999999999999"),
 ]
 
 
@@ -383,6 +390,22 @@ def test_bad_sweep_value_fails_before_any_dataset_work(command, key, value, tmp_
     assert code == 1
     err = capsys.readouterr().err
     assert f"--{key.replace('_', '-')}:" in err and "dataset work" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, cell",
+    [("sweep-total", ("--k-range", "16:17"), "cell (method=random, k=17, trial=0)"),
+     ("sweep-grid", ("--ground-range", "0:10", "--aerial-range", "0:10"),
+      "cell (k_ground=7, k_aerial=10)")],
+    ids=["total", "grid"],
+)
+def test_an_ill_conditioned_cell_fails_the_sweep_by_name(command, flags, cell, tmp_path, capsys):
+    # mini_grid.cfg's 4 x 4 array nulls at most 16 users
+    out = tmp_path / "x"
+    assert run_cli(command, "--config", MINI_CFG, "--out", out, *flags) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {cell}: cannot null 17 users with 16 antennas (K > M)\n"
     assert not out.exists()
 
 

@@ -15,11 +15,10 @@ from mimoshare.zfmetrics import (
     evaluate_selection,
     sinr,
     spectral_efficiency,
-    stacked_sinr,
     sum_se,
     zf_combiner,
 )
-from mimoshare.zfmetrics import _closed_form_sinr
+from mimoshare.zfmetrics import _rejection, _screened_sinr
 
 LOG2_101 = math.log2(101.0)  # SE of a single user at 20 dB: 6.65821...
 
@@ -245,7 +244,7 @@ def test_appending_a_user_never_raises_incumbent_sinr():
 
 
 # ---------------------------------------------------------------------------
-# stacked core
+# the closed form's verdict against the literal reference
 # ---------------------------------------------------------------------------
 
 HYPOTHESIS = settings(derandomize=True, deadline=None, max_examples=80)
@@ -273,23 +272,21 @@ def schedule_stacks(draw):
 
 @HYPOTHESIS
 @given(stack=schedule_stacks(), noise_power=st.floats(1e-4, 1.0))
-def test_stacked_core_equals_per_schedule_path(stack, noise_power):
-    per_row = []
-    for channels in stack:
+def test_closed_form_matches_the_literal_stack(stack, noise_power):
+    # row by row: the screen clears exactly the schedules zf_combiner accepts, a
+    # cleared row is the literal SINR, and a rejected row raises zf_combiner's
+    # error; at unit power, halving the noise power is the reference's power of 2
+    closed, cleared = _screened_sinr(stack, noise_power / 2.0)
+    assert closed.shape == stack.shape[:2] and cleared.shape == stack.shape[:1]
+    for b, channels in enumerate(stack):
         try:
-            per_row.append(sinr(zf_combiner(channels), channels, 2.0, noise_power))
-        except IllConditionedError:
-            per_row.append(None)
-    failed = [b for b, values in enumerate(per_row) if values is None]
-    if failed:
-        with pytest.raises(IllConditionedError) as info:
-            stacked_sinr(stack, 2.0, noise_power)
-        assert info.value.index == failed[0]
-        return
-    stacked = stacked_sinr(stack, 2.0, noise_power)
-    assert stacked.shape == stack.shape[:2]
-    for b, values in enumerate(per_row):
-        assert np.array_equal(stacked[b], values)
+            literal = sinr(zf_combiner(channels), channels, 2.0, noise_power)
+        except IllConditionedError as exc:
+            assert not cleared[b]
+            assert str(_rejection(channels)) == str(exc)
+            continue
+        assert cleared[b]
+        assert np.abs(closed[b] / literal - 1.0).max() < 1e-9
 
 
 @HYPOTHESIS
@@ -311,18 +308,6 @@ def test_joint_scale_invariance_property(seed, m, data, c, noise_power):
     assert np.abs(scaled / base - 1.0).max() < 1e-9
 
 
-def test_stacked_error_names_the_first_failing_schedule():
-    good = np.eye(3)[:2]
-    duplicated = np.stack([np.eye(3)[0], np.eye(3)[0]])
-    near_cap = np.stack([np.eye(3)[0], np.eye(3)[0] + 1e-6 * np.eye(3)[1]])  # cond ~ 4e12
-    with pytest.raises(IllConditionedError, match="exceeds cap") as info:
-        stacked_sinr(np.stack([good, near_cap, duplicated]), 1.0, 0.01)
-    assert info.value.index == 1
-    with pytest.raises(IllConditionedError) as info:
-        stacked_sinr(np.stack([good, good, duplicated, near_cap]), 1.0, 0.01)
-    assert info.value.index == 2
-
-
 def test_stacked_not_positive_definite_found_past_an_uncapped_condition():
     # the rounded Gram matrix [[2, 2 + 2^-26], [2 + 2^-26, 2 + 2^-25]] has
     # determinant -2^-52: its condition number is finite, so with no cap only
@@ -331,39 +316,51 @@ def test_stacked_not_positive_definite_found_past_an_uncapped_condition():
     rounded = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-26]])
     gram = rounded @ rounded.T
     assert np.isfinite(np.linalg.cond(gram.astype(np.complex128)))
-    with pytest.raises(IllConditionedError, match="not positive definite") as info:
-        stacked_sinr(np.stack([good, good, rounded, good]), 1.0, 0.01, cond_cap=np.inf)
-    assert info.value.index == 2
+    # at the default cap the screen rejects it, and the reference words it as the cap
+    _, cleared = _screened_sinr(np.stack([good, good, rounded, good]), 0.01)
+    assert cleared.tolist() == [True, True, False, True]
+    assert "exceeds cap" in str(_rejection(rounded))
     with pytest.raises(IllConditionedError, match="not positive definite"):
         zf_combiner(rounded, cond_cap=np.inf)
 
 
 def test_infinite_condition_number_fails_any_cap():
     duplicated = np.array([[1.0, 0.0], [1.0, 0.0]])  # exactly singular Gram matrix
-    with pytest.raises(IllConditionedError, match="exceeds cap") as info:
-        stacked_sinr(np.stack([np.eye(2), duplicated]), 1.0, 0.01, cond_cap=np.inf)
-    assert info.value.index == 1
     with pytest.raises(IllConditionedError, match="exceeds cap"):
         zf_combiner(duplicated, cond_cap=np.inf)
-    # the closed form, at the default cap, hands a singular factor to stacked_sinr
-    with pytest.raises(IllConditionedError, match="exceeds cap") as info:
-        _closed_form_sinr(np.stack([np.eye(2), duplicated]), 0.01)
-    assert info.value.index == 1
+    # the screen, at the default cap, rejects a singular factor
+    _, cleared = _screened_sinr(np.stack([np.eye(2), duplicated]), 0.01)
+    assert cleared.tolist() == [True, False]
+    assert "exceeds cap" in str(_rejection(duplicated))
 
 
 def test_stacked_validates_inputs():
     with pytest.raises(ValueError):
-        stacked_sinr(np.eye(3), 1.0, 0.01)  # a single (K, M) schedule, not a stack
+        _screened_sinr(np.eye(3), 0.01)  # a single (K, M) schedule, not a stack
     with pytest.raises(ValueError):
-        stacked_sinr(np.zeros((0, 2, 3)), 1.0, 0.01)
+        _screened_sinr(np.zeros((0, 2, 3)), 0.01)
     with pytest.raises(ValueError):
-        stacked_sinr(np.eye(3)[None], 0.0, 0.01)
+        _screened_sinr(np.eye(3)[None], 0.0)
     with pytest.raises(ValueError):
-        stacked_sinr(np.eye(3)[None], 1.0, -1.0)
+        _screened_sinr(np.eye(3)[None], -1.0)
+    _, cleared = _screened_sinr(np.ones((2, 3, 2)), 0.01)
+    assert not cleared.any()
+    pool = pool_from_vectors([np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])])
     with pytest.raises(IllConditionedError, match="K > M"):
-        stacked_sinr(np.ones((2, 3, 2)), 1.0, 0.01)
-    with pytest.raises(IllConditionedError, match="K > M"):
-        _closed_form_sinr(np.ones((2, 3, 2)), 0.01)
+        evaluate_selection(pool, one_layer_selection([0, 1, 2]))
+
+
+def test_a_rejection_the_reference_does_not_share_fails_loudly(monkeypatch):
+    import mimoshare.zfmetrics as zfmetrics
+
+    def clears_nothing(channels, noise_power):
+        values, cleared = _screened_sinr(channels, noise_power)
+        return values, np.zeros_like(cleared)
+
+    monkeypatch.setattr(zfmetrics, "_screened_sinr", clears_nothing)
+    pool = pool_from_vectors([np.array([1.0, 0.0, 0.0])])
+    with pytest.raises(RuntimeError, match="broken invariant"):
+        evaluate_selection(pool, one_layer_selection([0]))
 
 
 # ---------------------------------------------------------------------------
@@ -372,34 +369,13 @@ def test_stacked_validates_inputs():
 
 @HYPOTHESIS
 @given(stack=schedule_stacks(), noise_power=st.floats(1e-4, 1.0))
-def test_closed_form_matches_the_literal_stack(stack, noise_power):
-    # at unit power, halving the noise power is the literal path's power of 2
-    try:
-        literal = stacked_sinr(stack, 2.0, noise_power)
-    except IllConditionedError as exc:
-        with pytest.raises(IllConditionedError) as info:
-            _closed_form_sinr(stack, noise_power / 2.0)
-        assert str(info.value) == str(exc) and info.value.index == exc.index
-        return
-    closed = _closed_form_sinr(stack, noise_power / 2.0)
-    assert closed.shape == literal.shape
-    assert np.abs(closed / literal - 1.0).max() < 1e-9
-
-
-@HYPOTHESIS
-@given(stack=schedule_stacks(), noise_power=st.floats(1e-4, 1.0))
 def test_closed_form_row_does_not_depend_on_its_stack(stack, noise_power):
-    alone = []
-    for channels in stack:
-        try:
-            alone.append(_closed_form_sinr(channels[None], noise_power)[0])
-        except IllConditionedError:
-            alone.append(None)
-    kept = [b for b, values in enumerate(alone) if values is not None]
-    assume(kept)
-    stacked = _closed_form_sinr(stack[kept], noise_power)
-    for row, b in enumerate(kept):
-        assert np.array_equal(stacked[row], alone[b])
+    stacked, cleared = _screened_sinr(stack, noise_power)
+    for b, channels in enumerate(stack):
+        [alone], [alone_cleared] = _screened_sinr(channels[None], noise_power)
+        assert alone_cleared == cleared[b]
+        if alone_cleared:
+            assert np.array_equal(stacked[b], alone)
 
 
 def _gram_cond(channels):
@@ -427,13 +403,13 @@ def test_closed_form_cap_decisions_at_the_boundary(monkeypatch):
     monkeypatch.setattr(
         zfmetrics, "_gram_condition", lambda g: exact_svds.append(len(g)) or gram_condition(g)
     )
-    closed = _closed_form_sinr(np.stack([good, under]), 0.01)
+    closed, cleared = _screened_sinr(np.stack([good, under]), 0.01)
     assert exact_svds == [1]  # only the schedule whose bound passes the screen
-    literal = stacked_sinr(np.stack([good, under]), 1.0, 0.01)
+    assert cleared.all()
+    literal = np.stack([sinr(zf_combiner(c), c, 1.0, 0.01) for c in (good, under)])
     assert np.abs(closed / literal - 1.0).max() < 1e-9
+    _, cleared = _screened_sinr(np.stack([good, under, over]), 0.01)
+    assert cleared.tolist() == [True, True, False]
     with pytest.raises(IllConditionedError, match="exceeds cap") as info:
-        stacked_sinr(np.stack([good, under, over]), 1.0, 0.01)
-    with pytest.raises(IllConditionedError, match="exceeds cap") as closed_info:
-        _closed_form_sinr(np.stack([good, under, over]), 0.01)
-    assert str(closed_info.value) == str(info.value)
-    assert closed_info.value.index == info.value.index == 2
+        zf_combiner(over)
+    assert str(_rejection(over)) == str(info.value)
