@@ -272,20 +272,30 @@ def schedule_stacks(draw):
 
 @HYPOTHESIS
 @given(stack=schedule_stacks(), noise_power=st.floats(1e-4, 1.0))
-def test_closed_form_matches_the_literal_stack(stack, noise_power):
-    # row by row: the screen clears exactly the schedules zf_combiner accepts, a
-    # cleared row is the literal SINR, and a rejected row raises zf_combiner's
-    # error; at unit power, halving the noise power is the reference's power of 2
-    closed, cleared = _screened_sinr(stack, noise_power / 2.0)
-    assert closed.shape == stack.shape[:2] and cleared.shape == stack.shape[:1]
+def test_stacked_core_equals_per_schedule_path(stack, noise_power):
+    # the screen clears exactly the schedules zf_combiner accepts on their own,
+    # and a schedule it does not clear raises zf_combiner's error
+    _, cleared = _screened_sinr(stack, noise_power)
+    assert cleared.shape == stack.shape[:1]
+    rejected = []
     for b, channels in enumerate(stack):
         try:
-            literal = sinr(zf_combiner(channels), channels, 2.0, noise_power)
+            zf_combiner(channels)
         except IllConditionedError as exc:
-            assert not cleared[b]
+            rejected.append(b)
             assert str(_rejection(channels)) == str(exc)
-            continue
-        assert cleared[b]
+    assert np.flatnonzero(~cleared).tolist() == rejected
+
+
+@HYPOTHESIS
+@given(stack=schedule_stacks(), noise_power=st.floats(1e-4, 1.0))
+def test_closed_form_matches_the_literal_stack(stack, noise_power):
+    # a cleared row is the literal SINR; at unit power, halving the noise power
+    # is the reference's power of 2
+    closed, cleared = _screened_sinr(stack, noise_power / 2.0)
+    assert closed.shape == stack.shape[:2]
+    for b in np.flatnonzero(cleared):
+        literal = sinr(zf_combiner(stack[b]), stack[b], 2.0, noise_power)
         assert np.abs(closed[b] / literal - 1.0).max() < 1e-9
 
 
