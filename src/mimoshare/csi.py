@@ -48,6 +48,12 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # block's temporaries stay small, and the bits do not depend on the size
 _ROW_BLOCK = 256
 
+# the largest whole dataset a scenario may describe, in bytes of complex128
+# gains: 4 GiB, ~70x the default's 58 MB. generate holds the whole matrix and
+# every sweep generates every row, so a larger scenario would exhaust memory
+# or run for minutes before failing; it fails as it is built instead
+_MAX_DATASET_BYTES = 4 * 2**30
+
 
 class Layer(enum.Enum):
     """User layer a candidate location belongs to."""
@@ -515,6 +521,16 @@ class ScenarioConfig:
         # +inf is valid: it switches the diffuse term off
         if not all(k > -math.inf for k in self.rician_k_db):
             raise ValueError(f"rician_k_db must not be NaN or -inf, got {self.rician_k_db}")
+        try:
+            dataset_bytes = 2.0 * self.samples_per_layer * self.m_antennas * 16
+        except (ZeroDivisionError, OverflowError):  # a step of 0.0, or a count past float range
+            dataset_bytes = math.inf
+        if dataset_bytes > _MAX_DATASET_BYTES:
+            raise ValueError(
+                f"the scenario's dataset is {dataset_bytes / 2**30:.4g} GiB, over the "
+                f"{_MAX_DATASET_BYTES / 2**30:.0f} GiB bound: lower m_rows, m_cols or "
+                "trajectory_length_m, or raise trajectory_speed_mps or sample_interval_ms"
+            )
 
     @property
     def m_antennas(self) -> int:
@@ -601,6 +617,12 @@ def _generated_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
     the same stream and the same bits as one whole-array pass, without its
     full-size temporaries. Both layers' real parts are drawn into one buffer,
     so only one layer's are ever alive.
+
+    A block is built in real arithmetic, straight into the parts of a new
+    complex block, with the bits of ``amps * np.exp(-2j * np.pi * dists / lam)
+    + scale * (real + 1j * imag)``: numpy divides a complex by a real as a
+    multiply by ``1 / lam``, and libm's ``cexp(iy)`` is ``sincos(y)``, as
+    numpy's ``cos`` and ``sin`` are (``test_csi`` guards the phase).
     """
     rng = np.random.default_rng(config.seed)
     elems = element_positions(config)
@@ -608,27 +630,36 @@ def _generated_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
 
     n, m = config.samples_per_layer, config.m_antennas
     real = np.empty((n, m))
+    # one block's distances (then phases), amplitudes and imaginary draws, reused
+    buffers = np.empty((3, min(n, _ROW_BLOCK), m))
     layer_plan = zip(
         (Layer.TERRESTRIAL, Layer.AERIAL), config.layer_altitudes_m, config.rician_k_db
     )
     for layer, altitude, k_db in layer_plan:
         pts = trajectory_points(config, altitude)
+        # a pass is straight at constant y and z: their squares are one (M,) row each
+        dy2, dz2 = np.square(pts[0, 1:, None] - elems[:, 1:].T)
         k_lin = 10.0 ** (k_db / 10.0)
         rng.standard_normal(out=real)
         for start in range(0, n, _ROW_BLOCK):
-            block = pts[start:start + _ROW_BLOCK]
-            rows = len(block)
+            x = pts[start:start + _ROW_BLOCK, 0]
+            dists, amps, imag = buffers[:, :len(x)]
             # squares summed x, y, z in turn, as np.linalg.norm does, bit for
             # bit, without its (B, M, 3) temporary
-            dists = np.zeros((rows, m))
-            for axis in range(3):
-                dists += np.square(block[:, None, axis] - elems[None, :, axis])
+            np.square(np.subtract(x[:, None], elems[:, 0], out=dists), out=dists)
+            dists += dy2
+            dists += dz2
             np.sqrt(dists, out=dists)  # (B, M)
-            amps = lam / (4.0 * np.pi * dists)
-            gains = amps * np.exp(-2j * np.pi * dists / lam)
-            diffuse_power = np.mean(amps**2, axis=1) / k_lin  # (B,) ; 0 when K=inf
-            noise = real[start:start + rows] + 1j * rng.standard_normal((rows, m))
-            gains += np.sqrt(diffuse_power / 2.0)[:, None] * noise
+            np.divide(lam, np.multiply(dists, 4.0 * np.pi, out=amps), out=amps)
+            phase = np.multiply(np.multiply(dists, -2.0 * np.pi, out=dists), 1.0 / lam, out=dists)
+            gains = np.empty((len(x), m), dtype=np.complex128)
+            re, im = gains.real, gains.imag
+            np.multiply(np.cos(phase, out=re), amps, out=re)
+            np.multiply(np.sin(phase, out=im), amps, out=im)
+            diffuse_power = np.mean(np.square(amps, out=amps), axis=1) / k_lin  # 0 when K=inf
+            scale = np.sqrt(diffuse_power / 2.0)[:, None]
+            re += np.multiply(scale, real[start:start + len(x)], out=dists)
+            im += np.multiply(scale, rng.standard_normal(out=imag), out=imag)
             yield gains
 
 

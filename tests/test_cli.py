@@ -393,6 +393,27 @@ def test_bad_sweep_value_fails_before_any_dataset_work(command, key, value, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "sweep-total", "sweep-grid"])
+def test_an_oversized_scenario_fails_before_generating(command, tmp_path, monkeypatch, capsys):
+    import mimoshare.cli as cli
+    import mimoshare.csi as csi
+
+    def no_dataset_work(*args, **kwargs):
+        raise AssertionError("dataset work started")
+
+    # a 10^10-antenna array: its 8.4 million GiB dataset is never allocated
+    for module, name in ((cli, "_generated_source"), (csi, "_generated_blocks")):
+        monkeypatch.setattr(module, name, no_dataset_work)
+    out = tmp_path / "x"
+    assert run_cli(command, "--m-rows", 100_000, "--m-cols", 100_000, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "over the 4 GiB bound" in err and "dataset work" not in err
+    for key in ("m_rows", "m_cols", "trajectory_length_m", "trajectory_speed_mps",
+                "sample_interval_ms"):
+        assert key in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, flags, cell",
     [("sweep-total", ("--k-range", "16:17"), "cell (method=random, k=17, trial=0)"),

@@ -301,6 +301,81 @@ def test_invalid_geometry_rejected():
         ScenarioConfig(trajectory_speed_mps=-1.0)
 
 
+# distances whose phase is extreme, both signs: tiny, huge, and multiples of pi
+EXTREME_DISTANCES = [sign * d for sign in (1.0, -1.0) for d in (
+    1e-300, 1e-8, math.pi, 2.0 * math.pi, 1e3 * math.pi, 2.0**40 * math.pi, 1e6, 1e15, 1e300)]
+
+
+def test_real_phase_is_the_complex_exponential():
+    """The generator's real-arithmetic phase has the bits of the complex exp it stands for.
+
+    ``_generated_blocks`` writes ``np.cos`` / ``np.sin`` of ``d * (-2pi) * (1/lam)``
+    into a block's real and imaginary parts, for ``np.exp(-2j*np.pi*d/lam)``.
+    Those bits rest on numpy's float64 cos and sin matching libm's sincos
+    inside cexp, which a platform's SIMD loops need not do.
+    """
+    cfg = ScenarioConfig()
+    lam = cfg.wavelength_m
+    elems = element_positions(cfg)
+    dists = [np.sqrt(sum(np.square(trajectory_points(cfg, altitude)[:, None, axis]
+                                   - elems[None, :, axis]) for axis in range(3)))
+             for altitude in cfg.layer_altitudes_m]
+    # -0.0 only: a distance of +0.0 gets the phase +0 from the complex product
+    # and -0 from the real one, so sin's zero differs in sign; a zero distance
+    # makes the amplitude infinite, though, and no dataset holds it (see below)
+    half_waves = np.array([1.0, 2.0, 3.0, 1e6, 2.0**52]) * lam / 2.0  # phases near -k*pi
+    d = np.concatenate([*(x.ravel() for x in dists), [-0.0], EXTREME_DISTANCES, half_waves])
+    want = np.exp(-2j * np.pi * d / lam)
+    got = np.empty_like(want)
+    phase = d * (-2.0 * np.pi) * (1.0 / lam)
+    np.cos(phase, out=got.real)
+    np.sin(phase, out=got.imag)
+    differ = (got.view(np.uint64) != want.view(np.uint64)).reshape(-1, 2).any(axis=1)
+    assert not differ.any(), (
+        f"np.cos / np.sin differ from np.exp's complex exponential at {differ.sum()} of "
+        f"{len(d)} distances (first: {d[differ][:3]}), so the generator's real-arithmetic "
+        "phase would shift every dataset fingerprint on this platform: keep the complex "
+        "np.exp for the phase there, and take only the saved temporaries"
+    )
+
+
+def test_a_sample_on_an_element_is_rejected():
+    # a standoff whose square underflows puts the middle sample on the only
+    # element: its distance is +0.0 and its amplitude infinite
+    cfg = ScenarioConfig(m_rows=1, m_cols=1, bs_height_m=8.0, standoff_distance_m=1e-200,
+                         trajectory_length_m=2.0, trajectory_speed_mps=1.0,
+                         sample_interval_ms=1000.0, layer_altitudes_m=(8.0, 24.0))
+    offset = trajectory_points(cfg, 8.0)[1] - element_positions(cfg)[0]
+    assert np.sum(np.square(offset)) == 0.0  # the generator's squared distance
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+        generate_synthetic(cfg)
+
+
+# the default trajectory's samples per layer, and the most antennas whose
+# dataset (2 x 28321 x M x 16 bytes) fits the 4 GiB bound
+DEFAULT_SAMPLES = 28321
+MOST_ANTENNAS = 4 * 2**30 // (2 * DEFAULT_SAMPLES * 16)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(m_rows=MOST_ANTENNAS + 1, m_cols=1),
+    dict(m_rows=100_000, m_cols=100_000),
+    dict(trajectory_length_m=1e300),  # more samples than a float counts
+    dict(trajectory_speed_mps=1e-300, sample_interval_ms=1e-300),  # a step of 0.0
+], ids=str)
+def test_scenario_past_the_size_bound_is_rejected_by_its_keys(overrides):
+    with pytest.raises(ValueError, match="over the 4 GiB bound") as rejected:
+        ScenarioConfig(**overrides)
+    for key in ("m_rows", "m_cols", "trajectory_length_m", "trajectory_speed_mps",
+                "sample_interval_ms"):
+        assert key in str(rejected.value)
+
+
+def test_scenario_at_the_size_bound_is_accepted():
+    assert ScenarioConfig().samples_per_layer == DEFAULT_SAMPLES
+    assert ScenarioConfig(m_rows=MOST_ANTENNAS, m_cols=1).m_antennas == MOST_ANTENNAS
+
+
 POSITIVE_FIELDS = [
     "m_rows", "m_cols", "carrier_hz", "element_spacing_wavelengths", "bs_height_m",
     "trajectory_length_m", "trajectory_speed_mps", "sample_interval_ms", "standoff_distance_m",

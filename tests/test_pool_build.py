@@ -143,6 +143,10 @@ def small_scenarios(draw):
     return ScenarioConfig(
         m_rows=draw(st.integers(1, 4)),
         m_cols=draw(st.integers(1, 4)),
+        # up to 100 GHz, for phase arguments ~40x the default's
+        carrier_hz=draw(st.floats(1e8, 1e11)),
+        element_spacing_wavelengths=draw(st.floats(0.1, 2.0)),
+        bs_height_m=draw(st.floats(1.0, 40.0)),
         trajectory_length_m=(samples - 1) * 0.1,
         trajectory_speed_mps=1.0,
         sample_interval_ms=100.0,
@@ -158,6 +162,10 @@ def small_scenarios(draw):
 @example(config=ScenarioConfig(m_rows=2, m_cols=3, trajectory_length_m=1.9,
                                trajectory_speed_mps=1.0, sample_interval_ms=100.0,
                                rician_k_db=(math.inf, math.inf), seed=5))
+# the terrestrial pass at the middle element row's height: a z-difference of 0
+@example(config=ScenarioConfig(m_rows=3, m_cols=2, bs_height_m=8.0, trajectory_length_m=1.9,
+                               trajectory_speed_mps=1.0, sample_interval_ms=100.0,
+                               layer_altitudes_m=(8.0, 24.0), seed=7))
 def test_blocked_generator_reproduces_the_whole_array_oracle(config):
     n = config.samples_per_layer
     want = literal_generate_synthetic(config)
