@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .csi import (
     CsiDataset,
@@ -194,16 +195,27 @@ def _scenario_from(cfg: dict) -> ScenarioConfig:
 
 def _source(cfg: dict) -> tuple:
     """Data source resolution: the block source of the named captures, else the generator."""
-    bins, sidecars = cfg["csi"], cfg["format"]
-    if not bins:
+    if not cfg["csi"]:
         return _generated_source(_scenario_from(cfg))
+    return _capture_source(_captures(cfg))
+
+
+def _captures(cfg: dict) -> Iterator[tuple]:
+    """(path, format, layer, interval) of each named capture, its sidecar read as it is reached."""
+    bins, sidecars = cfg["csi"], cfg["format"]
     if sidecars and len(sidecars) != len(bins):
         raise ValueError("number of --format sidecars must match --csi captures")
     sidecars = sidecars or [None] * len(bins)  # None: load_capture's <capture>.cfg default
     # each capture's sidecar is read just before its length is checked
-    captures = ((path, *read_sidecar(_sidecar_of(path, sidecar)))
-                for path, sidecar in zip(bins, sidecars))
-    return _capture_source(captures)
+    return ((path, *read_sidecar(_sidecar_of(path, sidecar)))
+            for path, sidecar in zip(bins, sidecars))
+
+
+def _antenna_count(cfg: dict) -> int:
+    """M as the scenario or the first capture's sidecar fixes it, before any dataset work."""
+    if not cfg["csi"]:
+        return _scenario_from(cfg).m_antennas
+    return next(_captures(cfg))[1].m_antennas
 
 
 def _build_pool(cfg: dict) -> CsiDataset:
@@ -323,10 +335,12 @@ def _cmd_ingest(cfg: dict) -> int:
 def _cmd_sweep(cfg: dict, kind: str) -> int:
     params = SusParams(alpha=cfg["alpha"])
     keys = ("k_range",) if kind == "total" else ("ground_range", "aerial_range")
-    populations = (cfg["pool_terrestrial"], cfg["pool_aerial"])
+    # M and the explicit pool counts are known before any dataset work; a -1
+    # count (the whole layer) is checked by the sweep once the pool is built
+    populations = tuple(math.inf if count is None else count
+                        for count in (cfg["pool_terrestrial"], cfg["pool_aerial"]))
     try:
-        if None not in populations:  # both pool sizes are known before any dataset work
-            _sweep_ranges(populations, **{key: cfg[key] for key in keys})
+        _sweep_ranges(populations, _antenna_count(cfg), **{key: cfg[key] for key in keys})
         pool = _build_pool(cfg)
         if kind == "total":
             table = sweep_total_users(pool, cfg["k_range"], methods=cfg["methods"],

@@ -48,6 +48,11 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # block's temporaries stay small, and the bits do not depend on the size
 _ROW_BLOCK = 256
 
+# bytes of one layer's real Gaussian draws the generator holds, rounded down
+# to whole blocks (0 for a huge M): 16,384 of the default's 28,321 rows per
+# layer. It replays the rest from a copy of the stream, one more draw each
+_HELD_DRAW_BYTES = 8 * 2**20
+
 # the largest whole dataset a scenario may describe, in bytes of complex128
 # gains: 4 GiB, ~70x the default's 58 MB. generate holds the whole matrix and
 # every sweep generates every row, so a larger scenario would exhaust memory
@@ -612,11 +617,15 @@ def _dataset(source: tuple) -> CsiDataset:
 def _generated_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
     """``generate_synthetic``'s blocks (see ``_capture_source``).
 
-    Each layer draws all its real Gaussian parts, then builds its rows in
-    blocks of ``_ROW_BLOCK``, drawing each block's imaginary parts as it goes:
-    the same stream and the same bits as one whole-array pass, without its
-    full-size temporaries. Both layers' real parts are drawn into one buffer,
-    so only one layer's are ever alive.
+    Each layer draws its real Gaussian parts, then builds its rows in blocks
+    of ``_ROW_BLOCK``, drawing each block's imaginary parts as it goes: the
+    same stream and the same bits as one whole-array pass, without its
+    full-size temporaries. Only the first ``_HELD_DRAW_BYTES`` of real parts
+    are held, in one buffer both layers share. A second ``Generator`` starts
+    from the stream's state after them, the stream draws past the rest block
+    by block, and the copy replays the rest beside the imaginary parts: numpy
+    draws normals one at a time from the bit generator, so chunked draws and
+    a restored state continue one stream (``test_pool_build`` guards both).
 
     A block is built in real arithmetic, straight into the parts of a new
     complex block, with the bits of ``amps * np.exp(-2j * np.pi * dists / lam)
@@ -629,7 +638,8 @@ def _generated_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
     lam = config.wavelength_m
 
     n, m = config.samples_per_layer, config.m_antennas
-    real = np.empty((n, m))
+    held = min(n, _HELD_DRAW_BYTES // (_ROW_BLOCK * m * 8) * _ROW_BLOCK)
+    real = np.empty((held, m))
     # one block's distances (then phases), amplitudes and imaginary draws, reused
     buffers = np.empty((3, min(n, _ROW_BLOCK), m))
     layer_plan = zip(
@@ -641,6 +651,10 @@ def _generated_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
         dy2, dz2 = np.square(pts[0, 1:, None] - elems[:, 1:].T)
         k_lin = 10.0 ** (k_db / 10.0)
         rng.standard_normal(out=real)
+        replay = np.random.default_rng(config.seed)
+        replay.bit_generator.state = rng.bit_generator.state
+        for start in range(held, n, _ROW_BLOCK):
+            rng.standard_normal(out=buffers[2, :min(_ROW_BLOCK, n - start)])
         for start in range(0, n, _ROW_BLOCK):
             x = pts[start:start + _ROW_BLOCK, 0]
             dists, amps, imag = buffers[:, :len(x)]
@@ -658,7 +672,11 @@ def _generated_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
             np.multiply(np.sin(phase, out=im), amps, out=im)
             diffuse_power = np.mean(np.square(amps, out=amps), axis=1) / k_lin  # 0 when K=inf
             scale = np.sqrt(diffuse_power / 2.0)[:, None]
-            re += np.multiply(scale, real[start:start + len(x)], out=dists)
+            if start < held:
+                drawn = real[start:start + len(x)]
+            else:
+                drawn = replay.standard_normal(out=dists)
+            re += np.multiply(scale, drawn, out=dists)
             im += np.multiply(scale, rng.standard_normal(out=imag), out=imag)
             yield gains
 
@@ -798,7 +816,10 @@ def _streamed_pool(
         if not np.isfinite(energies[rows]).all():  # as any NaN or Inf component makes them
             _check_finite(block)
         pool_rows = channels[kept:kept + np.count_nonzero(keep[rows])]
-        np.compress(keep[rows], block, axis=0, out=pool_rows)
+        if len(pool_rows) == len(block):  # a slice copy runs at twice np.compress's speed
+            pool_rows[...] = block
+        else:
+            np.compress(keep[rows], block, axis=0, out=pool_rows)
         kept += len(pool_rows)
     scale = _scale_of(energies)
     channels *= scale

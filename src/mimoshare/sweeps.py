@@ -136,13 +136,18 @@ class _RangeError(ValueError):
         self.keys = keys
 
 
-def _sweep_ranges(populations: tuple[int, int], **ranges: Iterable[int]) -> list[list[int]]:
+def _sweep_ranges(populations: tuple[float, float], m_antennas: float = math.inf,
+                  **ranges: Iterable[int]) -> list[list[int]]:
     """The named ranges, ``k_range`` or ``ground_range`` and ``aerial_range``, checked.
 
     Each comes back as sorted distinct counts. ``populations`` are the
     pool's (terrestrial, aerial) record counts: k runs from 1 to their sum,
-    and each layer's quota from 0 to its population. A grid also needs a
-    cell other than (0, 0), which schedules no user.
+    and each layer's quota from 0 to its population. ZF nulls at most M
+    users, so a finite ``m_antennas`` also bounds k and a grid's largest
+    ``k_ground + k_aerial``; the sweeps leave it unbounded, so there a
+    K > M row fails as its cell, in row order. A population not yet known
+    is ``math.inf``. A grid also needs a cell other than (0, 0), which
+    schedules no user.
     """
     bounds = {
         "k_range": (1, sum(populations), "pool size"),
@@ -161,6 +166,10 @@ def _sweep_ranges(populations: tuple[int, int], **ranges: Iterable[int]) -> list
         checked.append(ks)
     if checked == [[0], [0]]:  # only a grid has two ranges
         raise _RangeError("the grid's only cell is (0, 0), which schedules no user", *ranges)
+    most = sum(ks[-1] for ks in checked)  # the largest k, or k_ground + k_aerial
+    if most > m_antennas:
+        raise _RangeError(f"{most} users in one schedule, more than {m_antennas} antennas "
+                          "can null (K > M)", *ranges)
     return checked
 
 

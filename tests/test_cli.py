@@ -1,10 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mimoshare.cli import main
+from mimoshare.csi import CsiDataset, FixedPointFormat, Layer, encode_csi_binary, sidecar_text
 from mimoshare.sweeps import CSV_HEADER
+from mimoshare.zfmetrics import IllConditionedError, zf_combiner
 
 DATA_DIR = Path(__file__).parent / "data"
 MINI_CFG = str(DATA_DIR / "mini_grid.cfg")
@@ -414,19 +417,89 @@ def test_an_oversized_scenario_fails_before_generating(command, tmp_path, monkey
     assert not out.exists()
 
 
+# one channel of unit energy on 4 antennas, exact in the Q1.15 capture format,
+# so the normalized pool holds these very bits
+SAME_CHANNEL = np.array([0.5, 0.5j, -0.5, -0.5j])
+
+
+@pytest.fixture
+def same_channel_captures(tmp_path):
+    """--csi value of two 3-record captures, one per layer, every record SAME_CHANNEL."""
+    fmt = FixedPointFormat(m_antennas=len(SAME_CHANNEL))
+    paths = []
+    for layer in Layer:
+        rows = np.tile(SAME_CHANNEL, (3, 1))
+        dataset = CsiDataset._of(fmt.m_antennas, rows, np.arange(3),
+                                 np.full(3, layer.code, np.int8), np.arange(3))
+        path = tmp_path / f"{layer.value}.bin"
+        path.write_bytes(encode_csi_binary(dataset, fmt))
+        path.with_name(path.name + ".cfg").write_text(sidecar_text(fmt, layer))
+        paths.append(str(path))
+    return ",".join(paths)
+
+
 @pytest.mark.parametrize(
     "command, flags, cell",
-    [("sweep-total", ("--k-range", "16:17"), "cell (method=random, k=17, trial=0)"),
-     ("sweep-grid", ("--ground-range", "0:10", "--aerial-range", "0:10"),
-      "cell (k_ground=7, k_aerial=10)")],
+    [("sweep-total", ("--k-range", "1:2", "--trials", "1"), "cell (method=random, k=2, trial=0)"),
+     ("sweep-grid", ("--ground-range", "0:1", "--aerial-range", "0:1"),
+      "cell (k_ground=1, k_aerial=1)")],
     ids=["total", "grid"],
 )
-def test_an_ill_conditioned_cell_fails_the_sweep_by_name(command, flags, cell, tmp_path, capsys):
-    # mini_grid.cfg's 4 x 4 array nulls at most 16 users
+def test_an_ill_conditioned_cell_fails_the_sweep_by_name(command, flags, cell, tmp_path, capsys,
+                                                        same_channel_captures):
+    # two copies of one channel: K = 2 <= M = 4 passes every range check, and
+    # the singular Gram fails the first two-user cell
+    with pytest.raises(IllConditionedError) as singular:
+        zf_combiner(np.stack([SAME_CHANNEL, SAME_CHANNEL]))
+    out = tmp_path / "x"
+    assert run_cli(command, "--csi", same_channel_captures, "--pool-terrestrial", 3,
+                   "--pool-aerial", 3, "--out", out, *flags) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {cell}: {singular.value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [("sweep-total", ("--k-range", "16:17"), "--k-range: 17 users"),
+     ("sweep-total", ("--k-range", "16:17", "--pool-terrestrial", "-1", "--pool-aerial", "-1"),
+      "--k-range: 17 users"),
+     ("sweep-grid", ("--ground-range", "0:10", "--aerial-range", "0:10"),
+      "--ground-range, --aerial-range: 20 users")],
+    ids=["total", "total-whole-layers", "grid"],
+)
+def test_a_schedule_past_the_antenna_count_fails_before_any_dataset_work(
+        command, flags, message, tmp_path, monkeypatch, capsys):
+    import mimoshare.cli as cli
+
+    def no_dataset_work(*args, **kwargs):
+        raise AssertionError("dataset work started")
+
+    for name in ("_generated_source", "_capture_source"):
+        monkeypatch.setattr(cli, name, no_dataset_work)
+    # mini_grid.cfg's 4 x 4 array nulls at most 16 users, though its pools hold 20
     out = tmp_path / "x"
     assert run_cli(command, "--config", MINI_CFG, "--out", out, *flags) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {cell}: cannot null 17 users with 16 antennas (K > M)\n"
+    assert err == f"error: {message} in one schedule, more than 16 antennas can null (K > M)\n"
+    assert not out.exists()
+
+
+def test_a_capture_schedule_past_the_antenna_count_fails_before_decoding(
+        tmp_path, monkeypatch, capsys, same_channel_captures):
+    import mimoshare.cli as cli
+
+    def no_dataset_work(*args, **kwargs):
+        raise AssertionError("dataset work started")
+
+    # M comes from the first capture's sidecar
+    monkeypatch.setattr(cli, "_capture_source", no_dataset_work)
+    out = tmp_path / "x"
+    assert run_cli("sweep-total", "--csi", same_channel_captures, "--pool-terrestrial", 3,
+                   "--pool-aerial", 3, "--k-range", "5", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: --k-range: 5 users in one schedule, more than 4 antennas can null "
+                   "(K > M)\n")
     assert not out.exists()
 
 

@@ -54,16 +54,20 @@ MINI_FLAGS = ["--trajectory-length-m", "4", "--trajectory-speed-mps", "1",
 DEFAULT_TOTAL_SHA256 = "46ca5196772a43e568afc3262dc7932fdb7d2da06a806ac599b3df2ba2bb6afa"
 DEFAULT_GRID_SHA256 = "f9ae4ff3d6132bd3d53cda969c102f3a9162a556e10e03e089a9410e04b551eb"
 
-# interpreter and numpy (~32 MB), one layer's 14.5 MB real draws, the pool
-# and one block's temporaries, and margin; the 58 MB (N, M) channel matrix
-# exceeds it, so a sweep must never hold the whole dataset, generated or
-# decoded from captures
-SWEEP_PEAK_RSS_BUDGET_MB = 80
+# interpreter and numpy (~32 MB), the generator's 8 MiB of held real draws,
+# the pool and one block's temporaries, and margin (47 MB measured); the
+# 58 MB (N, M) channel matrix exceeds it, so a sweep must never hold the whole
+# dataset, generated or decoded from captures
+SWEEP_PEAK_RSS_BUDGET_MB = 60
+# a generated pool costs its held real draws and one block's temporaries
+# beyond the same pool decoded from captures: 9.5 MB measured, where holding
+# a whole layer's 14.5 MB of real draws gave 15.2 MB
+GENERATED_OVER_DECODED_MB = (csi._HELD_DRAW_BYTES + 4 * 2**20) / 2**20
 # interpreter and numpy, the 58 MB matrix the captures are decoded
 # into, and margin; the per-capture datasets held beside their merge, or a
 # normalized copy of it, exceed it
 INGEST_PEAK_RSS_BUDGET_MB = 120
-# interpreter and numpy, the 58 MB normalized matrix, the 14.5 MB of real
+# interpreter and numpy, the 58 MB normalized matrix, the 8 MiB of held real
 # draws, both layers' 7.2 MB int16 encodings with their bytes copies, and
 # margin; a float64 copy of a layer (29 MB) before the int16 cast exceeds it
 GENERATE_PEAK_RSS_BUDGET_MB = 130
@@ -157,6 +161,12 @@ def small_scenarios(draw):
     )
 
 
+def held_draw_bytes(config: ScenarioConfig, block: int) -> tuple[int, int, int]:
+    """``_HELD_DRAW_BYTES`` that hold none, exactly one block, and all of a layer's real draws."""
+    row_bytes = config.m_antennas * 8
+    return 0, block * row_bytes, (config.samples_per_layer + block) * row_bytes
+
+
 @HYPOTHESIS
 @given(config=small_scenarios())
 @example(config=ScenarioConfig(m_rows=2, m_cols=3, trajectory_length_m=1.9,
@@ -171,8 +181,35 @@ def test_blocked_generator_reproduces_the_whole_array_oracle(config):
     want = literal_generate_synthetic(config)
     # one row, a block that does not divide n (n >= 3), and one larger than n
     for block in (1, n - 1, n + 1):
-        with mock.patch.object(csi, "_ROW_BLOCK", block):
-            assert_same_dataset(generate_synthetic(config), want)
+        for held in held_draw_bytes(config, block):
+            with mock.patch.object(csi, "_ROW_BLOCK", block), \
+                    mock.patch.object(csi, "_HELD_DRAW_BYTES", held):
+                assert_same_dataset(generate_synthetic(config), want)
+
+
+def test_the_replay_rests_on_chunked_and_restored_normal_draws():
+    # the generator holds only a layer's first real draws: it draws past the
+    # rest in blocks, then replays them from a Generator rebuilt from the
+    # stream's state, and both steps must leave the stream as one whole draw
+    whole = np.random.default_rng(11).standard_normal((600, 5))
+    for chunk in (1, 7, 256):
+        rng = np.random.default_rng(11)
+        got = np.empty_like(whole)
+        for start in range(0, len(got), chunk):
+            rng.standard_normal(out=got[start:start + chunk])
+        np.testing.assert_array_equal(
+            bits(got), bits(whole),
+            err_msg=f"standard_normal(out=) in chunks of {chunk} rows is not one whole draw, "
+                    "so skipping past a layer's unheld real draws moves the replayed stream")
+    rng = np.random.default_rng(11)
+    rng.standard_normal((200, 5))
+    replay = np.random.default_rng(0)
+    replay.bit_generator.state = rng.bit_generator.state
+    for source in (replay, rng):
+        np.testing.assert_array_equal(
+            bits(source.standard_normal((400, 5))), bits(whole[200:]),
+            err_msg="a Generator rebuilt from bit_generator.state does not continue the "
+                    "stream, so the replay of a layer's unheld real draws changes the bits")
 
 
 COMPONENTS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -243,10 +280,12 @@ def test_streamed_pool_is_normalize_then_thin(config, counts, policy, pool_seed,
                           policy, seed=pool_seed)
     # one row, a block that does not divide n (n >= 3), and one larger than n
     for block in (1, n - 1, n + 1):
-        with mock.patch.object(csi, "_ROW_BLOCK", block):
-            got = csi._streamed_pool(csi._generated_source(config), snr_db, per_layer, policy,
-                                     pool_seed)
-        assert_same_dataset(got, want)
+        for held in held_draw_bytes(config, block):
+            with mock.patch.object(csi, "_ROW_BLOCK", block), \
+                    mock.patch.object(csi, "_HELD_DRAW_BYTES", held):
+                got = csi._streamed_pool(csi._generated_source(config), snr_db, per_layer,
+                                         policy, pool_seed)
+            assert_same_dataset(got, want)
 
 
 MINI_SCENARIO = ScenarioConfig(trajectory_length_m=1.9, trajectory_speed_mps=1.0,
@@ -413,8 +452,8 @@ def test_sweep_peak_memory_stays_within_budget(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     sweep = ("sweep-total", "--k-range", "1:4", "--trials", "1")
-    peak_mb = cli_peak_rss_mb(env, *sweep, "--out", str(tmp_path / "sweep"))
-    assert peak_mb <= SWEEP_PEAK_RSS_BUDGET_MB, f"sweep peak RSS {peak_mb:.1f} MB"
+    generated_mb = cli_peak_rss_mb(env, *sweep, "--out", str(tmp_path / "sweep"))
+    assert generated_mb <= SWEEP_PEAK_RSS_BUDGET_MB, f"sweep peak RSS {generated_mb:.1f} MB"
     capture = tmp_path / "capture"
     peak_mb = cli_peak_rss_mb(env, "generate", "--out", str(capture))
     assert peak_mb <= GENERATE_PEAK_RSS_BUDGET_MB, f"generate peak RSS {peak_mb:.1f} MB"
@@ -423,3 +462,6 @@ def test_sweep_peak_memory_stays_within_budget(tmp_path):
     assert peak_mb <= INGEST_PEAK_RSS_BUDGET_MB, f"ingest peak RSS {peak_mb:.1f} MB"
     peak_mb = cli_peak_rss_mb(env, *sweep, "--csi", captures, "--out", str(tmp_path / "ingested"))
     assert peak_mb <= SWEEP_PEAK_RSS_BUDGET_MB, f"ingest-mode sweep peak RSS {peak_mb:.1f} MB"
+    assert generated_mb - peak_mb <= GENERATED_OVER_DECODED_MB, (
+        f"the generated sweep peaks {generated_mb - peak_mb:.1f} MB above the ingest-mode "
+        f"sweep, over {GENERATED_OVER_DECODED_MB:.0f} MB")
