@@ -44,7 +44,6 @@ from .sched import (
 from .sweeps import (
     SweepRow,
     SweepTable,
-    exhaustive_oracle,
     find_peak,
     max_users_for_min_se,
     sweep_layer_grid,

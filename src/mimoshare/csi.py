@@ -389,12 +389,18 @@ def sidecar_text(
 
 
 def _parse_keyvalues(path, casters: Mapping[str, Callable], strict: bool = False) -> dict:
-    """Read a flat ``key = value`` file (``#`` comments), casting the keys ``casters`` names.
+    """Read a flat UTF-8 ``key = value`` file (``#`` comments), casting the keys ``casters`` names.
 
     ``strict`` rejects every other key. Errors name the file and line.
     """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # the valid prefix's last line holds the bad byte
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -12,7 +12,6 @@ row still names the cell a row-by-row run would have stopped at.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,13 +40,11 @@ __all__ = [
     "sweep_layer_grid",
     "max_users_for_min_se",
     "find_peak",
-    "exhaustive_oracle",
 ]
 
 CSV_HEADER = "method,k_total,k_ground,k_aerial,trial,sum_se,mean_individual_se,fallback_rank"
 # the methods sweep_total_users runs; the layered grid has its own sweep
 _SWEEP_METHODS = frozenset({SelectionMethod.RANDOM, SelectionMethod.SUS})
-_ORACLE_BLOCK = 1024  # subsets per stack in exhaustive_oracle, which bounds its memory
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,12 @@ class SweepTable:
     @classmethod
     def from_csv(cls, path) -> SweepTable:
         """The table ``csv_text`` wrote, without schedules; a bad row names its file and line."""
-        lines = Path(path).read_text().splitlines()
+        data = Path(path).read_bytes()
+        try:
+            lines = data.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:  # the valid prefix's last line holds the bad byte
+            lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError(f"{path}: not a sweep table (unexpected header)")
         rows = []
@@ -374,34 +376,3 @@ def find_peak(table: SweepTable) -> tuple[int, int, float]:
     best = max(table.rows, key=lambda r: (r.sum_se, -r.k_total, -r.k_aerial))
     return best.k_ground, best.k_aerial, best.sum_se
 
-
-def exhaustive_oracle(
-    pool: CsiDataset, k: int, budget: int = 1_000_000
-) -> tuple[tuple[int, ...], float]:
-    """Exact optimum schedule of size k by enumerating every subset.
-
-    Subsets the closed form does not clear (K > M, or a Gram matrix beyond the
-    condition cap) are skipped: their SE is effectively zero. Ties go to the
-    first subset. Intended for desk-scale checks only.
-    """
-    n = len(pool)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    n_subsets = math.comb(n, k)
-    if n_subsets > budget:
-        raise ValueError(f"C({n},{k}) = {n_subsets} exceeds the enumeration budget {budget}")
-    noise_power = zfmetrics._noise_power(pool)
-
-    best_ids: tuple[int, ...] | None = None
-    best_sum = -math.inf
-    subsets = itertools.combinations(range(n), k)
-    while block := list(itertools.islice(subsets, _ORACLE_BLOCK)):
-        rows = np.array(block)  # (B, k) dataset rows, in enumeration order
-        sinr, cleared = zfmetrics._screened_sinr(pool.channels[rows], noise_power)
-        sums = np.sum(zfmetrics.spectral_efficiency(sinr[cleared]), axis=1)
-        if sums.size and sums.max() > best_sum:
-            best = int(np.argmax(sums))  # the first maximum
-            best_sum, best_ids = float(sums[best]), tuple(pool.ids[rows[cleared][best]].tolist())
-    if best_ids is None:
-        raise IllConditionedError("every size-k subset is ill-conditioned")
-    return best_ids, best_sum

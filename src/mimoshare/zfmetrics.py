@@ -11,13 +11,13 @@ One stacked closed form that decides every schedule, plus a per-schedule literal
   as a (B, K, M) channel stack, takes [(H^H H)^-1]_kk from one triangular
   factor per schedule, runs the exact SVD condition check only where a free
   bound does not clear the cap, and says which schedules cleared; a
-  schedule's result does not depend on its stack. ``evaluate_selection``,
-  the sweeps and ``exhaustive_oracle`` keep the SINR of the schedules it
-  clears, and ``_rejection`` gives the error of one that it does not.
+  schedule's result does not depend on its stack. ``evaluate_selection``
+  and the sweeps keep the SINR of the schedules it clears, and
+  ``_rejection`` words one it does not as ``zf_combiner`` does.
 - the literal reference builds the combiner of one (K, M) schedule and
   evaluates SINR literally, interference term included, so it is valid for
   any combiner, not only ZF. ``zf_combiner`` and ``sinr`` expose it, and
-  ``zf_combiner``'s error is the one a schedule the screen rejects raises.
+  ``zf_combiner`` rejects K > M, then a Gram matrix beyond DEFAULT_COND_CAP.
 
 SINR depends on the transmit power p only through p / sigma^2, which
 ``normalize_to_snr`` sets from ``snr_db`` for p = 1, so evaluation above the
@@ -76,17 +76,8 @@ class SeReport:
 
 def _as_user_matrix(channels) -> np.ndarray:
     a = np.asarray(channels, dtype=np.complex128)
-    if a.ndim == 1:
-        a = a[None, :]
     if a.ndim != 2 or a.shape[0] == 0:
         raise ValueError(f"expected a (K, M) stack of channel rows, got shape {a.shape}")
-    return a
-
-
-def _as_schedule_stack(channels) -> np.ndarray:
-    a = np.asarray(channels, dtype=np.complex128)
-    if a.ndim != 3 or 0 in a.shape:
-        raise ValueError(f"expected a (B, K, M) stack of schedules, got shape {a.shape}")
     return a
 
 
@@ -107,20 +98,15 @@ def _gram_condition(gram: np.ndarray) -> np.ndarray:
     return np.divide(svals[:, 0], smallest, out=np.full(len(gram), np.inf), where=smallest > 0.0)
 
 
-def _within_cap(cond: np.ndarray, cond_cap: float) -> np.ndarray:
-    # an infinite condition number fails any cap, cond_cap=inf included
-    return np.isfinite(cond) & (cond <= cond_cap)
-
-
-def zf_combiner(channels, cond_cap: float = DEFAULT_COND_CAP) -> CombinerMatrix:
+def zf_combiner(channels) -> CombinerMatrix:
     """Zero-forcing combiner for K user channels given as rows of a (K, M) array.
 
     The K x K Gram matrix is inverted once, and the combiner is corrected with
     that inverse by up to two refinement passes while its crosstalk V^H H - I
     still reaches 1e-13, which holds the v_k^H h_i = delta_ki contract to
     ~1e-12 even near the condition cap. Raises IllConditionedError when K > M
-    would allow no null space, when the Gram condition number exceeds the cap,
-    or when the Gram matrix is not positive definite, checked in that order.
+    would allow no null space, or else when the Gram condition number exceeds
+    DEFAULT_COND_CAP, an infinite one (a singular Gram matrix) included.
     """
     a = _as_user_matrix(channels)
     k_users, m_antennas = a.shape
@@ -128,12 +114,9 @@ def zf_combiner(channels, cond_cap: float = DEFAULT_COND_CAP) -> CombinerMatrix:
         raise IllConditionedError(f"cannot null {k_users} users with {m_antennas} antennas (K > M)")
     gram = _gram(a[None])  # the stacked call, so cap decisions match the closed form's screen
     cond = float(_gram_condition(gram)[0])
-    if not _within_cap(cond, cond_cap):
-        raise IllConditionedError(f"Gram condition number {cond:.3e} exceeds cap {cond_cap:.1e}")
-    try:
-        np.linalg.cholesky(gram[0])
-    except np.linalg.LinAlgError:
-        raise IllConditionedError("Gram matrix is not positive definite") from None
+    if not cond <= DEFAULT_COND_CAP:  # inf and NaN fail too
+        raise IllConditionedError(
+            f"Gram condition number {cond:.3e} exceeds cap {DEFAULT_COND_CAP:.1e}")
     h = a.T  # (M, K), columns are the user channels
     eye = np.eye(k_users, dtype=np.complex128)
     gram_inv = np.linalg.inv(gram[0])
@@ -182,7 +165,9 @@ def _screened_sinr(channels, noise_power: float) -> tuple[np.ndarray, np.ndarray
     cond_2(G) <= tr(G) tr(G^-1) where it is _BOUND_MARGIN below the cap, else
     by the exact SVD. A row that does not clear holds no SINR.
     """
-    a = _as_schedule_stack(channels)
+    a = np.asarray(channels, dtype=np.complex128)
+    if a.ndim != 3 or 0 in a.shape:
+        raise ValueError(f"expected a (B, K, M) stack of schedules, got shape {a.shape}")
     _check_powers(1.0, noise_power)
     _, k_users, m_antennas = a.shape
     if k_users > m_antennas:
@@ -198,7 +183,7 @@ def _screened_sinr(channels, noise_power: float) -> tuple[np.ndarray, np.ndarray
     unclear = ~singular & ~cleared
     if unclear.any():
         cond = _gram_condition(_gram(a)[unclear])  # the bits zf_combiner decides on
-        cleared[unclear] = _within_cap(cond, DEFAULT_COND_CAP)
+        cleared[unclear] = cond <= DEFAULT_COND_CAP
     return 1.0 / (noise_power * inv_diag), cleared
 
 

@@ -4,6 +4,7 @@ import mimoshare  # noqa: F401
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mimoshare.csi import (
     CsiDataset,
@@ -33,6 +34,37 @@ def random_unit_channels(rng, k, m):
     """K unit-norm complex Gaussian channel rows."""
     h = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) / np.sqrt(2)
     return h / np.linalg.norm(h, axis=1, keepdims=True)
+
+
+# every text reader's fuzz test bounds its examples by this
+FUZZ_EXAMPLES = 150
+# a value of at most 7 characters: digits, signs, exponents, range and list
+# marks, the letters of nan and inf, and the comment and key marks
+VALUE_TEXT = st.text("0123456789-+.:,eEinfa #=\t ", max_size=7)
+# str.splitlines breaks at each of these, and a reader numbers its lines by it
+_LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"])
+
+
+@st.composite
+def text_file_bytes(draw, good_line, header=None):
+    """Bytes of a line-based text file, for a reader that accepts ``good_line``.
+
+    A quarter of the files are arbitrary bytes. The rest are up to 6 lines,
+    three in four drawn by ``good_line`` and the others any text, often
+    below ``header``; a quarter of them then get a stray byte or two.
+    """
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=200))
+    junk = st.text(max_size=12) | VALUE_TEXT
+    lines = [draw(good_line if draw(st.integers(0, 3)) else junk)
+             for _ in range(draw(st.integers(0, 6)))]
+    if header is not None and draw(st.booleans()):
+        lines.insert(0, header)
+    data = draw(_LINE_BREAKS).join(lines).encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=2)) + data[at:]
+    return data
 
 
 @pytest.fixture(scope="session")

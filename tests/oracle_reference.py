@@ -1,9 +1,9 @@
-"""Per-subset brute-force optimum, the literal form of ``sweeps.exhaustive_oracle``.
+"""Per-subset brute-force optimum: the best schedule of size k, found literally.
 
-The library evaluates the subsets as stacks and skips those the closed form
-does not clear; this loop evaluates each subset on its own through
-``evaluate_selection`` and skips those that raise, for tests that compare
-the two.
+The paper measures SUS against this optimum. The loop evaluates each subset
+on its own through ``evaluate_selection`` and skips those that raise
+(K > M, or a Gram matrix beyond the condition cap). Ties go to the first
+subset. For desk-scale pools only: ``budget`` bounds the subsets it visits.
 """
 
 from __future__ import annotations

@@ -3,8 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mimoshare.cli import main
+from conftest import FUZZ_EXAMPLES, VALUE_TEXT, text_file_bytes
+from mimoshare.cli import _CONFIG_SPEC, _build_parser, _merge_config, main
 from mimoshare.csi import CsiDataset, FixedPointFormat, Layer, encode_csi_binary, sidecar_text
 from mimoshare.sweeps import CSV_HEADER
 from mimoshare.zfmetrics import IllConditionedError, zf_combiner
@@ -523,6 +526,7 @@ def test_report_names_a_bad_threshold(tmp_path, capsys):
         ("sus,3,4,-1,0,10.5,3.5,", "k_aerial"),
         ("sus,3,2,1,0,10.5,3.5,3", "fallback_rank"),  # rank beyond the schedule
         ("sus,3,2,1,0,10.5,3.5,-1", "fallback_rank"),
+        ("sus,3,2,1,0,10.5,3.5", "malformed row"),  # a field short
     ],
 )
 def test_report_names_the_file_and_line_of_a_bad_row(bad_row, bad_value, tmp_path, capsys):
@@ -558,3 +562,76 @@ def test_a_failed_staging_removes_the_staged_files(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         _write_outputs(tmp_path, {"sweep.csv": b"a", "meta.json": b"b"})
     assert written and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["ingest"], "no capture files given (set csi=... or --csi)"),
+        (["report"], "report needs an input table (set table=... or --table)"),
+        (["ingest", "--csi", "a.bin,b.bin", "--format", "a.cfg"],
+         "number of --format sidecars must match --csi captures"),
+    ],
+)
+def test_a_command_without_its_inputs_names_the_flag(args, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(*args, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_captures_that_disagree_on_the_antenna_count_are_rejected(tmp_path, capsys):
+    bins = []
+    for m in (4, 8):
+        fmt = FixedPointFormat(m_antennas=m)
+        path = tmp_path / f"m{m}.bin"
+        path.write_bytes(bytes(fmt.bytes_per_record))
+        (tmp_path / f"m{m}.bin.cfg").write_text(sidecar_text(fmt, Layer.TERRESTRIAL))
+        bins.append(str(path))
+    out = tmp_path / "out"
+    assert run_cli("ingest", "--csi", ",".join(bins), "--out", out) == 1
+    assert capsys.readouterr().err == "error: datasets disagree on antenna count\n"
+    assert not out.exists()
+
+
+# reader -> the flags that make a command read the file, its name, and its
+# bytes: each holds a byte that is not UTF-8 on line 2
+NOT_UTF8_FILES = {
+    "config": (["sweep-total", "--config"], "bad.cfg", b"seed = 1\n# caf\xe9\n"),
+    "table": (["report", "--table"], "sweep.csv",
+              CSV_HEADER.encode() + b"\r\nsus,1,1,0,0,6.5,6\xff.5,\n"),
+    "sidecar": (["ingest", "--csi", "cap.bin", "--format"], "cap.bin.cfg",
+                b"m_antennas = 4\rlayer = a\xfferial\n"),
+}
+
+
+@pytest.mark.parametrize("reader", NOT_UTF8_FILES)
+def test_a_byte_that_is_not_utf8_names_the_file_and_line(reader, tmp_path, capsys):
+    flags, name, data = NOT_UTF8_FILES[reader]
+    path = tmp_path / name
+    path.write_bytes(data)
+    out = tmp_path / "out"
+    assert run_cli(*flags, path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: not UTF-8 text: ")
+    assert "can't decode byte" in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def any_config(tmp_path_factory):
+    """A config file's path, and the parsed arguments of a report that reads it."""
+    path = tmp_path_factory.mktemp("fuzz") / "any.cfg"
+    return path, _build_parser().parse_args(["report", "--config", str(path)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=FUZZ_EXAMPLES)
+@given(data=text_file_bytes(st.tuples(st.sampled_from(list(_CONFIG_SPEC)), VALUE_TEXT)
+                            .map(" = ".join)))
+def test_any_config_file_is_read_or_named(any_config, data):
+    path, args = any_config
+    path.write_bytes(data)
+    try:
+        _merge_config(args)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:")

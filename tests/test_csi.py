@@ -1,8 +1,13 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import FUZZ_EXAMPLES, VALUE_TEXT, text_file_bytes
 from mimoshare.csi import (
     CaptureError,
     CsiDataset,
@@ -92,6 +97,11 @@ def test_decode_encode_roundtrip_is_bytes_exact(tmp_path):
     assert encode_csi_binary(ds, Q115_64) == raw
 
 
+def test_encode_rejects_a_format_of_another_antenna_count():
+    with pytest.raises(CaptureError, match="format M=8 does not match dataset M=4"):
+        encode_csi_binary(make_dataset([np.zeros(4)]), FixedPointFormat(m_antennas=8))
+
+
 def test_encode_rejects_out_of_range_gains():
     ds = make_dataset([np.array([1.5 + 0j, 0j])])
     with pytest.raises(ValueError):
@@ -172,6 +182,46 @@ def test_bad_sidecar_value_names_the_file_and_key(tmp_path, key, value):
         read_sidecar(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("layer = aerial\n", "sidecar is missing m_antennas"),
+     ("m_antennas = 0\n", "m_antennas must be positive"),
+     ("m_antennas = 16\nfrac_bits = 16\n", "frac_bits must be in 0..15")],
+)
+def test_sidecar_without_a_valid_format_names_the_file(tmp_path, text, message):
+    path = tmp_path / "s.cfg"
+    path.write_text(text)
+    with pytest.raises(CaptureError) as info:
+        read_sidecar(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+SIDECAR_LINES = st.tuples(
+    st.sampled_from(["m_antennas", "frac_bits", "layer", "sample_interval_ms", "byteorder",
+                     "altitude_m"]),
+    VALUE_TEXT | st.sampled_from(["aerial", "terrestrial", "little", "big"]),
+).map(" = ".join)
+
+
+@settings(derandomize=True, deadline=None, max_examples=FUZZ_EXAMPLES)
+@given(data=text_file_bytes(SIDECAR_LINES, header="m_antennas = 4"))
+def test_any_sidecar_is_read_or_named(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "any.bin.cfg"
+        path.write_bytes(data)
+        try:
+            read_sidecar(path)
+        except CaptureError as exc:
+            assert str(exc).startswith(f"{path}:")
+
+
+def test_merge_rejects_no_datasets_and_mixed_antenna_counts():
+    with pytest.raises(ValueError, match="nothing to merge"):
+        merge_datasets([])
+    with pytest.raises(ValueError, match="datasets disagree on antenna count"):
+        merge_datasets([make_dataset([np.ones(4)]), make_dataset([np.ones(5)])])
+
+
 def test_merge_renumbers_ids():
     a = make_dataset([np.ones(4)], [Layer.TERRESTRIAL])
     b = make_dataset([np.ones(4) * 2, np.ones(4) * 3], [Layer.AERIAL, Layer.AERIAL])
@@ -196,6 +246,18 @@ def test_dataset_rejects_duplicate_ids():
     r1 = CsiRecord(0, Layer.AERIAL, 1, np.ones(4))
     with pytest.raises(ValueError):
         CsiDataset(records=(r0, r1), m_antennas=4)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (0,)], ids=str)
+def test_record_rejects_a_channel_that_is_not_one_vector(shape):
+    with pytest.raises(ValueError, match=r"channel vector must be 1-D and non-empty") as info:
+        CsiRecord(0, Layer.TERRESTRIAL, 0, np.ones(shape))
+    assert f"got shape {shape}" in str(info.value)
+
+
+def test_dataset_rejects_a_nonpositive_antenna_count():
+    with pytest.raises(ValueError, match="m_antennas must be positive"):
+        CsiDataset(records=(), m_antennas=0)
 
 
 def test_record_rejects_nonfinite_gains():
@@ -427,6 +489,11 @@ def test_normalize_is_idempotent():
     assert twice.scale_applied == pytest.approx(once.scale_applied, rel=1e-12)
 
 
+def test_normalize_rejects_an_empty_dataset():
+    with pytest.raises(ValueError, match="cannot normalize an empty dataset"):
+        normalize_to_snr(CsiDataset(records=(), m_antennas=4), 20.0)
+
+
 def test_normalize_rejects_all_zero():
     ds = make_dataset([np.zeros(4)])
     with pytest.raises(ValueError):
@@ -494,6 +561,11 @@ def test_subsample_rejects_negative_count():
     ds = hundred_record_dataset()
     with pytest.raises(ValueError, match="-3"):
         subsample_pool(ds, (-3, None))
+
+
+def test_subsample_rejects_counts_that_are_not_a_pair():
+    with pytest.raises(ValueError, match=r"per_layer_count must be a \(terrestrial, aerial\) pair"):
+        subsample_pool(hundred_record_dataset(), (10, None, 5))
 
 
 def test_subsample_to_published_pool_shape(default_pool):

@@ -230,6 +230,11 @@ def test_layered_rejects_quota_beyond_population():
         sus_select_layered(pool, {Layer.TERRESTRIAL: 0, Layer.AERIAL: 0})
 
 
+def test_layered_rejects_a_negative_quota():
+    with pytest.raises(ValueError, match="quotas must be nonnegative"):
+        sus_select_layered(two_layer_pool(), {Layer.TERRESTRIAL: -1, Layer.AERIAL: 2})
+
+
 def test_layered_published_peak_quota_shape(default_pool):
     # the 34 + 24 split on the 36/28 candidate pool
     result = sus_select_layered(default_pool, {Layer.TERRESTRIAL: 34, Layer.AERIAL: 24})

@@ -1,15 +1,13 @@
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mimoshare.sweeps as sweeps
-from conftest import pool_from_vectors, random_unit_channels
-from mimoshare.csi import CsiDataset, CsiRecord, Layer, normalize_to_snr
+from conftest import FUZZ_EXAMPLES, pool_from_vectors, random_unit_channels, text_file_bytes
+from mimoshare.csi import Layer
 from mimoshare.sched import (
     SelectionMethod,
     SelectionResult,
@@ -22,7 +20,6 @@ from mimoshare.sweeps import (
     SweepRow,
     SweepTable,
     _table,
-    exhaustive_oracle,
     find_peak,
     max_users_for_min_se,
     sweep_layer_grid,
@@ -247,76 +244,15 @@ def test_find_peak_tie_breaks():
 
 def test_oracle_orthogonal_pool_full_choice():
     pool = pool_from_vectors(np.eye(4))
-    ids, best = exhaustive_oracle(pool, 4)
+    ids, best = per_subset_oracle(pool, 4)
     assert ids == (0, 1, 2, 3)
     assert best > 0
 
 
 def test_oracle_prefers_orthogonal_pair():
     pool = pool_from_vectors([[2.0, 0.0], [1.9, 0.1], [0.0, 1.0]])
-    ids, best = exhaustive_oracle(pool, 2)
+    ids, best = per_subset_oracle(pool, 2)
     assert ids == (0, 2)  # near-parallel pair suffers ZF noise amplification
-
-
-@st.composite
-def oracle_cases(draw):
-    """Small raw pools and a subset size k in 1..N, k > M included.
-
-    A pool is random or near-collinear: multiples of one channel, each
-    perturbed by 1e-7 .. 1e-3 of a random one. Some channels are then
-    replaced by a copy of another, a near-collinear copy or zeros.
-    """
-    # sampled_from draws evenly, where small integers would dominate
-    n = draw(st.sampled_from(range(1, 9)))
-    m = draw(st.sampled_from(range(1, 7)))
-    k = draw(st.sampled_from(range(1, n + 1)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    vectors = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    if draw(st.booleans()):
-        eps = 10.0 ** draw(st.floats(-7.0, -3.0))
-        vectors = rng.standard_normal((n, 1)) * vectors[0] + eps * vectors
-    for row in draw(st.lists(st.integers(0, n - 1), max_size=3)):
-        source = vectors[draw(st.integers(0, n - 1))]
-        kind = draw(st.sampled_from(["duplicate", "near-collinear", "zero"]))
-        if kind == "duplicate":
-            vectors[row] = source
-        elif kind == "near-collinear":
-            vectors[row] = source + 10.0 ** draw(st.floats(-7.0, -3.0)) * vectors[row]
-        else:
-            vectors[row] = 0.0
-    assume(np.any(vectors))
-    layers = [Layer.AERIAL if draw(st.booleans()) else Layer.TERRESTRIAL for _ in range(n)]
-    records = [CsiRecord(i, layer, i, v) for i, (v, layer) in enumerate(zip(vectors, layers))]
-    return CsiDataset(records, m_antennas=m), k
-
-
-def oracle_outcome(oracle, pool, k):
-    try:
-        ids, total = oracle(pool, k)
-    except ValueError as exc:  # IllConditionedError included
-        return type(exc), str(exc)
-    return ids, total.hex()
-
-
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(case=oracle_cases(), block=st.integers(1, 9))
-def test_oracle_matches_the_per_subset_reference(case, block):
-    raw, k = case
-    pool = normalize_to_snr(raw, 20.0)
-    # small blocks put the optimum and the skipped subsets in different stacks
-    # the raw dataset has no noise power; sizes 0 and N + 1 are out of range
-    cases = [(pool, k), (raw, k), (pool, 0), (pool, len(pool) + 1)]
-    with mock.patch.object(sweeps, "_ORACLE_BLOCK", block):
-        for dataset, size in cases:
-            expected = oracle_outcome(per_subset_oracle, dataset, size)
-            assert oracle_outcome(exhaustive_oracle, dataset, size) == expected
-
-
-def test_oracle_budget_guard():
-    rng = np.random.default_rng(1)
-    pool = pool_from_vectors(random_unit_channels(rng, 30, 4))
-    with pytest.raises(ValueError):
-        exhaustive_oracle(pool, 15)  # C(30,15) = 155 million
 
 
 # ---------------------------------------------------------------------------
@@ -479,3 +415,15 @@ def test_from_csv_reads_back_what_csv_text_writes(rows):
         path = Path(tmp) / "sweep.csv"
         path.write_text(text)
         assert SweepTable.from_csv(path).csv_text() == text
+
+
+@settings(derandomize=True, deadline=None, max_examples=FUZZ_EXAMPLES)
+@given(data=text_file_bytes(sweep_rows().map(SweepRow.csv_line), header=CSV_HEADER))
+def test_any_table_file_is_read_or_named(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.csv"
+        path.write_bytes(data)
+        try:
+            SweepTable.from_csv(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:")
