@@ -50,7 +50,6 @@ from .sweeps import (
     sweep_total_users,
 )
 from .zfmetrics import (
-    CombinerMatrix,
     IllConditionedError,
     SeReport,
     evaluate_selection,

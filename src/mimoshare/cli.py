@@ -352,7 +352,8 @@ def _cmd_sweep(cfg: dict, kind: str) -> int:
         raise ValueError(f"{', '.join(map(_flag, exc.keys))}: {exc}") from None
     files = {
         "sweep.csv": table.csv_text().encode(),
-        "summary.txt": _summary_text(table, cfg["thresholds"]).encode(),
+        # summarized from what sweep.csv holds, so report rebuilds the same lines
+        "summary.txt": _summary_text(table.as_written(), cfg["thresholds"]).encode(),
         "meta.json": _meta_json(table.meta, cfg, f"sweep-{kind}"),
     }
     _write_outputs(Path(cfg["out"]), files)

@@ -312,8 +312,10 @@ def _capture_source(captures: Iterable[tuple]) -> tuple:
     plan = [(path, fmt, layer, interval, _capture_rows(path, fmt, interval))
             for path, fmt, layer, interval in captures]
     m = plan[0][1].m_antennas
-    if any(fmt.m_antennas != m for _, fmt, _, _, _ in plan):
-        raise ValueError("datasets disagree on antenna count")
+    for path, fmt, _, _, _ in plan:
+        if fmt.m_antennas != m:
+            raise ValueError(f"captures disagree on antenna count: {path} has M={fmt.m_antennas}, "
+                             f"but the first capture {plan[0][0]} has M={m}")
     codes = np.concatenate([np.full(rows, layer.code, dtype=np.int8)
                             for _, _, layer, _, rows in plan])
     timesteps = np.concatenate([np.round(np.arange(rows) * interval).astype(np.int64)
@@ -388,19 +390,24 @@ def sidecar_text(
     return "\n".join(lines) + "\n"
 
 
+def _text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, ended only by LF, CR LF or CR; a bad byte names its line."""
+    lines = []  # no UTF-8 character holds an LF or CR byte, so lines split before decoding
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            lines.append(line.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
+    return lines
+
+
 def _parse_keyvalues(path, casters: Mapping[str, Callable], strict: bool = False) -> dict:
     """Read a flat UTF-8 ``key = value`` file (``#`` comments), casting the keys ``casters`` names.
 
     ``strict`` rejects every other key. Errors name the file and line.
     """
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:  # the valid prefix's last line holds the bad byte
-        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise ValueError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
     values = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(_text_lines(path), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import enum
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -165,6 +165,54 @@ class _SusRun:
         return SelectionResult(tuple(self.chosen), dict(self.counts), method, self.fallback_from)
 
 
+def _prefix_schedules(pool: CsiDataset, ks: list[int],
+                      params: SusParams) -> Iterator[SelectionResult]:
+    """The SUS schedule of each k in ascending ``ks``: the first k picks of one shared run."""
+    run = _SusRun(pool, params)
+    for k in ks:
+        while len(run.chosen) < k:
+            run.step()
+        yield run.result(SelectionMethod.SUS)
+
+
+def _record_branches(run: _SusRun, quotas: dict, branches: dict) -> None:
+    """Clone ``run`` at each per-layer grid quota it meets for the first time."""
+    for layer in Layer:
+        key = (layer, run.counts[layer])
+        if key[1] in quotas[layer] and key not in branches:
+            branches[key] = run.clone()
+
+
+def _layered_schedules(pool: CsiDataset, grounds: list[int], aerials: list[int],
+                       params: SusParams) -> Iterator[SelectionResult]:
+    """The layered SUS schedule of each (k_ground, k_aerial) cell but (0, 0), in row order."""
+    # A layered run follows the unconstrained run until one layer meets its
+    # quota, then picks from the other layer only. So one shared unconstrained
+    # run, cloned where it first meets each grid quota, plus one single-layer
+    # continuation per clone, serves every cell. Cells run in ascending order,
+    # so the shared run never reaches a cell's second quota before the cell
+    # is served: exactly one of its two quotas has a clone.
+    quotas = {Layer.TERRESTRIAL: set(grounds), Layer.AERIAL: set(aerials)}
+    shared = _SusRun(pool, params)
+    branches: dict[tuple[Layer, int], _SusRun] = {}
+    _record_branches(shared, quotas, branches)
+    for k_ground in grounds:
+        for k_aerial in aerials:
+            if k_ground == 0 and k_aerial == 0:
+                continue
+            quota = {Layer.TERRESTRIAL: k_ground, Layer.AERIAL: k_aerial}
+            keys = [(layer, quota[layer]) for layer in Layer]
+            while not any(key in branches for key in keys):
+                shared.step()
+                _record_branches(shared, quotas, branches)
+            [full] = [key for key in keys if key in branches]
+            branch = branches[full]
+            open_layer = next(layer for layer in Layer if layer is not full[0])
+            while branch.counts[open_layer] < quota[open_layer]:
+                branch.step(branch.layer_mask[open_layer])
+            yield branch.result(SelectionMethod.SUS_LAYERED)
+
+
 def sus_select(pool: CsiDataset, k: int, params: SusParams = SusParams()) -> SelectionResult:
     """Semi-orthogonal user selection of k users from the pool.
 
@@ -180,10 +228,7 @@ def sus_select(pool: CsiDataset, k: int, params: SusParams = SusParams()) -> Sel
     """
     if not 1 <= k <= len(pool):
         raise ValueError(f"k must be in 1..{len(pool)}, got {k}")
-    run = _SusRun(pool, params)
-    for _ in range(k):
-        run.step()
-    return run.result(SelectionMethod.SUS)
+    return next(_prefix_schedules(pool, [k], params))
 
 
 def sus_select_layered(
@@ -200,8 +245,7 @@ def sus_select_layered(
     caps = {layer: int(quota.get(layer, 0)) for layer in Layer}
     if any(c < 0 for c in caps.values()):
         raise ValueError("quotas must be nonnegative")
-    total = sum(caps.values())
-    if total < 1:
+    if sum(caps.values()) < 1:
         raise ValueError("total quota must be at least 1")
     populations = pool.layer_counts()
     for layer, cap in caps.items():
@@ -210,8 +254,5 @@ def sus_select_layered(
                 f"quota {cap} exceeds the {populations[layer]} available "
                 f"{layer.value} records"
             )
-    run = _SusRun(pool, params)
-    for _ in range(total):
-        open_layers = [layer for layer in Layer if run.counts[layer] < caps[layer]]
-        run.step(None if len(open_layers) == 2 else run.layer_mask[open_layers[0]])
-    return run.result(SelectionMethod.SUS_LAYERED)
+    return next(_layered_schedules(pool, [caps[Layer.TERRESTRIAL]], [caps[Layer.AERIAL]],
+                                   params))

@@ -14,22 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .csi import CsiDataset, Layer
-from .sched import (
-    SelectionMethod,
-    SelectionResult,
-    SusParams,
-    _SusRun,
-    random_select,
-)
-# the closed-form core is called through the module: perfbench/tracer.py wraps
-# the zfmetrics functions imported here by name and expects an SeReport from each
-from . import zfmetrics
+from .sched import SelectionMethod, SelectionResult, SusParams, random_select
+# private helpers are called through their modules: perfbench/tracer.py wraps
+# the functions imported here by name, and expects a schedule from each sched
+# function and an SeReport from each zfmetrics one
+from . import csi, sched, zfmetrics
 from .zfmetrics import IllConditionedError
 
 __all__ = [
@@ -109,15 +103,15 @@ class SweepTable:
         lines.extend(row.csv_line() for row in self.rows)
         return "\n".join(lines) + "\n"
 
+    def as_written(self) -> SweepTable:
+        """The table its CSV reads back as: each SE at the 6 significant digits written."""
+        return SweepTable(rows=tuple(_csv_row(row.csv_line()) for row in self.rows),
+                          meta=self.meta)
+
     @classmethod
     def from_csv(cls, path) -> SweepTable:
         """The table ``csv_text`` wrote, without schedules; a bad row names its file and line."""
-        data = Path(path).read_bytes()
-        try:
-            lines = data.decode("utf-8").splitlines()
-        except UnicodeDecodeError as exc:  # the valid prefix's last line holds the bad byte
-            lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-            raise ValueError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
+        lines = csi._text_lines(path)
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError(f"{path}: not a sweep table (unexpected header)")
         rows = []
@@ -237,14 +231,6 @@ def _table(pool: CsiDataset, schedules: Iterator[tuple[SelectionResult, int]],
     return SweepTable(rows=rows, meta={**pool_meta, **meta})
 
 
-def _record_branches(run: _SusRun, quotas: dict, branches: dict) -> None:
-    """Clone ``run`` at each per-layer grid quota it meets for the first time."""
-    for layer in Layer:
-        key = (layer, run.counts[layer])
-        if key[1] in quotas[layer] and key not in branches:
-            branches[key] = run.clone()
-
-
 def _trial_seed(seed: int, k: int, trial: int) -> int:
     # stable per (run seed, schedule size, trial) so single rows can be replayed
     return int(np.random.SeedSequence([seed, k, trial]).generate_state(1)[0])
@@ -263,12 +249,8 @@ def _total_schedules(
             for trial in range(trials):
                 yield random_select(pool, k, _trial_seed(seed, k, trial)), trial
     if SelectionMethod.SUS in methods:
-        # one run serves every k: the k-user SUS schedule is its first k picks
-        run = _SusRun(pool, params)
-        for k in ks:
-            while len(run.chosen) < k:
-                run.step()
-            yield run.result(SelectionMethod.SUS), 0
+        for selection in sched._prefix_schedules(pool, ks, params):
+            yield selection, 0
 
 
 def sweep_total_users(
@@ -299,36 +281,6 @@ def sweep_total_users(
                   trials=trials, k_min=ks[0], k_max=ks[-1])
 
 
-def _grid_schedules(
-    pool: CsiDataset, grounds: list[int], aerials: list[int], params: SusParams
-) -> Iterator[tuple[SelectionResult, int]]:
-    # A layered run follows the unconstrained run until one layer meets its
-    # quota, then picks from the other layer only. So one shared unconstrained
-    # run, cloned where it first meets each grid quota, plus one single-layer
-    # continuation per clone, serves every cell. Cells run in ascending order,
-    # so the shared run never reaches a cell's second quota before the cell
-    # is served: exactly one of its two quotas has a clone.
-    quotas = {Layer.TERRESTRIAL: set(grounds), Layer.AERIAL: set(aerials)}
-    shared = _SusRun(pool, params)
-    branches: dict[tuple[Layer, int], _SusRun] = {}
-    _record_branches(shared, quotas, branches)
-    for k_ground in grounds:
-        for k_aerial in aerials:
-            if k_ground == 0 and k_aerial == 0:
-                continue
-            quota = {Layer.TERRESTRIAL: k_ground, Layer.AERIAL: k_aerial}
-            keys = [(layer, quota[layer]) for layer in Layer]
-            while not any(key in branches for key in keys):
-                shared.step()
-                _record_branches(shared, quotas, branches)
-            [full] = [key for key in keys if key in branches]
-            branch = branches[full]
-            open_layer = next(layer for layer in Layer if layer is not full[0])
-            while branch.counts[open_layer] < quota[open_layer]:
-                branch.step(branch.layer_mask[open_layer])
-            yield branch.result(SelectionMethod.SUS_LAYERED), 0
-
-
 def sweep_layer_grid(
     pool: CsiDataset,
     ground_range: Iterable[int],
@@ -343,7 +295,8 @@ def sweep_layer_grid(
     grounds, aerials = _sweep_ranges(tuple(pool.layer_counts().values()),
                                      ground_range=ground_range, aerial_range=aerial_range)
 
-    schedules = _grid_schedules(pool, grounds, aerials, params)
+    schedules = ((selection, 0)
+                 for selection in sched._layered_schedules(pool, grounds, aerials, params))
     return _table(pool, schedules, sweep="layer_grid", seed=seed, alpha=params.alpha,
                   ground_min=grounds[0], ground_max=grounds[-1],
                   aerial_min=aerials[0], aerial_max=aerials[-1])

@@ -36,7 +36,6 @@ from .sched import SelectionResult
 __all__ = [
     "DEFAULT_COND_CAP",
     "IllConditionedError",
-    "CombinerMatrix",
     "SeReport",
     "zf_combiner",
     "sinr",
@@ -55,14 +54,6 @@ _BOUND_MARGIN = 10.0
 
 class IllConditionedError(ValueError):
     """Gram matrix of the scheduled channels is singular or near-singular."""
-
-
-@dataclass(frozen=True)
-class CombinerMatrix:
-    """Per-user combining vectors, one column per scheduled user."""
-
-    matrix: np.ndarray  # (M, K) complex, column k combines user k
-    gram_condition: float  # condition number of the K x K Gram matrix
 
 
 @dataclass(frozen=True)
@@ -98,15 +89,16 @@ def _gram_condition(gram: np.ndarray) -> np.ndarray:
     return np.divide(svals[:, 0], smallest, out=np.full(len(gram), np.inf), where=smallest > 0.0)
 
 
-def zf_combiner(channels) -> CombinerMatrix:
-    """Zero-forcing combiner for K user channels given as rows of a (K, M) array.
+def zf_combiner(channels) -> np.ndarray:
+    """Zero-forcing combiner (M, K) for K user channels given as rows of a (K, M) array.
 
-    The K x K Gram matrix is inverted once, and the combiner is corrected with
-    that inverse by up to two refinement passes while its crosstalk V^H H - I
-    still reaches 1e-13, which holds the v_k^H h_i = delta_ki contract to
-    ~1e-12 even near the condition cap. Raises IllConditionedError when K > M
-    would allow no null space, or else when the Gram condition number exceeds
-    DEFAULT_COND_CAP, an infinite one (a singular Gram matrix) included.
+    Column k combines user k. The K x K Gram matrix is inverted once, and the
+    combiner is corrected with that inverse by up to two refinement passes
+    while its crosstalk V^H H - I still reaches 1e-13, which holds the
+    v_k^H h_i = delta_ki contract to ~1e-12 even near the condition cap.
+    Raises IllConditionedError when K > M would allow no null space, or else
+    when the Gram condition number exceeds DEFAULT_COND_CAP, an infinite one
+    (a singular Gram matrix) included.
     """
     a = _as_user_matrix(channels)
     k_users, m_antennas = a.shape
@@ -126,11 +118,11 @@ def zf_combiner(channels) -> CombinerMatrix:
         if np.abs(crosstalk).max() < _CROSSTALK_TOL:
             break
         v = v - h @ (gram_inv @ crosstalk.conj().T)
-    return CombinerMatrix(matrix=v, gram_condition=cond)
+    return v
 
 
 def sinr(
-    combiner: CombinerMatrix,
+    combiner,
     channels,
     tx_power: float,
     noise_power: float,
@@ -138,10 +130,10 @@ def sinr(
     """Per-user SINR, interference term evaluated literally.
 
     SINR_k = p |v_k^H h_k|^2 / (sum_{i != k} p |v_k^H h_i|^2 + sigma^2 ||v_k||^2)
-    with one equal transmit power p for every user.
+    with one equal transmit power p for every user, for any (M, K) combiner V.
     """
     a = _as_user_matrix(channels)
-    v = combiner.matrix
+    v = np.asarray(combiner)
     if v.shape != (a.shape[1], a.shape[0]):
         raise ValueError(
             f"combiner shape {v.shape} does not match {a.shape[0]} channels of length {a.shape[1]}"

@@ -41,7 +41,8 @@ FUZZ_EXAMPLES = 150
 # a value of at most 7 characters: digits, signs, exponents, range and list
 # marks, the letters of nan and inf, and the comment and key marks
 VALUE_TEXT = st.text("0123456789-+.:,eEinfa #=\t ", max_size=7)
-# str.splitlines breaks at each of these, and a reader numbers its lines by it
+# str.splitlines breaks at each of these, but the readers end a line only at
+# the first three: the others are characters of the line that holds them
 _LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"])
 
 

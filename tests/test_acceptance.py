@@ -50,7 +50,7 @@ def test_zf_nulling_suite():
     count = 0
     for channels in zf_instances():
         comb = zf_combiner(channels)
-        cross = comb.matrix.conj().T @ channels.T
+        cross = comb.conj().T @ channels.T
         k = channels.shape[0]
         off_diag = np.abs(cross - np.diag(np.diagonal(cross)))
         worst_null = max(worst_null, float(off_diag.max()))
@@ -74,7 +74,7 @@ def test_sinr_closed_form_equivalence():
     for channels in zf_instances():
         comb = zf_combiner(channels)
         literal = sinr(comb, channels, tx_power=1.0, noise_power=0.01)
-        closed = 1.0 / (0.01 * np.sum(np.abs(comb.matrix) ** 2, axis=0))
+        closed = 1.0 / (0.01 * np.sum(np.abs(comb) ** 2, axis=0))
         rel = float(np.abs(literal / closed - 1.0).max())
         worst = max(worst, rel)
         count += 1

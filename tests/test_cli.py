@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FUZZ_EXAMPLES, VALUE_TEXT, text_file_bytes
-from mimoshare.cli import _CONFIG_SPEC, _build_parser, _merge_config, main
+from mimoshare import cli
+from mimoshare.cli import _CONFIG_SPEC, _build_parser, _flag, _merge_config, main
 from mimoshare.csi import CsiDataset, FixedPointFormat, Layer, encode_csi_binary, sidecar_text
-from mimoshare.sweeps import CSV_HEADER
+from mimoshare.sched import SelectionMethod
+from mimoshare.sweeps import CSV_HEADER, SweepRow, SweepTable
 from mimoshare.zfmetrics import IllConditionedError, zf_combiner
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -140,6 +143,15 @@ def test_bad_config_value_names_the_file_line_and_key(tmp_path, capsys):
     assert "'eight'" in err
 
 
+def test_only_a_line_break_ends_a_config_line(tmp_path, capsys):
+    # a form feed is a character of its line, so the bad value is seed's
+    cfg = tmp_path / "ff.cfg"
+    cfg.write_bytes(b"seed = 1\x0cm_rows = x\n")
+    assert run_cli("sweep-grid", "--config", cfg, "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:1:" in err and "'seed'" in err
+
+
 def test_bad_structured_config_value_names_the_file_line_and_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed = 1\nk_range = 30:3\n")
@@ -264,6 +276,10 @@ def test_report_from_existing_table(tmp_path, capsys):
     assert "peak sum_se=" in captured
 
 
+def method_lines(path):
+    return [line for line in path.read_text().splitlines() if line.startswith("method=")]
+
+
 @pytest.mark.parametrize("seed", [7, 0, 1, 2, 3])  # 7 is mini_grid.cfg's own seed
 @pytest.mark.parametrize(
     "command, flags",
@@ -278,9 +294,6 @@ def test_report_round_trips_the_sweep_summary(command, flags, seed, tmp_path):
                    *thresholds, *flags) == 0
     assert run_cli("report", "--table", sweep_dir / "sweep.csv", "--out", report_dir,
                    *thresholds) == 0
-
-    def method_lines(path):
-        return [line for line in path.read_text().splitlines() if line.startswith("method=")]
 
     expected = method_lines(sweep_dir / "summary.txt")
     assert expected and method_lines(report_dir / "summary.txt") == expected
@@ -538,6 +551,20 @@ def test_report_names_the_file_and_line_of_a_bad_row(bad_row, bad_value, tmp_pat
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "rows, lineno",
+    [
+        (["sus,1,1,0,0,6.5,6\u20285,"], 2),  # the row that holds it
+        (["sus,1,1,0,0,6.5,6.5,0\u2028", "sus,2,2,x,0,6.5,6.5,"], 3),  # a row after it
+    ],
+)
+def test_a_unicode_line_separator_stays_inside_its_table_row(rows, lineno, tmp_path, capsys):
+    table = tmp_path / "sweep.csv"
+    table.write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+    assert run_cli("report", "--table", table, "--out", tmp_path / "x") == 1
+    assert capsys.readouterr().err.startswith(f"error: {table}:{lineno}: ")
+
+
 def test_a_directory_in_place_of_an_output_fails_before_any_rename(tmp_path, capsys):
     out = tmp_path / "out"
     (out / "summary.txt").mkdir(parents=True)
@@ -590,7 +617,9 @@ def test_captures_that_disagree_on_the_antenna_count_are_rejected(tmp_path, caps
         bins.append(str(path))
     out = tmp_path / "out"
     assert run_cli("ingest", "--csi", ",".join(bins), "--out", out) == 1
-    assert capsys.readouterr().err == "error: datasets disagree on antenna count\n"
+    assert capsys.readouterr().err == (
+        f"error: captures disagree on antenna count: {bins[1]} has M=8, "
+        f"but the first capture {bins[0]} has M=4\n")
     assert not out.exists()
 
 
@@ -635,3 +664,61 @@ def test_any_config_file_is_read_or_named(any_config, data):
         _merge_config(args)
     except ValueError as exc:
         assert str(exc).startswith(f"{path}:")
+
+
+@pytest.fixture(scope="module")
+def report_args():
+    """The parsed arguments of a report given no flag."""
+    return _build_parser().parse_args(["report"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=FUZZ_EXAMPLES)
+@given(key=st.sampled_from(list(_CONFIG_SPEC)), value=VALUE_TEXT | st.text(max_size=12))
+def test_any_flag_value_is_read_or_named(report_args, key, value):
+    args = argparse.Namespace(**{**vars(report_args), key: value})
+    try:
+        _merge_config(args)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{_flag(key)}: ")
+
+
+# SE values that differ in memory but are equal as written at 6 significant
+# digits, among them the thresholds below
+TIED_SE = st.sampled_from([8.0, 100.0, 12.3457]).flatmap(
+    lambda se: st.sampled_from([se * (1 - 3e-7), se, se * (1 + 3e-7)]))
+TIED_THRESHOLDS = "8,100,12.3457"
+
+
+@st.composite
+def tied_tables(draw):
+    """Sweep tables whose peaks and capacities can tie only once written."""
+    rows = []
+    for method in draw(st.sets(st.sampled_from(SelectionMethod), min_size=1)):
+        for _ in range(draw(st.integers(1, 6))):
+            k_ground = draw(st.integers(0, 3))
+            k_aerial = draw(st.integers(0 if k_ground else 1, 3))
+            rows.append(SweepRow(method, k_ground + k_aerial, k_ground, k_aerial,
+                                 trial=draw(st.integers(0, 2)), sum_se=draw(TIED_SE),
+                                 mean_individual_se=draw(TIED_SE), fallback_rank=None,
+                                 selection=None))
+    return SweepTable(tuple(rows), meta={"sweep": "tied"})
+
+
+@pytest.fixture(scope="module")
+def tied_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tied")
+
+
+# each example runs two commands, so it takes a third of the fuzz budget
+@settings(derandomize=True, deadline=None, max_examples=FUZZ_EXAMPLES // 3)
+@given(table=tied_tables())
+def test_report_repeats_the_summary_of_a_table_with_written_ties(tied_dir, table):
+    # the sweep is stubbed to return the table; summary.txt must follow from sweep.csv alone
+    sweep_dir, report_dir = tied_dir / "sweep", tied_dir / "report"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_build_pool", lambda cfg: None)
+        patch.setattr(cli, "sweep_total_users", lambda pool, k_range, **kwargs: table)
+        assert run_cli("sweep-total", "--out", sweep_dir, "--thresholds", TIED_THRESHOLDS) == 0
+    assert run_cli("report", "--table", sweep_dir / "sweep.csv", "--out", report_dir,
+                   "--thresholds", TIED_THRESHOLDS) == 0
+    assert method_lines(report_dir / "summary.txt") == method_lines(sweep_dir / "summary.txt")
