@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from .csi import (
     CsiDataset,
     FixedPointFormat,
@@ -24,6 +26,7 @@ from .csi import (
     PoolPolicy,
     ScenarioConfig,
     _capture_source,
+    _fingerprint,
     _generated_source,
     _parse_keyvalues,
     _sidecar_of,
@@ -281,14 +284,14 @@ def _meta_json(table_meta: dict, cfg: dict, command: str) -> bytes:
     return (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode()
 
 
-def _dataset_meta(dataset: CsiDataset) -> dict:
-    """The meta keys generate and ingest share."""
-    counts = dataset.layer_counts()
+def _dataset_meta(m: int, codes: np.ndarray, fingerprint: str) -> dict:
+    """The meta keys generate and ingest share, of a dataset with these layer codes."""
+    counts = np.bincount(codes, minlength=len(Layer)).tolist()
     return {
-        "m_antennas": dataset.m_antennas,
-        "records_terrestrial": counts[Layer.TERRESTRIAL],
-        "records_aerial": counts[Layer.AERIAL],
-        "dataset_fingerprint": dataset.fingerprint(),
+        "m_antennas": m,
+        "records_terrestrial": counts[Layer.TERRESTRIAL.code],
+        "records_aerial": counts[Layer.AERIAL.code],
+        "dataset_fingerprint": fingerprint,
     }
 
 
@@ -312,7 +315,8 @@ def _cmd_generate(cfg: dict) -> int:
             sample_interval_ms=scenario.sample_interval_ms,
             extra={"snr_db": f"{cfg['snr_db']:g}", "scale_applied": f"{dataset.scale_applied:.12g}"},
         ).encode()
-    files["meta.json"] = _meta_json(_dataset_meta(dataset), cfg, "generate")
+    meta = _dataset_meta(dataset.m_antennas, dataset.layer_codes, dataset.fingerprint())
+    files["meta.json"] = _meta_json(meta, cfg, "generate")
     _write_outputs(out_dir, files)
     print(f"wrote {counts[Layer.TERRESTRIAL]}+{counts[Layer.AERIAL]} records to {out_dir}")
     return 0
@@ -321,12 +325,16 @@ def _cmd_generate(cfg: dict) -> int:
 def _cmd_ingest(cfg: dict) -> int:
     if not cfg["csi"]:
         raise ValueError("no capture files given (set csi=... or --csi)")
-    dataset = _streamed_pool(_source(cfg), cfg["snr_db"])
-    meta = {**_dataset_meta(dataset), "scale_applied": dataset.scale_applied,
-            "noise_power": dataset.noise_power}
+    m, columns, blocks = source = _source(cfg)
+    # a keep-none pool gives the whole dataset's factor without its matrix;
+    # a second pass hashes each scaled block as it is read
+    factor = _streamed_pool(source, cfg["snr_db"], (0, 0))
+    fingerprint = _fingerprint(m, columns, (block * factor.scale_applied for block in blocks()))
+    meta = {**_dataset_meta(m, columns[1], fingerprint), "scale_applied": factor.scale_applied,
+            "noise_power": factor.noise_power}
     _write_outputs(Path(cfg["out"]), {"meta.json": _meta_json(meta, cfg, "ingest")})
     print(
-        f"ingested {len(dataset)} records ({meta['records_terrestrial']} terrestrial, "
+        f"ingested {len(columns[0])} records ({meta['records_terrestrial']} terrestrial, "
         f"{meta['records_aerial']} aerial), fingerprint {meta['dataset_fingerprint']}"
     )
     return 0

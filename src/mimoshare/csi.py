@@ -48,11 +48,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # block's temporaries stay small, and the bits do not depend on the size
 _ROW_BLOCK = 256
 
-# bytes of one layer's real Gaussian draws the generator holds, rounded down
-# to whole blocks (0 for a huge M): 16,384 of the default's 28,321 rows per
-# layer. It replays the rest from a copy of the stream, one more draw each
-_HELD_DRAW_BYTES = 8 * 2**20
-
 # the largest whole dataset a scenario may describe, in bytes of complex128
 # gains: 4 GiB, ~70x the default's 58 MB. generate holds the whole matrix and
 # every sweep generates every row, so a larger scenario would exhaust memory
@@ -222,14 +217,23 @@ class CsiDataset:
 
     def fingerprint(self) -> str:
         """Short content hash covering ids, layers, timesteps and gains."""
-        digest = hashlib.sha256()
-        digest.update(f"M={self.m_antennas};".encode())
-        names = [layer.value for layer in Layer]
-        rows = zip(self.ids.tolist(), self.layer_codes.tolist(), self.timesteps_ms.tolist())
-        for (index, code, timestep), channel in zip(rows, self.channels):
+        columns = (self.ids, self.layer_codes, self.timesteps_ms)
+        return _fingerprint(self.m_antennas, columns, [self.channels])
+
+
+def _fingerprint(m: int, columns: tuple, blocks: Iterable[np.ndarray]) -> str:
+    """``CsiDataset.fingerprint`` of these (ids, codes, timesteps) columns, gains in row blocks."""
+    digest = hashlib.sha256()
+    digest.update(f"M={m};".encode())
+    names = [layer.value for layer in Layer]
+    stop = 0
+    for block in blocks:
+        start, stop = stop, stop + len(block)
+        rows = zip(*(column[start:stop].tolist() for column in columns))
+        for (index, code, timestep), channel in zip(rows, block):
             digest.update(f"{index},{names[code]},{timestep};".encode())
             digest.update(channel)
-        return digest.hexdigest()[:16]
+    return digest.hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +385,19 @@ def sidecar_text(
         f"frac_bits = {fmt.frac_bits}",
         f"byteorder = {'little' if fmt.little_endian else 'big'}",
         f"layer = {layer.value}",
-        f"sample_interval_ms = {sample_interval_ms:g}",
+        f"sample_interval_ms = {_float_text(sample_interval_ms)}",
     ]
     if altitude_m is not None:
-        lines.append(f"altitude_m = {altitude_m:g}")
+        lines.append(f"altitude_m = {_float_text(altitude_m)}")
     for key, value in (extra or {}).items():
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
+
+
+def _float_text(value: float) -> str:
+    """``value`` as ``:g`` writes it when that reads back as ``value``, else its exact repr."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))
 
 
 def _text_lines(path) -> list[str]:
@@ -582,14 +592,18 @@ def element_positions(config: ScenarioConfig) -> np.ndarray:
 
 def trajectory_points(config: ScenarioConfig, altitude_m: float) -> np.ndarray:
     """(N, 3) sampling positions along one constant-altitude pass."""
-    step = config.trajectory_speed_mps * config.sample_interval_ms / 1000.0
     n = config.samples_per_layer
-    x = -config.trajectory_length_m / 2.0 + step * np.arange(n)
     pts = np.empty((n, 3))
-    pts[:, 0] = x
+    pts[:, 0] = _along_pass(config, 0, n)
     pts[:, 1] = config.standoff_distance_m
     pts[:, 2] = altitude_m
     return pts
+
+
+def _along_pass(config: ScenarioConfig, start: int, stop: int) -> np.ndarray:
+    """x of a pass's samples start..stop-1; each value does not depend on the range."""
+    step = config.trajectory_speed_mps * config.sample_interval_ms / 1000.0
+    return -config.trajectory_length_m / 2.0 + step * np.arange(start, stop)
 
 
 def generate_synthetic(config: ScenarioConfig) -> CsiDataset:
@@ -630,15 +644,14 @@ def _dataset(source: tuple) -> CsiDataset:
 def _generated_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
     """``generate_synthetic``'s blocks (see ``_capture_source``).
 
-    Each layer draws its real Gaussian parts, then builds its rows in blocks
-    of ``_ROW_BLOCK``, drawing each block's imaginary parts as it goes: the
-    same stream and the same bits as one whole-array pass, without its
-    full-size temporaries. Only the first ``_HELD_DRAW_BYTES`` of real parts
-    are held, in one buffer both layers share. A second ``Generator`` starts
-    from the stream's state after them, the stream draws past the rest block
-    by block, and the copy replays the rest beside the imaginary parts: numpy
-    draws normals one at a time from the bit generator, so chunked draws and
-    a restored state continue one stream (``test_pool_build`` guards both).
+    Each layer builds its rows in blocks of ``_ROW_BLOCK``, with the same
+    stream and the same bits as one whole-array pass, without its full-size
+    temporaries. A second ``Generator`` starts from the stream's state at the
+    layer's real Gaussian parts, the stream draws past them block by block,
+    and each block then takes its real parts from the copy and its imaginary
+    parts from the stream: numpy draws normals one at a time from the bit
+    generator, so chunked draws and a restored state continue one stream
+    (``test_pool_build`` guards both). No draw is held past its block.
 
     A block is built in real arithmetic, straight into the parts of a new
     complex block, with the bits of ``amps * np.exp(-2j * np.pi * dists / lam)
@@ -651,25 +664,23 @@ def _generated_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
     lam = config.wavelength_m
 
     n, m = config.samples_per_layer, config.m_antennas
-    held = min(n, _HELD_DRAW_BYTES // (_ROW_BLOCK * m * 8) * _ROW_BLOCK)
-    real = np.empty((held, m))
-    # one block's distances (then phases), amplitudes and imaginary draws, reused
+    # one block's distances (then phases, then real draws), amplitudes and
+    # imaginary draws, reused
     buffers = np.empty((3, min(n, _ROW_BLOCK), m))
     layer_plan = zip(
         (Layer.TERRESTRIAL, Layer.AERIAL), config.layer_altitudes_m, config.rician_k_db
     )
     for layer, altitude, k_db in layer_plan:
-        pts = trajectory_points(config, altitude)
         # a pass is straight at constant y and z: their squares are one (M,) row each
-        dy2, dz2 = np.square(pts[0, 1:, None] - elems[:, 1:].T)
+        dy2, dz2 = np.square(np.array([[config.standoff_distance_m], [altitude]])
+                             - elems[:, 1:].T)
         k_lin = 10.0 ** (k_db / 10.0)
-        rng.standard_normal(out=real)
         replay = np.random.default_rng(config.seed)
         replay.bit_generator.state = rng.bit_generator.state
-        for start in range(held, n, _ROW_BLOCK):
+        for start in range(0, n, _ROW_BLOCK):
             rng.standard_normal(out=buffers[2, :min(_ROW_BLOCK, n - start)])
         for start in range(0, n, _ROW_BLOCK):
-            x = pts[start:start + _ROW_BLOCK, 0]
+            x = _along_pass(config, start, min(start + _ROW_BLOCK, n))
             dists, amps, imag = buffers[:, :len(x)]
             # squares summed x, y, z in turn, as np.linalg.norm does, bit for
             # bit, without its (B, M, 3) temporary
@@ -685,11 +696,7 @@ def _generated_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
             np.multiply(np.sin(phase, out=im), amps, out=im)
             diffuse_power = np.mean(np.square(amps, out=amps), axis=1) / k_lin  # 0 when K=inf
             scale = np.sqrt(diffuse_power / 2.0)[:, None]
-            if start < held:
-                drawn = real[start:start + len(x)]
-            else:
-                drawn = replay.standard_normal(out=dists)
-            re += np.multiply(scale, drawn, out=dists)
+            re += np.multiply(scale, replay.standard_normal(out=dists), out=dists)
             im += np.multiply(scale, rng.standard_normal(out=imag), out=imag)
             yield gains
 

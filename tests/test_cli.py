@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FUZZ_EXAMPLES, VALUE_TEXT, text_file_bytes
-from mimoshare import cli
+from mimoshare import cli, csi
 from mimoshare.cli import _CONFIG_SPEC, _build_parser, _flag, _merge_config, main
-from mimoshare.csi import CsiDataset, FixedPointFormat, Layer, encode_csi_binary, sidecar_text
+from mimoshare.csi import (CsiDataset, FixedPointFormat, Layer, encode_csi_binary, load_capture,
+                           sidecar_text)
 from mimoshare.sched import SelectionMethod
 from mimoshare.sweeps import CSV_HEADER, SweepRow, SweepTable
 from mimoshare.zfmetrics import IllConditionedError, zf_combiner
@@ -111,6 +112,19 @@ def test_generate_then_ingest_roundtrip(tmp_path):
     )
     assert code == 0
     assert (sweep_dir / "sweep.csv").exists()
+
+
+def test_generated_captures_keep_the_generators_timesteps(tmp_path):
+    # a sidecar that wrote the interval as :g does (1.23457) gave 4 of the
+    # 3,241 terrestrial timesteps 1 ms off the generator's, row 2965 first
+    flags = ["--trajectory-length-m", "4", "--trajectory-speed-mps", "1",
+             "--sample-interval-ms", "1.2345678"]
+    assert run_cli("generate", "--out", tmp_path, *flags) == 0
+    scenario = cli._scenario_from(_merge_config(_build_parser().parse_args(["generate", *flags])))
+    _, (_, codes, timesteps), _ = csi._generated_source(scenario)
+    for layer in Layer:
+        captured = load_capture(tmp_path / f"{layer.value}.bin")
+        np.testing.assert_array_equal(captured.timesteps_ms, timesteps[codes == layer.code])
 
 
 def test_truncated_capture_fails_without_partial_outputs(tmp_path, capsys):
@@ -342,19 +356,22 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def test_ingest_hashes_the_dataset_once(tmp_path, monkeypatch, capsys):
-    from mimoshare.csi import CsiDataset
-
     gen_dir = tmp_path / "capture"
     assert run_cli("generate", "--config", MINI_CFG, "--out", gen_dir) == 0
     calls = []
-    fingerprint = CsiDataset.fingerprint
-    monkeypatch.setattr(
-        CsiDataset, "fingerprint", lambda self: calls.append(1) or fingerprint(self)
-    )
+    fingerprint = csi._fingerprint
+
+    def counted(*args):
+        calls.append(1)
+        return fingerprint(*args)
+
+    # the one digest helper, both where CsiDataset.fingerprint and where the CLI calls it
+    monkeypatch.setattr(csi, "_fingerprint", counted)
+    monkeypatch.setattr(cli, "_fingerprint", counted)
     capsys.readouterr()
     ingest_dir = tmp_path / "ingested"
-    csi = f"{gen_dir / 'terrestrial.bin'},{gen_dir / 'aerial.bin'}"
-    assert run_cli("ingest", "--csi", csi, "--out", ingest_dir) == 0
+    captures = f"{gen_dir / 'terrestrial.bin'},{gen_dir / 'aerial.bin'}"
+    assert run_cli("ingest", "--csi", captures, "--out", ingest_dir) == 0
     meta = json.loads((ingest_dir / "meta.json").read_text())
     assert capsys.readouterr().out.strip().endswith(f"fingerprint {meta['dataset_fingerprint']}")
     assert len(calls) == 1

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FUZZ_EXAMPLES, VALUE_TEXT, text_file_bytes
@@ -28,6 +28,7 @@ from mimoshare.csi import (
     subsample_pool,
     trajectory_points,
 )
+from mimoshare.csi import _parse_keyvalues
 
 Q115_64 = FixedPointFormat(m_antennas=64)
 
@@ -213,6 +214,26 @@ def test_any_sidecar_is_read_or_named(data):
             read_sidecar(path)
         except CaptureError as exc:
             assert str(exc).startswith(f"{path}:")
+
+
+@settings(derandomize=True, deadline=None, max_examples=FUZZ_EXAMPLES)
+@given(interval=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       altitude=st.floats(allow_nan=False, allow_infinity=False))
+@example(interval=1.2345678, altitude=24.0000001)  # :g writes 1.23457 and 24
+def test_a_sidecar_reads_back_its_interval_and_altitude(interval, altitude):
+    fmt = FixedPointFormat(m_antennas=4)
+    text = sidecar_text(fmt, Layer.AERIAL, altitude_m=altitude, sample_interval_ms=interval)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.cfg"
+        path.write_text(text)
+        assert read_sidecar(path) == (fmt, Layer.AERIAL, interval)
+        assert _parse_keyvalues(path, {"altitude_m": float})["altitude_m"] == altitude
+
+
+def test_a_sidecar_writes_a_short_value_as_g_does():
+    text = sidecar_text(FixedPointFormat(m_antennas=4), Layer.TERRESTRIAL, altitude_m=8.0)
+    assert "sample_interval_ms = 1\n" in text
+    assert "altitude_m = 8\n" in text
 
 
 def test_merge_rejects_no_datasets_and_mixed_antenna_counts():

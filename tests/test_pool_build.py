@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -54,22 +55,22 @@ MINI_FLAGS = ["--trajectory-length-m", "4", "--trajectory-speed-mps", "1",
 DEFAULT_TOTAL_SHA256 = "46ca5196772a43e568afc3262dc7932fdb7d2da06a806ac599b3df2ba2bb6afa"
 DEFAULT_GRID_SHA256 = "f9ae4ff3d6132bd3d53cda969c102f3a9162a556e10e03e089a9410e04b551eb"
 
-# interpreter and numpy (~32 MB), the generator's 8 MiB of held real draws,
-# the pool and one block's temporaries, and margin (47 MB measured); the
-# 58 MB (N, M) channel matrix exceeds it, so a sweep must never hold the whole
-# dataset, generated or decoded from captures
-SWEEP_PEAK_RSS_BUDGET_MB = 60
-# a generated pool costs its held real draws and one block's temporaries
-# beyond the same pool decoded from captures: 9.5 MB measured, where holding
-# a whole layer's 14.5 MB of real draws gave 15.2 MB
-GENERATED_OVER_DECODED_MB = (csi._HELD_DRAW_BYTES + 4 * 2**20) / 2**20
-# interpreter and numpy, the 58 MB matrix the captures are decoded
-# into, and margin; the per-capture datasets held beside their merge, or a
-# normalized copy of it, exceed it
-INGEST_PEAK_RSS_BUDGET_MB = 120
-# interpreter and numpy, the 58 MB normalized matrix, the 8 MiB of held real
-# draws, both layers' 7.2 MB int16 encodings with their bytes copies, and
-# margin; a float64 copy of a layer (29 MB) before the int16 cast exceeds it
+# interpreter and numpy (~32 MB), the pool and one block's temporaries, and
+# margin (38.1 MB measured); the 58 MB (N, M) channel matrix exceeds it, and so
+# would one layer's 14.5 MB of real draws held beside the rest, so a sweep must
+# never hold the whole dataset or a layer's draws, generated or decoded
+SWEEP_PEAK_RSS_BUDGET_MB = 50
+# a generated pool costs only one block's temporaries beyond the same pool
+# decoded from captures: 0.3 MB measured, where holding 8 MiB of a layer's
+# real draws gave 9.5 MB and holding all of them 15.2 MB
+GENERATED_OVER_DECODED_MB = 2
+# interpreter and numpy, the (N,) energies and columns of two passes over the
+# captures, and margin (37.0 MB measured); the 58 MB matrix the captures decode
+# into exceeds it, so ingest must hash the scaled blocks as it reads them
+INGEST_PEAK_RSS_BUDGET_MB = 50
+# interpreter and numpy, the 58 MB normalized matrix, one block's
+# temporaries, both layers' 7.2 MB int16 encodings with their bytes copies,
+# and margin; a float64 copy of a layer (29 MB) before the int16 cast exceeds it
 GENERATE_PEAK_RSS_BUDGET_MB = 130
 
 
@@ -161,12 +162,6 @@ def small_scenarios(draw):
     )
 
 
-def held_draw_bytes(config: ScenarioConfig, block: int) -> tuple[int, int, int]:
-    """``_HELD_DRAW_BYTES`` that hold none, exactly one block, and all of a layer's real draws."""
-    row_bytes = config.m_antennas * 8
-    return 0, block * row_bytes, (config.samples_per_layer + block) * row_bytes
-
-
 @HYPOTHESIS
 @given(config=small_scenarios())
 @example(config=ScenarioConfig(m_rows=2, m_cols=3, trajectory_length_m=1.9,
@@ -181,16 +176,14 @@ def test_blocked_generator_reproduces_the_whole_array_oracle(config):
     want = literal_generate_synthetic(config)
     # one row, a block that does not divide n (n >= 3), and one larger than n
     for block in (1, n - 1, n + 1):
-        for held in held_draw_bytes(config, block):
-            with mock.patch.object(csi, "_ROW_BLOCK", block), \
-                    mock.patch.object(csi, "_HELD_DRAW_BYTES", held):
-                assert_same_dataset(generate_synthetic(config), want)
+        with mock.patch.object(csi, "_ROW_BLOCK", block):
+            assert_same_dataset(generate_synthetic(config), want)
 
 
 def test_the_replay_rests_on_chunked_and_restored_normal_draws():
-    # the generator holds only a layer's first real draws: it draws past the
-    # rest in blocks, then replays them from a Generator rebuilt from the
-    # stream's state, and both steps must leave the stream as one whole draw
+    # the generator holds none of a layer's real draws: it draws past them in
+    # blocks, then replays them from a Generator rebuilt from the stream's
+    # state, and both steps must leave the stream as one whole draw
     whole = np.random.default_rng(11).standard_normal((600, 5))
     for chunk in (1, 7, 256):
         rng = np.random.default_rng(11)
@@ -200,7 +193,7 @@ def test_the_replay_rests_on_chunked_and_restored_normal_draws():
         np.testing.assert_array_equal(
             bits(got), bits(whole),
             err_msg=f"standard_normal(out=) in chunks of {chunk} rows is not one whole draw, "
-                    "so skipping past a layer's unheld real draws moves the replayed stream")
+                    "so skipping past a layer's real draws moves the replayed stream")
     rng = np.random.default_rng(11)
     rng.standard_normal((200, 5))
     replay = np.random.default_rng(0)
@@ -209,7 +202,7 @@ def test_the_replay_rests_on_chunked_and_restored_normal_draws():
         np.testing.assert_array_equal(
             bits(source.standard_normal((400, 5))), bits(whole[200:]),
             err_msg="a Generator rebuilt from bit_generator.state does not continue the "
-                    "stream, so the replay of a layer's unheld real draws changes the bits")
+                    "stream, so the replay of a layer's real draws changes the bits")
 
 
 COMPONENTS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -280,12 +273,10 @@ def test_streamed_pool_is_normalize_then_thin(config, counts, policy, pool_seed,
                           policy, seed=pool_seed)
     # one row, a block that does not divide n (n >= 3), and one larger than n
     for block in (1, n - 1, n + 1):
-        for held in held_draw_bytes(config, block):
-            with mock.patch.object(csi, "_ROW_BLOCK", block), \
-                    mock.patch.object(csi, "_HELD_DRAW_BYTES", held):
-                got = csi._streamed_pool(csi._generated_source(config), snr_db, per_layer,
-                                         policy, pool_seed)
-            assert_same_dataset(got, want)
+        with mock.patch.object(csi, "_ROW_BLOCK", block):
+            got = csi._streamed_pool(csi._generated_source(config), snr_db, per_layer,
+                                     policy, pool_seed)
+        assert_same_dataset(got, want)
 
 
 MINI_SCENARIO = ScenarioConfig(trajectory_length_m=1.9, trajectory_speed_mps=1.0,
@@ -420,6 +411,28 @@ def test_full_default_sweep_csv_is_pinned(command, digest, tmp_path):
 # ---------------------------------------------------------------------------
 # memory
 # ---------------------------------------------------------------------------
+
+def generator_peak_bytes(config: ScenarioConfig) -> int:
+    """The ``tracemalloc`` peak of one pass over the generator's blocks."""
+    tracemalloc.start()
+    try:
+        for _ in csi._generated_blocks(config):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_generators_working_set_does_not_grow_with_the_layer():
+    # 1,334 and 13,334 rows per layer: a held layer of real draws (512 B a
+    # row at M = 64) or any other per-row array shows as growth
+    short, long = (ScenarioConfig(trajectory_length_m=length) for length in (2.0, 20.0))
+    added_rows = long.samples_per_layer - short.samples_per_layer
+    generator_peak_bytes(short)  # warm-up: first-call allocations are not the generator's
+    growth = generator_peak_bytes(long) - generator_peak_bytes(short)
+    assert growth < 64 * added_rows, (
+        f"the generator's peak grew {growth / added_rows:.0f} B per added row of a layer")
+
 
 # Linux records the high-water mark of the address space a process had
 # before exec, and a child started from this test process shares this
