@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -26,12 +26,12 @@ from .csi import (
     PoolPolicy,
     ScenarioConfig,
     _capture_source,
+    _encoded_blocks,
     _fingerprint,
     _generated_source,
     _parse_keyvalues,
     _sidecar_of,
     _streamed_pool,
-    encode_csi_binary,
     read_sidecar,
     sidecar_text,
 )
@@ -227,8 +227,12 @@ def _build_pool(cfg: dict) -> CsiDataset:
     return _streamed_pool(_source(cfg), cfg["snr_db"], per_layer, cfg["pool_policy"], cfg["seed"])
 
 
-def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
-    """Two-phase atomic write: check every target, stage every temp file, then rename all."""
+def _write_outputs(out_dir: Path, files: dict[str, bytes | Iterable[np.ndarray]]) -> None:
+    """Two-phase atomic write: check every target, stage every temp file, then rename all.
+
+    A payload is bytes, or blocks that are written in turn as its file is
+    staged, so a generator's blocks are made then, one at a time.
+    """
     for name in files:
         if (out_dir / name).is_dir():  # os.replace would fail after earlier renames
             raise IsADirectoryError(f"{out_dir / name}: output is a directory")
@@ -237,8 +241,12 @@ def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
     try:
         for name, payload in files.items():
             tmp = out_dir / f".{name}.tmp-{os.getpid()}"
-            tmp.write_bytes(payload)
             staged.append((tmp, out_dir / name))
+            if isinstance(payload, bytes):
+                tmp.write_bytes(payload)
+            else:
+                with tmp.open("wb") as fh:
+                    fh.writelines(payload)
         for tmp, final in staged:
             os.replace(tmp, final)
     except BaseException:
@@ -302,12 +310,13 @@ def _cmd_generate(cfg: dict) -> int:
     out_dir = Path(cfg["out"])
     fmt = FixedPointFormat(m_antennas=dataset.m_antennas)
     counts = dataset.layer_counts()
-    files: dict[str, bytes] = {}
+    files: dict[str, bytes | Iterable[np.ndarray]] = {}
     start = 0  # each layer's rows are contiguous, so a slice takes them without a copy
     for layer, altitude in zip((Layer.TERRESTRIAL, Layer.AERIAL), scenario.layer_altitudes_m):
         rows = slice(start, start + counts[layer])
         start = rows.stop
-        files[f"{layer.value}.bin"] = encode_csi_binary(dataset.take(rows), fmt)
+        # encoded a block at a time as the file is staged: no encoded copy is held
+        files[f"{layer.value}.bin"] = _encoded_blocks(dataset.channels[rows], fmt)
         files[f"{layer.value}.bin.cfg"] = sidecar_text(
             fmt,
             layer,

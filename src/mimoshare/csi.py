@@ -44,8 +44,9 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-# rows per block when generating channels or summing their energies: a
-# block's temporaries stay small, and the bits do not depend on the size
+# rows per block when generating channels or summing their energies, and
+# channel rows per stack when a sweep evaluates its schedules: a block's
+# temporaries stay small, and the bits do not depend on the size
 _ROW_BLOCK = 256
 
 # the largest whole dataset a scenario may describe, in bytes of complex128
@@ -71,8 +72,14 @@ class CaptureError(ValueError):
     """Raised when a capture file does not match its declared binary format."""
 
 
+def _row_blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """Views of ``rows``, ``_ROW_BLOCK`` rows at a time, in order."""
+    return (rows[start:start + _ROW_BLOCK] for start in range(0, len(rows), _ROW_BLOCK))
+
+
 def _check_finite(gains: np.ndarray) -> None:
-    if not np.isfinite(gains).all():
+    # a block at a time: no (N, M) mask of the whole matrix is made
+    if not all(np.isfinite(block).all() for block in _row_blocks(gains)):
         raise ValueError("channel vector contains NaN or Inf components")
 
 
@@ -218,7 +225,7 @@ class CsiDataset:
     def fingerprint(self) -> str:
         """Short content hash covering ids, layers, timesteps and gains."""
         columns = (self.ids, self.layer_codes, self.timesteps_ms)
-        return _fingerprint(self.m_antennas, columns, [self.channels])
+        return _fingerprint(self.m_antennas, columns, _row_blocks(self.channels))
 
 
 def _fingerprint(m: int, columns: tuple, blocks: Iterable[np.ndarray]) -> str:
@@ -356,19 +363,24 @@ def encode_csi_binary(dataset: CsiDataset, fmt: FixedPointFormat | None = None) 
         raise CaptureError(
             f"format M={fmt.m_antennas} does not match dataset M={dataset.m_antennas}"
         )
+    return b"".join(_encoded_blocks(dataset.channels, fmt))
+
+
+def _encoded_blocks(channels: np.ndarray, fmt: FixedPointFormat) -> Iterator[np.ndarray]:
+    """The bytes ``encode_csi_binary`` gives for these gains, as (B, 2M) fixed-point blocks.
+
+    Each block is made as it is reached, so a writer holds one at a time.
+    """
     scale = float(1 << fmt.frac_bits)
-    quant = np.empty((len(dataset), 2 * fmt.m_antennas), dtype=fmt.dtype)  # I, Q interleaved
-    for start in range(0, len(dataset), _ROW_BLOCK):
-        block = np.ascontiguousarray(dataset.channels[start:start + _ROW_BLOCK])
-        scaled = block.view(np.float64) * scale
+    for block in _row_blocks(channels):
+        scaled = np.ascontiguousarray(block).view(np.float64) * scale  # I, Q interleaved
         np.round(scaled, out=scaled)
         if scaled.max() > 32767 or scaled.min() < -32768:
             raise ValueError(
                 "gain component outside the representable fixed-point range; "
                 "normalize or rescale the dataset before encoding"
             )
-        quant[start:start + len(block)] = scaled
-    return quant.tobytes()
+        yield scaled.astype(fmt.dtype)
 
 
 def sidecar_text(
@@ -785,7 +797,7 @@ def _keep_rows(
     """The (N,) mask of the rows ``subsample_pool`` keeps of rows with these layer codes."""
     if len(per_layer_count) != 2:
         raise ValueError("per_layer_count must be a (terrestrial, aerial) pair")
-    rng = np.random.default_rng(seed)
+    rng = None  # one stream across layers, made at the first uniform draw
     keep = np.zeros(len(layer_codes), dtype=bool)
     requested = dict(zip((Layer.TERRESTRIAL, Layer.AERIAL), per_layer_count))
     for layer, count in requested.items():
@@ -805,6 +817,7 @@ def _keep_rows(
         if policy is PoolPolicy.STRIDE:
             ranks = np.floor(np.arange(count) * population / count).astype(int)
         else:
+            rng = rng or np.random.default_rng(seed)
             ranks = rng.choice(population, size=count, replace=False)
         keep[positions[ranks]] = True
     return keep

@@ -211,6 +211,10 @@ def _layered_schedules(pool: CsiDataset, grounds: list[int], aerials: list[int],
             while branch.counts[open_layer] < quota[open_layer]:
                 branch.step(branch.layer_mask[open_layer])
             yield branch.result(SelectionMethod.SUS_LAYERED)
+        # the row is done, and no later cell has its terrestrial quota: its
+        # branch goes, and the shared run clones it no more
+        quotas[Layer.TERRESTRIAL].discard(k_ground)
+        branches.pop((Layer.TERRESTRIAL, k_ground), None)
 
 
 def sus_select(pool: CsiDataset, k: int, params: SusParams = SusParams()) -> SelectionResult:

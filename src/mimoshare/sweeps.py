@@ -5,9 +5,11 @@ re-evaluated standalone. Rows are ordered canonically (method, k_ground,
 k_aerial, trial) regardless of how the grid was executed.
 
 A sweep first schedules every row, then evaluates the schedules of each size
-K as one (B, K, M) stack, in closed form, at unit transmit power (the pool's
-noise power sets the SNR). Scheduling over validated ranges cannot fail; an ill-conditioned
-row still names the cell a row-by-row run would have stopped at.
+K in (B, K, M) stacks of at most ``_ROW_BLOCK`` channel rows, in closed form,
+at unit transmit power (the pool's noise power sets the SNR), so its working
+set does not grow with the trials or the grid. Scheduling over validated
+ranges cannot fail; an ill-conditioned row still names the cell a row-by-row
+run would have stopped at.
 """
 
 from __future__ import annotations
@@ -181,10 +183,12 @@ def _table(pool: CsiDataset, schedules: Iterator[tuple[SelectionResult, int]],
            **meta) -> SweepTable:
     """The table of every (schedule, trial) the iterator yields, in its order.
 
-    The schedules of each size K are evaluated as one (B, K, M) stack. The
-    earliest row the closed form does not clear, the one a row-by-row run
-    would have stopped at, raises its error named by its cell. The table's
-    meta is the pool's and ``meta``.
+    The schedules of each size K are evaluated in (B, K, M) stacks of at
+    most ``csi._ROW_BLOCK`` channel rows, and at least one schedule each; a
+    schedule's result does not depend on its stack. The earliest row the
+    closed form does not clear, in row order across every stack, the one a
+    row-by-row run would have stopped at, raises its error named by its
+    cell. The table's meta is the pool's and ``meta``.
     """
     scheduled = list(schedules)
     noise_power = zfmetrics._noise_power(pool) if scheduled else None
@@ -194,14 +198,17 @@ def _table(pool: CsiDataset, schedules: Iterator[tuple[SelectionResult, int]],
     sums = [0.0] * len(scheduled)
     uncleared: list[int] = []
     for k, positions in by_size.items():
-        ids = [i for n in positions for i in scheduled[n][0].chosen]
-        channels = pool.channels_for(ids).reshape(len(positions), k, pool.m_antennas)
-        sinr, cleared = zfmetrics._screened_sinr(channels, noise_power)
-        for n, ok, row_se in zip(positions, cleared, zfmetrics.spectral_efficiency(sinr)):
-            if ok:
-                sums[n] = zfmetrics.sum_se(row_se)
-            else:
-                uncleared.append(n)
+        per_stack = max(1, csi._ROW_BLOCK // k)
+        for start in range(0, len(positions), per_stack):
+            stack = positions[start:start + per_stack]
+            ids = [i for n in stack for i in scheduled[n][0].chosen]
+            channels = pool.channels_for(ids).reshape(len(stack), k, pool.m_antennas)
+            sinr, cleared = zfmetrics._screened_sinr(channels, noise_power)
+            for n, ok, row_se in zip(stack, cleared, zfmetrics.spectral_efficiency(sinr)):
+                if ok:
+                    sums[n] = zfmetrics.sum_se(row_se)
+                else:
+                    uncleared.append(n)
     if uncleared:
         selection, trial = scheduled[min(uncleared)]
         exc = zfmetrics._rejection(pool.channels_for(selection.chosen))

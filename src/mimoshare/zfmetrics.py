@@ -168,8 +168,11 @@ def _screened_sinr(channels, noise_power: float) -> tuple[np.ndarray, np.ndarray
     singular = np.any(np.diagonal(factor, axis1=1, axis2=2) == 0.0, axis=1)
     if singular.any():
         factor[singular] = np.eye(k_users)  # stand-ins, so that inv runs on the others
-    factor_inv = np.linalg.inv(factor)
-    inv_diag = np.sum(factor_inv.real**2 + factor_inv.imag**2, axis=2)
+    factor = np.linalg.inv(factor)  # R^-1 from here on; R is dropped
+    re, im = factor.real, factor.imag
+    # squared in place, as x**2 is np.square(x) bit for bit; nothing below needs R^-1
+    inv_diag = np.sum(np.square(re, out=re) + np.square(im, out=im), axis=2)
+    del factor, re, im
     bound = np.sum(a.real**2 + a.imag**2, axis=(1, 2)) * np.sum(inv_diag, axis=1)
     cleared = ~singular & (bound <= DEFAULT_COND_CAP / _BOUND_MARGIN)
     unclear = ~singular & ~cleared

@@ -355,6 +355,22 @@ def test_importing_the_cli_loads_no_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_an_ingest_mode_stride_grid_loads_no_random_module(tmp_path):
+    import subprocess
+    import sys
+
+    # stride pools and the layered grid draw nothing, so numpy.random stays unloaded
+    assert run_cli("generate", "--config", MINI_CFG, "--out", tmp_path / "capture") == 0
+    captures = ",".join(str(tmp_path / "capture" / f"{layer.value}.bin") for layer in Layer)
+    args = ["sweep-grid", "--config", MINI_CFG, "--csi", captures, "--out", str(tmp_path / "grid")]
+    probe = f"import sys, mimoshare.cli; mimoshare.cli.main({args!r}); print(sorted(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert (tmp_path / "grid" / "sweep.csv").exists(), proc.stderr
+    assert "'numpy.random'" not in proc.stdout.splitlines()[-1]
+
+
 def test_ingest_hashes_the_dataset_once(tmp_path, monkeypatch, capsys):
     gen_dir = tmp_path / "capture"
     assert run_cli("generate", "--config", MINI_CFG, "--out", gen_dir) == 0
@@ -606,6 +622,20 @@ def test_a_failed_staging_removes_the_staged_files(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         _write_outputs(tmp_path, {"sweep.csv": b"a", "meta.json": b"b"})
     assert written and list(tmp_path.iterdir()) == []
+
+
+def test_a_block_payload_that_fails_midway_leaves_no_file(tmp_path):
+    from mimoshare.cli import _write_outputs
+
+    def blocks():  # as csi._encoded_blocks fails on a gain past full scale
+        yield np.arange(4, dtype="<i2")
+        raise ValueError("gain component outside the representable fixed-point range")
+
+    with pytest.raises(ValueError, match="representable"):
+        _write_outputs(tmp_path, {"meta.json": b"{}", "terrestrial.bin": blocks()})
+    assert list(tmp_path.iterdir()) == []
+    _write_outputs(tmp_path, {"aerial.bin": iter([np.arange(2, dtype=">i2")] * 2)})
+    assert (tmp_path / "aerial.bin").read_bytes() == b"\0\0\0\1" * 2
 
 
 @pytest.mark.parametrize(

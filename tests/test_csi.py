@@ -28,7 +28,7 @@ from mimoshare.csi import (
     subsample_pool,
     trajectory_points,
 )
-from mimoshare.csi import _parse_keyvalues
+from mimoshare.csi import _keep_rows, _parse_keyvalues
 
 Q115_64 = FixedPointFormat(m_antennas=64)
 
@@ -568,6 +568,20 @@ def test_subsample_uniform_is_seeded():
     assert ids_a == [r.index for r in b.records]
     assert ids_a == sorted(ids_a)
     assert ids_a != [r.index for r in c.records]
+
+
+def test_uniform_pools_draw_every_layer_from_one_stream():
+    codes = np.repeat(np.array([Layer.TERRESTRIAL.code, Layer.AERIAL.code], dtype=np.int8), [7, 5])
+    for counts in [(3, 2), (0, 2), (None, 2), (3, 0)]:
+        rng = np.random.default_rng(9)  # one stream, drawn only where a layer is thinned
+        want = np.zeros(len(codes), dtype=bool)
+        for start, population, count in ((0, 7, counts[0]), (7, 5, counts[1])):
+            if count is None:
+                want[start:start + population] = True
+            elif count:
+                want[start + rng.choice(population, size=count, replace=False)] = True
+        keep = _keep_rows(codes, counts, PoolPolicy.SEEDED_UNIFORM, seed=9)
+        np.testing.assert_array_equal(keep, want, err_msg=str(counts))
 
 
 def test_subsample_count_exceeding_population():

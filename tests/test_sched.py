@@ -9,6 +9,7 @@ from mimoshare.sched import (
     SelectionMethod,
     SelectionResult,
     SusParams,
+    _SusRun,
     random_select,
     sus_select,
     sus_select_layered,
@@ -233,6 +234,24 @@ def test_layered_rejects_quota_beyond_population():
 def test_layered_rejects_a_negative_quota():
     with pytest.raises(ValueError, match="quotas must be nonnegative"):
         sus_select_layered(two_layer_pool(), {Layer.TERRESTRIAL: -1, Layer.AERIAL: 2})
+
+
+def test_a_step_with_no_open_record_raises_and_picks_nothing():
+    # no public call reaches this guard: sus_select and sus_select_layered
+    # bound k and every quota by the populations before a run starts
+    pool = two_layer_pool()
+    run = _SusRun(pool, SusParams())
+    for _ in range(len(pool)):
+        run.step()
+    with pytest.raises(SelectionError, match="pool exhausted before the requested schedule size"):
+        run.step()
+    # a step open to one layer only, once that layer's one record is picked
+    run = _SusRun(pool, SusParams())
+    aerial = run.layer_mask[Layer.AERIAL]
+    run.step(aerial)
+    with pytest.raises(SelectionError, match="pool exhausted"):
+        run.step(aerial)
+    assert run.chosen == [3] and run.counts == {Layer.TERRESTRIAL: 0, Layer.AERIAL: 1}
 
 
 def test_layered_published_peak_quota_shape(default_pool):

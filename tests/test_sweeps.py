@@ -1,5 +1,7 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FUZZ_EXAMPLES, pool_from_vectors, random_unit_channels, text_file_bytes
+from mimoshare import csi
 from mimoshare.csi import Layer
 from mimoshare.sched import (
     SelectionMethod,
@@ -330,6 +333,71 @@ def test_earliest_failing_row_wins_across_schedule_sizes():
         _table(pool, iter(scheduled))
     [row] = _table(pool, iter(scheduled[:1])).rows
     assert row.sum_se == evaluate_selection(pool, good).sum_se
+
+
+# ---------------------------------------------------------------------------
+# evaluation stacks
+# ---------------------------------------------------------------------------
+
+def sweep_outcome(sweep):
+    """A sweep's rows and meta, or the message of the error it fails with."""
+    try:
+        table = sweep()
+    except IllConditionedError as exc:
+        return str(exc)
+    return table.rows, table.meta
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), spare_antennas=st.integers(-2, 4),
+       duplicate=st.sampled_from([False, False, True]), grid=st.booleans(),
+       trials=st.integers(1, 3), rows_per_stack=st.integers(2, 40))
+def test_a_schedules_result_does_not_depend_on_its_stack(seed, n, spare_antennas, duplicate, grid,
+                                                         trials, rows_per_stack):
+    # n users a layer and 2n + spare_antennas antennas, so the K > M rows
+    # fail where that is negative; a copied record makes every schedule that
+    # holds both copies singular
+    m = max(1, 2 * n + spare_antennas)
+    vectors = random_unit_channels(np.random.default_rng(seed), 2 * n, m)
+    if duplicate:
+        vectors[1] = vectors[0]
+    pool = pool_from_vectors(vectors, [Layer.TERRESTRIAL] * n + [Layer.AERIAL] * n)
+    if grid:
+        def sweep():
+            return sweep_layer_grid(pool, range(n + 1), range(n + 1))
+    else:
+        def sweep():
+            return sweep_total_users(pool, range(1, 2 * n + 1), trials=trials, seed=seed)
+    outcomes = []
+    # one schedule a stack, some schedules a stack, and one stack a size
+    for bound in (1, rows_per_stack, 10**9):
+        with mock.patch.object(csi, "_ROW_BLOCK", bound):
+            outcomes.append(sweep_outcome(sweep))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+# stacks of at most _ROW_BLOCK channel rows take ~0.7 MiB above the table
+# (tracemalloc); one stack of all 21 schedules of K = 64 with its copies takes
+# ~5.1 MiB, and the grid's one stack a size ~3.1 MiB
+SWEEP_WORKING_SET_MARGIN_MB = 2
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda pool: sweep_total_users(pool, range(1, 65), trials=20),
+    lambda pool: sweep_layer_grid(pool, range(37), range(29)),
+], ids=["total", "grid"])
+def test_a_sweeps_working_set_stays_near_its_table(default_pool, sweep):
+    sweep_total_users(default_pool, [1, 64], trials=1)  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        table = sweep(default_pool)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) in (64 * 21, 37 * 29 - 1)
+    over_mb = (peak - retained) / 2**20
+    assert over_mb < SWEEP_WORKING_SET_MARGIN_MB, (
+        f"the sweep peaked {over_mb:.2f} MiB above its retained table")
 
 
 # ---------------------------------------------------------------------------
