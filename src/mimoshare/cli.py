@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -26,12 +27,12 @@ from .csi import (
     PoolPolicy,
     ScenarioConfig,
     _capture_source,
-    _encoded_blocks,
     _fingerprint,
     _generated_source,
     _parse_keyvalues,
     _sidecar_of,
     _streamed_pool,
+    _write_encoded,
     read_sidecar,
     sidecar_text,
 )
@@ -227,11 +228,11 @@ def _build_pool(cfg: dict) -> CsiDataset:
     return _streamed_pool(_source(cfg), cfg["snr_db"], per_layer, cfg["pool_policy"], cfg["seed"])
 
 
-def _write_outputs(out_dir: Path, files: dict[str, bytes | Iterable[np.ndarray]]) -> None:
+def _write_outputs(out_dir: Path, files: dict[str, bytes | Callable[[BinaryIO], None]]) -> None:
     """Two-phase atomic write: check every target, stage every temp file, then rename all.
 
-    A payload is bytes, or blocks that are written in turn as its file is
-    staged, so a generator's blocks are made then, one at a time.
+    A payload is bytes, or a writer that writes a file's bytes to the open
+    temp file as it is staged.
     """
     for name in files:
         if (out_dir / name).is_dir():  # os.replace would fail after earlier renames
@@ -246,7 +247,7 @@ def _write_outputs(out_dir: Path, files: dict[str, bytes | Iterable[np.ndarray]]
                 tmp.write_bytes(payload)
             else:
                 with tmp.open("wb") as fh:
-                    fh.writelines(payload)
+                    payload(fh)
         for tmp, final in staged:
             os.replace(tmp, final)
     except BaseException:
@@ -310,13 +311,15 @@ def _cmd_generate(cfg: dict) -> int:
     out_dir = Path(cfg["out"])
     fmt = FixedPointFormat(m_antennas=dataset.m_antennas)
     counts = dataset.layer_counts()
-    files: dict[str, bytes | Iterable[np.ndarray]] = {}
+    files: dict[str, bytes | Callable[[BinaryIO], None]] = {}
     start = 0  # each layer's rows are contiguous, so a slice takes them without a copy
     for layer, altitude in zip((Layer.TERRESTRIAL, Layer.AERIAL), scenario.layer_altitudes_m):
         rows = slice(start, start + counts[layer])
         start = rows.stop
         # encoded a block at a time as the file is staged: no encoded copy is held
-        files[f"{layer.value}.bin"] = _encoded_blocks(dataset.channels[rows], fmt)
+        files[f"{layer.value}.bin"] = functools.partial(
+            _write_encoded, channels=dataset.channels[rows], fmt=fmt
+        )
         files[f"{layer.value}.bin.cfg"] = sidecar_text(
             fmt,
             layer,

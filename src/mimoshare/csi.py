@@ -16,7 +16,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -78,8 +78,7 @@ def _row_blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _check_finite(gains: np.ndarray) -> None:
-    # a block at a time: no (N, M) mask of the whole matrix is made
-    if not all(np.isfinite(block).all() for block in _row_blocks(gains)):
+    if not np.isfinite(gains).all():
         raise ValueError("channel vector contains NaN or Inf components")
 
 
@@ -366,11 +365,13 @@ def encode_csi_binary(dataset: CsiDataset, fmt: FixedPointFormat | None = None) 
     return b"".join(_encoded_blocks(dataset.channels, fmt))
 
 
-def _encoded_blocks(channels: np.ndarray, fmt: FixedPointFormat) -> Iterator[np.ndarray]:
-    """The bytes ``encode_csi_binary`` gives for these gains, as (B, 2M) fixed-point blocks.
+def _write_encoded(fh: BinaryIO, channels: np.ndarray, fmt: FixedPointFormat) -> None:
+    """Write the bytes ``encode_csi_binary`` gives for these gains, a block at a time."""
+    fh.writelines(_encoded_blocks(channels, fmt))
 
-    Each block is made as it is reached, so a writer holds one at a time.
-    """
+
+def _encoded_blocks(channels: np.ndarray, fmt: FixedPointFormat) -> Iterator[np.ndarray]:
+    """These gains' fixed-point encoding, as (B, 2M) blocks made as each is reached."""
     scale = float(1 << fmt.frac_bits)
     for block in _row_blocks(channels):
         scaled = np.ascontiguousarray(block).view(np.float64) * scale  # I, Q interleaved

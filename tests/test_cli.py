@@ -355,20 +355,18 @@ def test_importing_the_cli_loads_no_scipy():
     assert proc.stdout.strip() == "False"
 
 
-def test_an_ingest_mode_stride_grid_loads_no_random_module(tmp_path):
-    import subprocess
-    import sys
-
-    # stride pools and the layered grid draw nothing, so numpy.random stays unloaded
+def test_an_ingest_mode_stride_grid_builds_no_generator(tmp_path, monkeypatch):
     assert run_cli("generate", "--config", MINI_CFG, "--out", tmp_path / "capture") == 0
     captures = ",".join(str(tmp_path / "capture" / f"{layer.value}.bin") for layer in Layer)
-    args = ["sweep-grid", "--config", MINI_CFG, "--csi", captures, "--out", str(tmp_path / "grid")]
-    probe = f"import sys, mimoshare.cli; mimoshare.cli.main({args!r}); print(sorted(sys.modules))"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
-    )
-    assert (tmp_path / "grid" / "sweep.csv").exists(), proc.stderr
-    assert "'numpy.random'" not in proc.stdout.splitlines()[-1]
+
+    def no_generator(seed=None):
+        raise AssertionError("a decoded stride sweep built a Generator")
+
+    # stride pools and the layered grid draw nothing
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    out = tmp_path / "grid"
+    assert run_cli("sweep-grid", "--config", MINI_CFG, "--csi", captures, "--out", out) == 0
+    assert (out / "sweep.csv").exists()
 
 
 def test_ingest_hashes_the_dataset_once(tmp_path, monkeypatch, capsys):
@@ -624,18 +622,18 @@ def test_a_failed_staging_removes_the_staged_files(tmp_path, monkeypatch):
     assert written and list(tmp_path.iterdir()) == []
 
 
-def test_a_block_payload_that_fails_midway_leaves_no_file(tmp_path):
+def test_a_writer_payload_that_fails_midway_leaves_no_file(tmp_path):
     from mimoshare.cli import _write_outputs
 
-    def blocks():  # as csi._encoded_blocks fails on a gain past full scale
-        yield np.arange(4, dtype="<i2")
+    def write(fh):  # as csi._write_encoded fails on a gain past full scale
+        fh.write(b"\0\1")
         raise ValueError("gain component outside the representable fixed-point range")
 
     with pytest.raises(ValueError, match="representable"):
-        _write_outputs(tmp_path, {"meta.json": b"{}", "terrestrial.bin": blocks()})
+        _write_outputs(tmp_path, {"meta.json": b"{}", "terrestrial.bin": write})
     assert list(tmp_path.iterdir()) == []
-    _write_outputs(tmp_path, {"aerial.bin": iter([np.arange(2, dtype=">i2")] * 2)})
-    assert (tmp_path / "aerial.bin").read_bytes() == b"\0\0\0\1" * 2
+    _write_outputs(tmp_path, {"aerial.bin": lambda fh: fh.write(b"\0\1" * 2)})
+    assert (tmp_path / "aerial.bin").read_bytes() == b"\0\1" * 2
 
 
 @pytest.mark.parametrize(

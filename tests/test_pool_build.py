@@ -69,7 +69,7 @@ GENERATED_OVER_DECODED_MB = 2
 # into exceeds it, so ingest must hash the scaled blocks as it reads them
 INGEST_PEAK_RSS_BUDGET_MB = 50
 # interpreter and numpy, the 58 MB normalized matrix, one block's
-# temporaries, and margin (95.4 MB measured); both layers' 7.2 MB encodings
+# temporaries, and margin (97.0 MB measured); both layers' 7.2 MB encodings
 # held as bytes (118.5 MB measured) exceed it, as does a float64 copy of a
 # layer (29 MB), so generate must write each binary as it encodes its blocks
 GENERATE_PEAK_RSS_BUDGET_MB = 105
