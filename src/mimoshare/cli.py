@@ -38,6 +38,7 @@ from .csi import (
 )
 from .sched import SelectionMethod, SusParams
 from .sweeps import (
+    _METHODS,
     _SWEEP_METHODS,
     SweepTable,
     _RangeError,
@@ -257,19 +258,16 @@ def _write_outputs(out_dir: Path, files: dict[str, bytes | Callable[[BinaryIO], 
 
 
 def _summary_text(table: SweepTable, thresholds: list[float]) -> str:
-    lines = [f"sweep: {table.meta.get('sweep', 'unknown')}", f"rows: {len(table.rows)}"]
-    methods = sorted({row.method for row in table.rows}, key=lambda m: m.value)
-    for method in methods:
-        sub = SweepTable(
-            rows=tuple(r for r in table.rows if r.method is method), meta=table.meta
-        )
-        k_ground, k_aerial, peak_se = find_peak(sub)
+    lines = [f"sweep: {table.meta.get('sweep', 'unknown')}", f"rows: {len(table)}"]
+    methods = {_METHODS[code] for code in table.method_codes.tolist()}
+    for method in sorted(methods, key=lambda m: m.value):
+        k_ground, k_aerial, peak_se = find_peak(table._only(method))
         lines.append(
             f"method={method.value}: peak sum_se={peak_se:.6g} bits/s/Hz at "
             f"k_total={k_ground + k_aerial} (k_ground={k_ground}, k_aerial={k_aerial})"
         )
         for threshold in thresholds:
-            capacity = max_users_for_min_se(sub, method, threshold)
+            capacity = max_users_for_min_se(table, method, threshold)
             lines.append(
                 f"method={method.value}: max users with mean individual SE >= "
                 f"{threshold:.6g} bits/s/Hz: {capacity}"
@@ -373,11 +371,11 @@ def _cmd_sweep(cfg: dict, kind: str) -> int:
     files = {
         "sweep.csv": table.csv_text().encode(),
         # summarized from what sweep.csv holds, so report rebuilds the same lines
-        "summary.txt": _summary_text(table.as_written(), cfg["thresholds"]).encode(),
+        "summary.txt": _summary_text(table._as_written(), cfg["thresholds"]).encode(),
         "meta.json": _meta_json(table.meta, cfg, f"sweep-{kind}"),
     }
     _write_outputs(Path(cfg["out"]), files)
-    print(f"wrote {len(table.rows)} rows to {Path(cfg['out']) / 'sweep.csv'}")
+    print(f"wrote {len(table)} rows to {Path(cfg['out']) / 'sweep.csv'}")
     return 0
 
 

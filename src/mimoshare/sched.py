@@ -81,13 +81,16 @@ class SelectionResult:
         return len(self.chosen)
 
 
+def _random_ids(pool: CsiDataset, k: int, seed: int) -> np.ndarray:
+    """The ids of k distinct records drawn uniformly without replacement from ``seed``'s stream."""
+    return pool.ids[np.random.default_rng(seed).choice(len(pool), size=k, replace=False)]
+
+
 def random_select(pool: CsiDataset, k: int, seed: int) -> SelectionResult:
     """Draw k distinct records uniformly without replacement."""
     if not 1 <= k <= len(pool):
         raise ValueError(f"k must be in 1..{len(pool)}, got {k}")
-    rng = np.random.default_rng(seed)
-    positions = rng.choice(len(pool), size=k, replace=False)
-    chosen = tuple(pool.ids[positions].tolist())
+    chosen = tuple(_random_ids(pool, k, seed).tolist())
     return SelectionResult(chosen, pool.layer_counts(chosen), SelectionMethod.RANDOM)
 
 

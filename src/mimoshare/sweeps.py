@@ -1,27 +1,29 @@
 """Experiment harness: SE vs. total users, the per-layer quota grid, and analysis helpers.
 
-Every emitted row carries the schedule it came from, so any table entry can be
-re-evaluated standalone. Rows are ordered canonically (method, k_ground,
-k_aerial, trial) regardless of how the grid was executed.
+A table holds its rows as columns and every schedule as one flat id array, so
+any table entry can be re-evaluated standalone. Rows are ordered canonically
+(method, k_ground, k_aerial, trial) regardless of how the grid was executed.
 
-A sweep first schedules every row, then evaluates the schedules of each size
-K in (B, K, M) stacks of at most ``_ROW_BLOCK`` channel rows, in closed form,
-at unit transmit power (the pool's noise power sets the SNR), so its working
-set does not grow with the trials or the grid. Scheduling over validated
-ranges cannot fail; an ill-conditioned row still names the cell a row-by-row
-run would have stopped at.
+A sweep writes each schedule into its table as it is scheduled, then
+evaluates the schedules of each size K in (B, K, M) stacks of at most
+``_ROW_BLOCK`` channel rows, in closed form, at unit transmit power (the
+pool's noise power sets the SNR), so its working set does not grow with the
+trials or the grid. Scheduling over validated ranges cannot fail; an
+ill-conditioned row still names the cell a row-by-row run would have stopped
+at.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .csi import CsiDataset, Layer
-from .sched import SelectionMethod, SelectionResult, SusParams, random_select
+from .sched import SelectionMethod, SelectionResult, SusParams
 # private helpers are called through their modules: perfbench/tracer.py wraps
 # the functions imported here by name, and expects a schedule from each sched
 # function and an SeReport from each zfmetrics one
@@ -41,28 +43,15 @@ __all__ = [
 CSV_HEADER = "method,k_total,k_ground,k_aerial,trial,sum_se,mean_individual_se,fallback_rank"
 # the methods sweep_total_users runs; the layered grid has its own sweep
 _SWEEP_METHODS = frozenset({SelectionMethod.RANDOM, SelectionMethod.SUS})
+# a table's method codes index this
+_METHODS = tuple(SelectionMethod)
+# SweepTable's (R,) columns, in the order of its fields, and their types
+_COLUMNS = {"method_codes": np.int8, "k_ground": np.int64, "k_aerial": np.int64, "trial": np.int64,
+            "sum_se": np.float64, "mean_individual_se": np.float64, "fallback_rank": np.int64}
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One evaluated schedule. ``selection`` is kept for re-evaluation, not serialized."""
-
-    method: SelectionMethod
-    k_total: int
-    k_ground: int
-    k_aerial: int
-    trial: int
-    sum_se: float
-    mean_individual_se: float
-    fallback_rank: int | None
-    selection: SelectionResult | None  # None only for tables re-read from CSV
-
-    def csv_line(self) -> str:
-        fallback = "" if self.fallback_rank is None else str(self.fallback_rank)
-        return (
-            f"{self.method.value},{self.k_total},{self.k_ground},{self.k_aerial},"
-            f"{self.trial},{self.sum_se:.6g},{self.mean_individual_se:.6g},{fallback}"
-        )
+# one table row, as SweepTable.rows builds it, with the CSV's fields
+SweepRow = namedtuple("SweepRow", CSV_HEADER.split(","))
 
 
 # CSV field -> its caster; the fields of SweepRow carry the same names
@@ -76,16 +65,16 @@ _CSV_CASTERS = {
 def _csv_row(line: str) -> SweepRow:
     """The row of a CSV line, by field name; a ValueError names what no sweep writes."""
     texts = line.split(",")
-    names = CSV_HEADER.split(",")
-    if len(texts) != len(names):
+    if len(texts) != len(SweepRow._fields):
         raise ValueError(f"malformed row {line!r}")
-    row = SweepRow(**{name: _CSV_CASTERS[name](text) for name, text in zip(names, texts)},
-                   selection=None)
+    row = SweepRow(*(_CSV_CASTERS[name](text) for name, text in zip(SweepRow._fields, texts)))
     for se in (row.sum_se, row.mean_individual_se):
         if not 0 <= se < math.inf:  # NaN fails both
             raise ValueError(f"SE must be finite and >= 0; got {se}")
     if min(row.k_ground, row.k_aerial, row.trial) < 0:
         raise ValueError("k_ground, k_aerial and trial must be >= 0")
+    if max(row.k_total, row.trial) > np.iinfo(np.int64).max:  # a table holds them as int64
+        raise ValueError("k_total and trial must be below 2**63")
     if not row.k_total == row.k_ground + row.k_aerial >= 1:
         raise ValueError(f"k_total must be k_ground + k_aerial >= 1; got k_total={row.k_total}")
     if row.fallback_rank is not None and not 0 <= row.fallback_rank < row.k_total:
@@ -93,22 +82,87 @@ def _csv_row(line: str) -> SweepRow:
     return row
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Result rows plus the run metadata needed to reproduce them."""
+    """Result rows as (R,) columns, plus the run metadata needed to reproduce them.
 
-    rows: tuple[SweepRow, ...]
+    A method code indexes ``tuple(SelectionMethod)``, and a fallback rank of
+    -1 is none. Row i's schedule is ``ids[offsets[i]:offsets[i + 1]]``; a
+    table read from CSV has none. Equal tables have equal columns, schedules
+    and meta.
+    """
+
+    method_codes: np.ndarray
+    k_ground: np.ndarray
+    k_aerial: np.ndarray
+    trial: np.ndarray
+    sum_se: np.ndarray
+    mean_individual_se: np.ndarray
+    fallback_rank: np.ndarray
     meta: dict
+    ids: np.ndarray | None = None  # every schedule's record ids, in row order
+    offsets: np.ndarray | None = None  # (R + 1,)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SweepTable):
+            return NotImplemented
+        # np.array_equal holds None (no schedules) equal to None only
+        return self.meta == other.meta and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in (*_COLUMNS, "ids", "offsets"))
+
+    def __len__(self) -> int:
+        return len(self.method_codes)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[SweepRow], meta: dict) -> SweepTable:
+        """The table of these rows, without schedules; k_total is taken as k_ground + k_aerial."""
+        values = [(_METHODS.index(row.method), row.k_ground, row.k_aerial, row.trial, row.sum_se,
+                   row.mean_individual_se, -1 if row.fallback_rank is None else row.fallback_rank)
+                  for row in rows]
+        return cls(*(np.array([value[c] for value in values], dtype)
+                     for c, dtype in enumerate(_COLUMNS.values())), meta)
+
+    def _fields(self) -> Iterator[tuple]:
+        """Each row's fields in CSV order, as Python values; a row without a fallback has None."""
+        return zip([_METHODS[code] for code in self.method_codes.tolist()],
+                   (self.k_ground + self.k_aerial).tolist(), self.k_ground.tolist(),
+                   self.k_aerial.tolist(), self.trial.tolist(), self.sum_se.tolist(),
+                   self.mean_individual_se.tolist(),
+                   [None if rank < 0 else rank for rank in self.fallback_rank.tolist()])
+
+    @property
+    def rows(self) -> list[SweepRow]:
+        """Every row as a :class:`SweepRow`, built on access."""
+        return list(map(SweepRow._make, self._fields()))
+
+    def selection(self, i: int) -> SelectionResult:
+        """Row i's schedule, rebuilt as a :class:`SelectionResult`."""
+        if self.offsets is None:
+            raise ValueError("a table read from CSV holds no schedules")
+        counts = {Layer.TERRESTRIAL: int(self.k_ground[i]), Layer.AERIAL: int(self.k_aerial[i])}
+        rank = int(self.fallback_rank[i])
+        return SelectionResult(tuple(self.ids[self.offsets[i]:self.offsets[i + 1]].tolist()),
+                               counts, _METHODS[self.method_codes[i]], None if rank < 0 else rank)
+
+    def _only(self, method: SelectionMethod) -> SweepTable:
+        """The rows of one method, without schedules."""
+        mine = self.method_codes == _METHODS.index(method)
+        return SweepTable(*(getattr(self, name)[mine] for name in _COLUMNS), meta=self.meta)
+
+    def _as_written(self) -> SweepTable:
+        """The table its CSV reads back as: each SE at the 6 significant digits written."""
+        return dataclasses.replace(self, **{
+            name: np.array([float(f"{se:.6g}") for se in getattr(self, name).tolist()])
+            for name in ("sum_se", "mean_individual_se")})
 
     def csv_text(self) -> str:
         lines = [CSV_HEADER]
-        lines.extend(row.csv_line() for row in self.rows)
+        lines.extend(f"{method.value},{k_total},{k_ground},{k_aerial},{trial},{sum_se:.6g},"
+                     f"{mean_se:.6g},{'' if rank is None else rank}"
+                     for method, k_total, k_ground, k_aerial, trial, sum_se, mean_se, rank
+                     in self._fields())
         return "\n".join(lines) + "\n"
-
-    def as_written(self) -> SweepTable:
-        """The table its CSV reads back as: each SE at the 6 significant digits written."""
-        return SweepTable(rows=tuple(_csv_row(row.csv_line()) for row in self.rows),
-                          meta=self.meta)
 
     @classmethod
     def from_csv(cls, path) -> SweepTable:
@@ -123,7 +177,7 @@ class SweepTable:
                     rows.append(_csv_row(line))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
-        return cls(rows=tuple(rows), meta={"sweep": "from_csv", "source": str(path)})
+        return cls.from_rows(rows, meta={"sweep": "from_csv", "source": str(path)})
 
 
 class _RangeError(ValueError):
@@ -171,62 +225,47 @@ def _sweep_ranges(populations: tuple[float, float], m_antennas: float = math.inf
     return checked
 
 
-def _cell(selection: SelectionResult, trial: int) -> str:
-    """The sweep cell a scheduled row fills, as errors name it."""
-    if selection.method is SelectionMethod.SUS_LAYERED:
-        counts = selection.per_layer_counts
-        return f"cell (k_ground={counts[Layer.TERRESTRIAL]}, k_aerial={counts[Layer.AERIAL]})"
-    return f"cell (method={selection.method.value}, k={len(selection)}, trial={trial})"
-
-
-def _table(pool: CsiDataset, schedules: Iterator[tuple[SelectionResult, int]],
+def _table(pool: CsiDataset, schedules: Iterator[tuple], n_rows: int, n_ids: int,
            **meta) -> SweepTable:
-    """The table of every (schedule, trial) the iterator yields, in its order.
+    """The table of the ``n_rows`` schedules, ``n_ids`` ids in all, the iterator yields.
 
-    The schedules of each size K are evaluated in (B, K, M) stacks of at
-    most ``csi._ROW_BLOCK`` channel rows, and at least one schedule each; a
+    Each schedule is (method, trial, record ids, fallback rank or None), and
+    is written into the table's arrays as it is yielded. The schedules of
+    each size K are then evaluated in (B, K, M) stacks of at most
+    ``csi._ROW_BLOCK`` channel rows, and at least one schedule each; a
     schedule's result does not depend on its stack. The earliest row the
     closed form does not clear, in row order across every stack, the one a
     row-by-row run would have stopped at, raises its error named by its
     cell. The table's meta is the pool's and ``meta``.
     """
-    scheduled = list(schedules)
-    noise_power = zfmetrics._noise_power(pool) if scheduled else None
+    codes = np.empty(n_rows, np.int8)
+    trials, ranks, k_aerial = (np.empty(n_rows, np.int64) for _ in range(3))
+    ids, offsets = np.empty(n_ids, np.int64), np.zeros(n_rows + 1, np.int64)
     by_size: dict[int, list[int]] = {}
-    for n, (selection, _) in enumerate(scheduled):
-        by_size.setdefault(len(selection), []).append(n)
-    sums = [0.0] * len(scheduled)
+    end = 0
+    for n, (method, trial, chosen, rank) in enumerate(schedules):
+        start, end = end, end + len(chosen)
+        ids[start:end] = chosen
+        offsets[n + 1] = end
+        codes[n], trials[n], ranks[n] = _METHODS.index(method), trial, -1 if rank is None else rank
+        by_size.setdefault(len(chosen), []).append(n)
+    noise_power = zfmetrics._noise_power(pool) if n_rows else None
+    sums = np.zeros(n_rows)
     uncleared: list[int] = []
     for k, positions in by_size.items():
         per_stack = max(1, csi._ROW_BLOCK // k)
-        for start in range(0, len(positions), per_stack):
-            stack = positions[start:start + per_stack]
-            ids = [i for n in stack for i in scheduled[n][0].chosen]
-            channels = pool.channels_for(ids).reshape(len(stack), k, pool.m_antennas)
+        for first in range(0, len(positions), per_stack):
+            stack = positions[first:first + per_stack]
+            rows = pool._rows_of(ids[offsets[stack][:, None] + np.arange(k)].ravel())
+            channels = pool.channels[rows].reshape(len(stack), k, pool.m_antennas)
+            aerial = pool.layer_codes[rows].reshape(len(stack), k) == Layer.AERIAL.code
+            k_aerial[stack] = np.count_nonzero(aerial, axis=1)
             sinr, cleared = zfmetrics._screened_sinr(channels, noise_power)
             for n, ok, row_se in zip(stack, cleared, zfmetrics.spectral_efficiency(sinr)):
                 if ok:
                     sums[n] = zfmetrics.sum_se(row_se)
                 else:
                     uncleared.append(n)
-    if uncleared:
-        selection, trial = scheduled[min(uncleared)]
-        exc = zfmetrics._rejection(pool.channels_for(selection.chosen))
-        raise IllConditionedError(f"{_cell(selection, trial)}: {exc}") from exc
-    rows = tuple(
-        SweepRow(
-            method=selection.method,
-            k_total=len(selection),
-            k_ground=selection.per_layer_counts[Layer.TERRESTRIAL],
-            k_aerial=selection.per_layer_counts[Layer.AERIAL],
-            trial=trial,
-            sum_se=total,
-            mean_individual_se=total / len(selection),
-            fallback_rank=selection.fallback_used_from,
-            selection=selection,
-        )
-        for (selection, trial), total in zip(scheduled, sums)
-    )
     counts = pool.layer_counts()
     pool_meta = {
         "snr_db": pool.snr_target_db,
@@ -235,7 +274,17 @@ def _table(pool: CsiDataset, schedules: Iterator[tuple[SelectionResult, int]],
         "m_antennas": pool.m_antennas,
         "dataset_fingerprint": pool.fingerprint(),
     }
-    return SweepTable(rows=rows, meta={**pool_meta, **meta})
+    sizes = np.diff(offsets)
+    table = SweepTable(codes, sizes - k_aerial, k_aerial, trials, sums, sums / sizes, ranks,
+                       meta={**pool_meta, **meta}, ids=ids, offsets=offsets)
+    if uncleared:
+        row = table.rows[min(uncleared)]
+        cell = (f"k_ground={row.k_ground}, k_aerial={row.k_aerial}"
+                if row.method is SelectionMethod.SUS_LAYERED
+                else f"method={row.method.value}, k={row.k_total}, trial={row.trial}")
+        exc = zfmetrics._rejection(pool.channels_for(table.selection(min(uncleared)).chosen))
+        raise IllConditionedError(f"cell ({cell}): {exc}") from exc
+    return table
 
 
 def _trial_seed(seed: int, k: int, trial: int) -> int:
@@ -243,21 +292,17 @@ def _trial_seed(seed: int, k: int, trial: int) -> int:
     return int(np.random.SeedSequence([seed, k, trial]).generate_state(1)[0])
 
 
-def _total_schedules(
-    pool: CsiDataset,
-    ks: list[int],
-    methods: set[SelectionMethod],
-    trials: int,
-    seed: int,
-    params: SusParams,
-) -> Iterator[tuple[SelectionResult, int]]:
+def _total_schedules(pool: CsiDataset, ks: list[int], methods: set[SelectionMethod], trials: int,
+                     seed: int, params: SusParams) -> Iterator[tuple]:
+    """The schedules of sweep_total_users in row order: every random trial, then SUS."""
     if SelectionMethod.RANDOM in methods:
         for k in ks:
             for trial in range(trials):
-                yield random_select(pool, k, _trial_seed(seed, k, trial)), trial
+                ids = sched._random_ids(pool, k, _trial_seed(seed, k, trial))
+                yield SelectionMethod.RANDOM, trial, ids, None
     if SelectionMethod.SUS in methods:
         for selection in sched._prefix_schedules(pool, ks, params):
-            yield selection, 0
+            yield SelectionMethod.SUS, 0, selection.chosen, selection.fallback_used_from
 
 
 def sweep_total_users(
@@ -283,9 +328,10 @@ def sweep_total_users(
     if unsupported:
         raise ValueError(f"unsupported sweep methods: {sorted(m.value for m in unsupported)}")
 
+    per_k = trials * (SelectionMethod.RANDOM in methods) + (SelectionMethod.SUS in methods)
     schedules = _total_schedules(pool, ks, methods, trials, seed, params)
-    return _table(pool, schedules, sweep="total_users", seed=seed, alpha=params.alpha,
-                  trials=trials, k_min=ks[0], k_max=ks[-1])
+    return _table(pool, schedules, per_k * len(ks), per_k * sum(ks), sweep="total_users",
+                  seed=seed, alpha=params.alpha, trials=trials, k_min=ks[0], k_max=ks[-1])
 
 
 def sweep_layer_grid(
@@ -302,10 +348,13 @@ def sweep_layer_grid(
     grounds, aerials = _sweep_ranges(tuple(pool.layer_counts().values()),
                                      ground_range=ground_range, aerial_range=aerial_range)
 
-    schedules = ((selection, 0)
+    schedules = ((SelectionMethod.SUS_LAYERED, 0, selection.chosen, selection.fallback_used_from)
                  for selection in sched._layered_schedules(pool, grounds, aerials, params))
-    return _table(pool, schedules, sweep="layer_grid", seed=seed, alpha=params.alpha,
-                  ground_min=grounds[0], ground_max=grounds[-1],
+    # every cell but (0, 0), which holds no id
+    n_rows = len(grounds) * len(aerials) - (grounds[0] == aerials[0] == 0)
+    n_ids = len(aerials) * sum(grounds) + len(grounds) * sum(aerials)
+    return _table(pool, schedules, n_rows, n_ids, sweep="layer_grid", seed=seed,
+                  alpha=params.alpha, ground_min=grounds[0], ground_max=grounds[-1],
                   aerial_min=aerials[0], aerial_max=aerials[-1])
 
 
@@ -314,25 +363,26 @@ def max_users_for_min_se(table: SweepTable, method: SelectionMethod, threshold_s
 
     Returns 0 when no k qualifies.
     """
-    if not table.rows:
+    if not len(table):
         raise ValueError("empty sweep table")
-    per_k: dict[int, list[float]] = {}
-    for row in table.rows:
-        if row.method is method:
-            per_k.setdefault(row.k_total, []).append(row.mean_individual_se)
-    if not per_k:
+    mine = table._only(method)
+    if not len(mine):
         raise ValueError(f"table has no rows for method {method.value}")
-    qualifying = [k for k, values in per_k.items() if float(np.mean(values)) >= threshold_se]
+    k_total = mine.k_ground + mine.k_aerial
+    # each k's mean over its values in row order, as np.mean of them sums them
+    qualifying = [k for k in set(k_total.tolist())
+                  if float(np.mean(mine.mean_individual_se[k_total == k])) >= threshold_se]
     return max(qualifying) if qualifying else 0
 
 
 def find_peak(table: SweepTable) -> tuple[int, int, float]:
-    """(k_ground, k_aerial, sum_se) of the best row.
+    """(k_ground, k_aerial, sum_se) of the best row; the first of rows that tie on everything.
 
     Ties on sum_se go to the smaller total user count, then fewer aerial users.
     """
-    if not table.rows:
+    if not len(table):
         raise ValueError("empty sweep table")
-    best = max(table.rows, key=lambda r: (r.sum_se, -r.k_total, -r.k_aerial))
-    return best.k_ground, best.k_aerial, best.sum_se
-
+    sums, aerials = table.sum_se.tolist(), table.k_aerial.tolist()
+    totals = (table.k_ground + table.k_aerial).tolist()
+    best = max(range(len(sums)), key=lambda i: (sums[i], -totals[i], -aerials[i]))
+    return totals[best] - aerials[best], aerials[best], sums[best]

@@ -744,9 +744,8 @@ def tied_tables(draw):
             k_aerial = draw(st.integers(0 if k_ground else 1, 3))
             rows.append(SweepRow(method, k_ground + k_aerial, k_ground, k_aerial,
                                  trial=draw(st.integers(0, 2)), sum_se=draw(TIED_SE),
-                                 mean_individual_se=draw(TIED_SE), fallback_rank=None,
-                                 selection=None))
-    return SweepTable(tuple(rows), meta={"sweep": "tied"})
+                                 mean_individual_se=draw(TIED_SE), fallback_rank=None))
+    return SweepTable.from_rows(rows, meta={"sweep": "tied"})
 
 
 @pytest.fixture(scope="module")

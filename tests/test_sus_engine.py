@@ -222,9 +222,9 @@ def test_total_sweep_sus_rows_match_oracle(pool, alpha):
     params = SusParams(alpha=alpha)
     table = sweep_total_users(pool, range(1, len(pool) + 1), {SelectionMethod.SUS}, params=params)
     assert [row.k_total for row in table.rows] == list(range(1, len(pool) + 1))
-    for row in table.rows:
+    for i, row in enumerate(table.rows):
         expected = oracle_sus(pool, row.k_total, params, None, SelectionMethod.SUS)
-        assert row.selection == expected
+        assert table.selection(i) == expected
         assert row.fallback_rank == expected.fallback_used_from
 
 
@@ -239,10 +239,10 @@ def test_layer_grid_rows_match_oracle(pool, alpha, data):
     table = sweep_layer_grid(pool, grounds, aerials, params)
     cells = [(g, a) for g in sorted(grounds) for a in sorted(aerials) if g or a]
     assert [(row.k_ground, row.k_aerial) for row in table.rows] == cells
-    for row in table.rows:
+    for i, row in enumerate(table.rows):
         caps = {Layer.TERRESTRIAL: row.k_ground, Layer.AERIAL: row.k_aerial}
         expected = oracle_sus(pool, row.k_total, params, caps, SelectionMethod.SUS_LAYERED)
-        assert row.selection == expected
+        assert table.selection(i) == expected
         assert row.fallback_rank == expected.fallback_used_from
 
 
@@ -251,8 +251,8 @@ def test_engine_matches_oracle_on_default_pool(default_pool):
     full = sus_select(default_pool, len(default_pool), params)
     assert full == oracle_sus(default_pool, len(default_pool), params, None, SelectionMethod.SUS)
     table = sweep_layer_grid(default_pool, range(0, 37, 6), range(0, 29, 7), params)
-    for row in table.rows:
+    for i, row in enumerate(table.rows):
         caps = {Layer.TERRESTRIAL: row.k_ground, Layer.AERIAL: row.k_aerial}
-        assert row.selection == oracle_sus(
+        assert table.selection(i) == oracle_sus(
             default_pool, row.k_total, params, caps, SelectionMethod.SUS_LAYERED
         )

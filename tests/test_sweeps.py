@@ -1,3 +1,4 @@
+import dataclasses
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,8 +14,8 @@ from mimoshare import csi
 from mimoshare.csi import Layer
 from mimoshare.sched import (
     SelectionMethod,
-    SelectionResult,
     SusParams,
+    random_select,
     sus_select,
     sus_select_layered,
 )
@@ -23,6 +24,7 @@ from mimoshare.sweeps import (
     SweepRow,
     SweepTable,
     _table,
+    _trial_seed,
     find_peak,
     max_users_for_min_se,
     sweep_layer_grid,
@@ -49,8 +51,16 @@ def manual_row(method, k_ground, k_aerial, trial, sum_se, fallback=None):
         sum_se=sum_se,
         mean_individual_se=sum_se / k_total,
         fallback_rank=fallback,
-        selection=None,
     )
+
+
+def table_of(rows):
+    return SweepTable.from_rows(rows, meta={})
+
+
+def csv_line(row):
+    """The line csv_text writes for ``row``."""
+    return table_of([row]).csv_text().splitlines()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +80,46 @@ def test_sweep_is_reproducible():
     pool = two_layer_random_pool()
     a = sweep_total_users(pool, range(1, 6), trials=3, seed=4)
     b = sweep_total_users(pool, range(1, 6), trials=3, seed=4)
-    assert a.rows == b.rows
+    assert a == b  # every column, schedule and meta
     assert a.csv_text() == b.csv_text()
+
+
+def test_tables_that_differ_only_in_a_schedule_are_unequal():
+    pool = two_layer_random_pool()
+    table = sweep_total_users(pool, [2], methods={SelectionMethod.SUS})
+    ids = table.ids.copy()
+    ids[[0, 1]] = ids[[1, 0]]
+    swapped = dataclasses.replace(table, ids=ids)
+    assert swapped.csv_text() == table.csv_text()
+    assert swapped != table
+    assert dataclasses.replace(table, ids=None, offsets=None) != table
+    assert table_of(table.rows) == table_of(table.rows)
 
 
 def test_rows_reevaluate_exactly():
     pool = two_layer_random_pool(seed=6)
     table = sweep_total_users(pool, range(1, 8), trials=2, seed=0)
-    for row in table.rows:
-        assert evaluate_selection(pool, row.selection).sum_se == row.sum_se
+    for i, row in enumerate(table.rows):
+        assert evaluate_selection(pool, table.selection(i)).sum_se == row.sum_se
+
+
+def test_random_rows_are_random_selects_draws():
+    pool = two_layer_random_pool(seed=6)
+    seed = 5
+    table = sweep_total_users(pool, range(1, 8), trials=3, seed=seed)
+    random_rows = [(i, row) for i, row in enumerate(table.rows)
+                   if row.method is SelectionMethod.RANDOM]
+    assert len(random_rows) == 7 * 3
+    for i, row in random_rows:
+        expected = random_select(pool, row.k_total, _trial_seed(seed, row.k_total, row.trial))
+        assert table.selection(i) == expected
+        assert evaluate_selection(pool, expected).sum_se == row.sum_se
+
+
+def test_a_table_read_from_csv_holds_no_schedules():
+    table = table_of([manual_row(SelectionMethod.SUS, 1, 0, 0, 2.0)])
+    with pytest.raises(ValueError, match="no schedules"):
+        table.selection(0)
 
 
 def test_sus_rows_recorded_once_random_per_trial():
@@ -141,9 +182,9 @@ def test_grid_two_by_two_minus_origin():
 def test_grid_degenerate_rows_have_exact_counts():
     pool = two_layer_random_pool()
     table = sweep_layer_grid(pool, range(0, 4), range(0, 1))
-    for row in table.rows:
+    for i, row in enumerate(table.rows):
         assert row.k_aerial == 0
-        assert row.selection.per_layer_counts[Layer.TERRESTRIAL] == row.k_ground
+        assert pool.layer_counts(table.selection(i).chosen)[Layer.TERRESTRIAL] == row.k_ground
 
 
 def test_grid_completeness():
@@ -181,7 +222,7 @@ def threshold_table():
     rows = [
         manual_row(SelectionMethod.SUS, k, 0, 0, sum_se=k * (10.0 - k)) for k in range(1, 6)
     ]
-    return SweepTable(rows=tuple(rows), meta={})
+    return table_of(rows)
 
 
 def test_max_users_threshold_zero_gives_max_k():
@@ -202,19 +243,18 @@ def test_max_users_averages_trials():
         manual_row(SelectionMethod.RANDOM, 2, 0, 0, sum_se=2 * 7.9),
         manual_row(SelectionMethod.RANDOM, 2, 0, 1, sum_se=2 * 8.1),
     )
-    table = SweepTable(rows=rows, meta={})
-    assert max_users_for_min_se(table, SelectionMethod.RANDOM, 8.0) == 2
+    assert max_users_for_min_se(table_of(rows), SelectionMethod.RANDOM, 8.0) == 2
 
 
 def test_max_users_errors():
     with pytest.raises(ValueError):
-        max_users_for_min_se(SweepTable(rows=(), meta={}), SelectionMethod.SUS, 1.0)
+        max_users_for_min_se(table_of([]), SelectionMethod.SUS, 1.0)
     with pytest.raises(ValueError):
         max_users_for_min_se(threshold_table(), SelectionMethod.RANDOM, 1.0)
 
 
 def test_find_peak_single_row():
-    table = SweepTable(rows=(manual_row(SelectionMethod.SUS, 3, 2, 0, 11.5),), meta={})
+    table = table_of([manual_row(SelectionMethod.SUS, 3, 2, 0, 11.5)])
     assert find_peak(table) == (3, 2, 11.5)
 
 
@@ -225,8 +265,7 @@ def test_find_peak_monotone_surface_hits_corner():
         for ka in range(0, 3)
         if (kg, ka) != (0, 0)
     )
-    table = SweepTable(rows=rows, meta={})
-    assert find_peak(table) == (3, 2, 5.0)
+    assert find_peak(table_of(rows)) == (3, 2, 5.0)
 
 
 def test_find_peak_tie_breaks():
@@ -235,10 +274,9 @@ def test_find_peak_tie_breaks():
         manual_row(SelectionMethod.SUS_LAYERED, 3, 2, 0, 10.0),  # fewer total users wins
         manual_row(SelectionMethod.SUS_LAYERED, 4, 1, 0, 10.0),  # fewer aerial wins at same total
     )
-    table = SweepTable(rows=rows, meta={})
-    assert find_peak(table) == (4, 1, 10.0)
+    assert find_peak(table_of(rows)) == (4, 1, 10.0)
     with pytest.raises(ValueError):
-        find_peak(SweepTable(rows=(), meta={}))
+        find_peak(table_of([]))
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +363,13 @@ def test_grid_names_an_earlier_singular_cell_before_a_later_scheduling_error():
 def test_earliest_failing_row_wins_across_schedule_sizes():
     # the size-2 stack is evaluated first, but its failing row comes later
     pool = collinear_pool()
-    good = SelectionResult((0, 1), pool.layer_counts((0, 1)), SelectionMethod.RANDOM)
-    triple = SelectionResult((0, 1, 2), pool.layer_counts((0, 1, 2)), SelectionMethod.RANDOM)
-    copies = SelectionResult((0, 3), pool.layer_counts((0, 3)), SelectionMethod.RANDOM)
-    scheduled = [(good, 0), (triple, 1), (copies, 2)]
+    random = SelectionMethod.RANDOM
+    scheduled = [(random, 0, (0, 1), None), (random, 1, (0, 1, 2), None), (random, 2, (0, 3), None)]
     with pytest.raises(IllConditionedError, match=r"^cell \(method=random, k=3, trial=1\): "):
-        _table(pool, iter(scheduled))
-    [row] = _table(pool, iter(scheduled[:1])).rows
-    assert row.sum_se == evaluate_selection(pool, good).sum_se
+        _table(pool, iter(scheduled), 3, 7)
+    table = _table(pool, iter(scheduled[:1]), 1, 2)
+    [row] = table.rows
+    assert row.sum_se == evaluate_selection(pool, table.selection(0)).sum_se
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +377,11 @@ def test_earliest_failing_row_wins_across_schedule_sizes():
 # ---------------------------------------------------------------------------
 
 def sweep_outcome(sweep):
-    """A sweep's rows and meta, or the message of the error it fails with."""
+    """A sweep's table, or the message of the error it fails with."""
     try:
-        table = sweep()
+        return sweep()
     except IllConditionedError as exc:
         return str(exc)
-    return table.rows, table.meta
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -373,7 +409,7 @@ def test_a_schedules_result_does_not_depend_on_its_stack(seed, n, spare_antennas
     for bound in (1, rows_per_stack, 10**9):
         with mock.patch.object(csi, "_ROW_BLOCK", bound):
             outcomes.append(sweep_outcome(sweep))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0] == outcomes[1] == outcomes[2]  # tables compare schedules too
 
 
 # stacks of at most _ROW_BLOCK channel rows take ~0.7 MiB above the table
@@ -398,6 +434,27 @@ def test_a_sweeps_working_set_stays_near_its_table(default_pool, sweep):
     over_mb = (peak - retained) / 2**20
     assert over_mb < SWEEP_WORKING_SET_MARGIN_MB, (
         f"the sweep peaked {over_mb:.2f} MiB above its retained table")
+
+
+# the default total-users sweep at 100 trials holds 6,464 rows and 210,080
+# ids: ~1.96 MiB as columns and one id array (tracemalloc), ~11.5 MiB when
+# each row kept its schedule as objects; the sweep peaks ~0.9 MiB above it
+TABLE_AT_100_TRIALS_MB = 2
+SWEEP_PEAK_AT_100_TRIALS_MB = 5
+
+
+def test_a_sweeps_table_and_peak_do_not_grow_with_objects_per_row(default_pool):
+    sweep_total_users(default_pool, [1, 64], trials=1)  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        table = sweep_total_users(default_pool, range(1, 65), trials=100)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) == 64 * 101
+    retained_mb, peak_mb = retained / 2**20, peak / 2**20
+    assert retained_mb <= TABLE_AT_100_TRIALS_MB, f"the table holds {retained_mb:.2f} MiB"
+    assert peak_mb <= SWEEP_PEAK_AT_100_TRIALS_MB, f"the sweep peaked at {peak_mb:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +510,7 @@ def test_csv_header_and_shape():
 
 def test_csv_six_significant_digits():
     row = manual_row(SelectionMethod.SUS, 3, 0, 0, sum_se=123.4567891, fallback=2)
-    assert row.csv_line() == "sus,3,3,0,0,123.457,41.1523,2"
+    assert csv_line(row) == "sus,3,3,0,0,123.457,41.1523,2"
 
 
 @st.composite
@@ -471,22 +528,32 @@ def sweep_rows(draw):
         sum_se=draw(se),
         mean_individual_se=draw(se),
         fallback_rank=draw(st.none() | st.integers(0, k_ground + k_aerial - 1)),
-        selection=None,
     )
 
 
 @settings(max_examples=50, deadline=None)
 @given(rows=st.lists(sweep_rows(), max_size=20))
 def test_from_csv_reads_back_what_csv_text_writes(rows):
-    text = SweepTable(tuple(rows), meta={}).csv_text()
+    text = table_of(rows).csv_text()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sweep.csv"
         path.write_text(text)
         assert SweepTable.from_csv(path).csv_text() == text
 
 
+@pytest.mark.parametrize("line", ["sus,1,1,0,9223372036854775808,2,2,",
+                                  "sus,9223372036854775808,9223372036854775808,0,0,2,2,"])
+def test_a_count_beyond_the_int64_columns_is_named(tmp_path, line):
+    path = tmp_path / "sweep.csv"
+    path.write_text(f"{CSV_HEADER}\nsus,1,1,0,0,2,2,\n{line}\n")
+    with pytest.raises(ValueError, match=rf"^{path}:3: k_total and trial must be below 2\*\*63"):
+        SweepTable.from_csv(path)
+    path.write_text(f"{CSV_HEADER}\n{line.replace('9223372036854775808', '9223372036854775807')}\n")
+    assert SweepTable.from_csv(path).csv_text() == path.read_text()
+
+
 @settings(derandomize=True, deadline=None, max_examples=FUZZ_EXAMPLES)
-@given(data=text_file_bytes(sweep_rows().map(SweepRow.csv_line), header=CSV_HEADER))
+@given(data=text_file_bytes(sweep_rows().map(csv_line), header=CSV_HEADER))
 def test_any_table_file_is_read_or_named(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sweep.csv"
