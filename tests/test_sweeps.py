@@ -369,6 +369,7 @@ def test_earliest_failing_row_wins_across_schedule_sizes():
         _table(pool, iter(scheduled), 3, 7)
     table = _table(pool, iter(scheduled[:1]), 1, 2)
     [row] = table.rows
+    assert table.selection(0).chosen == (0, 1)
     assert row.sum_se == evaluate_selection(pool, table.selection(0)).sum_se
 
 
