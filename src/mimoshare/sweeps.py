@@ -1,16 +1,16 @@
 """Experiment harness: SE vs. total users, the per-layer quota grid, and analysis helpers.
 
-A table holds its rows as columns and every schedule as one flat id array, so
-any table entry can be re-evaluated standalone. Rows are ordered canonically
+A table holds the rows its CSV holds, as columns, and no schedule: a row is
+replayed by its selector (``random_select`` with ``_trial_seed``,
+``sus_select`` or ``sus_select_layered``). Rows are ordered canonically
 (method, k_ground, k_aerial, trial) regardless of how the grid was executed.
 
-A sweep writes each schedule into its table as it is scheduled, then
-evaluates the schedules of each size K in (B, K, M) stacks of at most
-``_ROW_BLOCK`` channel rows, in closed form, at unit transmit power (the
-pool's noise power sets the SNR), so its working set does not grow with the
-trials or the grid. Scheduling over validated ranges cannot fail; an
-ill-conditioned row still names the cell a row-by-row run would have stopped
-at.
+A sweep gathers the schedules of each size K into a (B, K, M) stack and
+evaluates it, in closed form, at unit transmit power (the pool's noise power
+sets the SNR), as soon as it holds ``_ROW_BLOCK`` channel rows, so its
+working set does not grow with the trials or the grid. Scheduling over
+validated ranges cannot fail; an ill-conditioned row still names the cell a
+row-by-row run would have stopped at.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .csi import CsiDataset, Layer
-from .sched import SelectionMethod, SelectionResult, SusParams
+from .sched import SelectionMethod, SusParams
 # private helpers are called through their modules: perfbench/tracer.py wraps
 # the functions imported here by name, and expects a schedule from each sched
 # function and an SeReport from each zfmetrics one
@@ -87,9 +87,7 @@ class SweepTable:
     """Result rows as (R,) columns, plus the run metadata needed to reproduce them.
 
     A method code indexes ``tuple(SelectionMethod)``, and a fallback rank of
-    -1 is none. Row i's schedule is ``ids[offsets[i]:offsets[i + 1]]``; a
-    table read from CSV has none. Equal tables have equal columns, schedules
-    and meta.
+    -1 is none. Equal tables have equal columns and meta.
     """
 
     method_codes: np.ndarray
@@ -100,23 +98,19 @@ class SweepTable:
     mean_individual_se: np.ndarray
     fallback_rank: np.ndarray
     meta: dict
-    ids: np.ndarray | None = None  # every schedule's record ids, in row order
-    offsets: np.ndarray | None = None  # (R + 1,)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SweepTable):
             return NotImplemented
-        # np.array_equal holds None (no schedules) equal to None only
         return self.meta == other.meta and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in (*_COLUMNS, "ids", "offsets"))
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
 
     def __len__(self) -> int:
         return len(self.method_codes)
 
     @classmethod
     def from_rows(cls, rows: Iterable[SweepRow], meta: dict) -> SweepTable:
-        """The table of these rows, without schedules; k_total is taken as k_ground + k_aerial."""
+        """The table of these rows; k_total is taken as k_ground + k_aerial."""
         values = [(_METHODS.index(row.method), row.k_ground, row.k_aerial, row.trial, row.sum_se,
                    row.mean_individual_se, -1 if row.fallback_rank is None else row.fallback_rank)
                   for row in rows]
@@ -136,17 +130,8 @@ class SweepTable:
         """Every row as a :class:`SweepRow`, built on access."""
         return list(map(SweepRow._make, self._fields()))
 
-    def selection(self, i: int) -> SelectionResult:
-        """Row i's schedule, rebuilt as a :class:`SelectionResult`."""
-        if self.offsets is None:
-            raise ValueError("a table read from CSV holds no schedules")
-        counts = {Layer.TERRESTRIAL: int(self.k_ground[i]), Layer.AERIAL: int(self.k_aerial[i])}
-        rank = int(self.fallback_rank[i])
-        return SelectionResult(tuple(self.ids[self.offsets[i]:self.offsets[i + 1]].tolist()),
-                               counts, _METHODS[self.method_codes[i]], None if rank < 0 else rank)
-
     def _only(self, method: SelectionMethod) -> SweepTable:
-        """The rows of one method, without schedules."""
+        """The rows of one method."""
         mine = self.method_codes == _METHODS.index(method)
         return SweepTable(*(getattr(self, name)[mine] for name in _COLUMNS), meta=self.meta)
 
@@ -166,7 +151,7 @@ class SweepTable:
 
     @classmethod
     def from_csv(cls, path) -> SweepTable:
-        """The table ``csv_text`` wrote, without schedules; a bad row names its file and line."""
+        """The table ``csv_text`` wrote; a bad row names its file and line."""
         lines = csi._text_lines(path)
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError(f"{path}: not a sweep table (unexpected header)")
@@ -225,47 +210,50 @@ def _sweep_ranges(populations: tuple[float, float], m_antennas: float = math.inf
     return checked
 
 
-def _table(pool: CsiDataset, schedules: Iterator[tuple], n_rows: int, n_ids: int,
-           **meta) -> SweepTable:
-    """The table of the ``n_rows`` schedules, ``n_ids`` ids in all, the iterator yields.
+def _table(pool: CsiDataset, schedules: Iterator[tuple], **meta) -> SweepTable:
+    """The table of the schedules the iterator yields, one row each, in order.
 
-    Each schedule is (method, trial, record ids, fallback rank or None), and
-    is written into the table's arrays as it is yielded. The schedules of
-    each size K are then evaluated in (B, K, M) stacks of at most
-    ``csi._ROW_BLOCK`` channel rows, and at least one schedule each; a
+    Each schedule is (method, trial, record ids, fallback rank or None). The
+    schedules of each size K are gathered into a (B, K, M) stack, which is
+    evaluated as soon as it holds ``csi._ROW_BLOCK // K`` schedules, and at
+    least one; the stacks still partial are evaluated at the end. A
     schedule's result does not depend on its stack. The earliest row the
     closed form does not clear, in row order across every stack, the one a
     row-by-row run would have stopped at, raises its error named by its
     cell. The table's meta is the pool's and ``meta``.
     """
-    codes = np.empty(n_rows, np.int8)
-    trials, ranks, k_aerial = (np.empty(n_rows, np.int64) for _ in range(3))
-    ids, offsets = np.empty(n_ids, np.int64), np.zeros(n_rows + 1, np.int64)
-    by_size: dict[int, list[int]] = {}
-    end = 0
+    noise_power = zfmetrics._noise_power(pool)
+    codes, trials, ranks, sizes, k_aerial, sums = [], [], [], [], [], []
+    stacks: dict[int, list[tuple]] = {}  # K -> the (row, ids) of its stack being filled
+    failed = None  # (row, ids) of the earliest row not cleared
+
+    def evaluate(stack: list[tuple]) -> None:
+        nonlocal failed
+        rows = pool._rows_of(np.concatenate([chosen for _, chosen in stack]))
+        channels = pool.channels[rows].reshape(len(stack), -1, pool.m_antennas)
+        aerial = pool.layer_codes[rows].reshape(len(stack), -1) == Layer.AERIAL.code
+        sinr, cleared = zfmetrics._screened_sinr(channels, noise_power)
+        for (n, chosen), count, ok, row_se in zip(stack, np.count_nonzero(aerial, axis=1).tolist(),
+                                                  cleared, zfmetrics.spectral_efficiency(sinr)):
+            k_aerial[n] = count
+            if ok:
+                sums[n] = zfmetrics.sum_se(row_se)
+            elif failed is None or n < failed[0]:
+                failed = n, chosen
+
     for n, (method, trial, chosen, rank) in enumerate(schedules):
-        start, end = end, end + len(chosen)
-        ids[start:end] = chosen
-        offsets[n + 1] = end
-        codes[n], trials[n], ranks[n] = _METHODS.index(method), trial, -1 if rank is None else rank
-        by_size.setdefault(len(chosen), []).append(n)
-    noise_power = zfmetrics._noise_power(pool) if n_rows else None
-    sums = np.zeros(n_rows)
-    uncleared: list[int] = []
-    for k, positions in by_size.items():
-        per_stack = max(1, csi._ROW_BLOCK // k)
-        for first in range(0, len(positions), per_stack):
-            stack = positions[first:first + per_stack]
-            rows = pool._rows_of(ids[offsets[stack][:, None] + np.arange(k)].ravel())
-            channels = pool.channels[rows].reshape(len(stack), k, pool.m_antennas)
-            aerial = pool.layer_codes[rows].reshape(len(stack), k) == Layer.AERIAL.code
-            k_aerial[stack] = np.count_nonzero(aerial, axis=1)
-            sinr, cleared = zfmetrics._screened_sinr(channels, noise_power)
-            for n, ok, row_se in zip(stack, cleared, zfmetrics.spectral_efficiency(sinr)):
-                if ok:
-                    sums[n] = zfmetrics.sum_se(row_se)
-                else:
-                    uncleared.append(n)
+        codes.append(_METHODS.index(method))
+        trials.append(trial)
+        ranks.append(-1 if rank is None else rank)
+        sizes.append(len(chosen))
+        k_aerial.append(0)
+        sums.append(0.0)
+        stack = stacks.setdefault(len(chosen), [])
+        stack.append((n, chosen))
+        if len(stack) == max(1, csi._ROW_BLOCK // len(chosen)):
+            evaluate(stacks.pop(len(chosen)))
+    for stack in stacks.values():
+        evaluate(stack)
     counts = pool.layer_counts()
     pool_meta = {
         "snr_db": pool.snr_target_db,
@@ -274,15 +262,15 @@ def _table(pool: CsiDataset, schedules: Iterator[tuple], n_rows: int, n_ids: int
         "m_antennas": pool.m_antennas,
         "dataset_fingerprint": pool.fingerprint(),
     }
-    sizes = np.diff(offsets)
-    table = SweepTable(codes, sizes - k_aerial, k_aerial, trials, sums, sums / sizes, ranks,
-                       meta={**pool_meta, **meta}, ids=ids, offsets=offsets)
-    if uncleared:
-        row = table.rows[min(uncleared)]
+    sizes, k_aerial, sums = np.array(sizes), np.array(k_aerial), np.array(sums)
+    columns = (codes, sizes - k_aerial, k_aerial, trials, sums, sums / sizes, ranks)
+    table = SweepTable(*map(np.asarray, columns, _COLUMNS.values()), meta={**pool_meta, **meta})
+    if failed:
+        row = table.rows[failed[0]]
         cell = (f"k_ground={row.k_ground}, k_aerial={row.k_aerial}"
                 if row.method is SelectionMethod.SUS_LAYERED
                 else f"method={row.method.value}, k={row.k_total}, trial={row.trial}")
-        exc = zfmetrics._rejection(pool.channels_for(table.selection(min(uncleared)).chosen))
+        exc = zfmetrics._rejection(pool.channels_for(failed[1]))
         raise IllConditionedError(f"cell ({cell}): {exc}") from exc
     return table
 
@@ -328,10 +316,9 @@ def sweep_total_users(
     if unsupported:
         raise ValueError(f"unsupported sweep methods: {sorted(m.value for m in unsupported)}")
 
-    per_k = trials * (SelectionMethod.RANDOM in methods) + (SelectionMethod.SUS in methods)
-    schedules = _total_schedules(pool, ks, methods, trials, seed, params)
-    return _table(pool, schedules, per_k * len(ks), per_k * sum(ks), sweep="total_users",
-                  seed=seed, alpha=params.alpha, trials=trials, k_min=ks[0], k_max=ks[-1])
+    return _table(pool, _total_schedules(pool, ks, methods, trials, seed, params),
+                  sweep="total_users", seed=seed, alpha=params.alpha, trials=trials, k_min=ks[0],
+                  k_max=ks[-1])
 
 
 def sweep_layer_grid(
@@ -350,10 +337,7 @@ def sweep_layer_grid(
 
     schedules = ((SelectionMethod.SUS_LAYERED, 0, selection.chosen, selection.fallback_used_from)
                  for selection in sched._layered_schedules(pool, grounds, aerials, params))
-    # every cell but (0, 0), which holds no id
-    n_rows = len(grounds) * len(aerials) - (grounds[0] == aerials[0] == 0)
-    n_ids = len(aerials) * sum(grounds) + len(grounds) * sum(aerials)
-    return _table(pool, schedules, n_rows, n_ids, sweep="layer_grid", seed=seed,
+    return _table(pool, schedules, sweep="layer_grid", seed=seed,
                   alpha=params.alpha, ground_min=grounds[0], ground_max=grounds[-1],
                   aerial_min=aerials[0], aerial_max=aerials[-1])
 

@@ -15,6 +15,7 @@ from mimoshare.csi import (
     normalize_to_snr,
     subsample_pool,
 )
+from mimoshare.zfmetrics import evaluate_selection
 
 
 def pool_from_vectors(vectors, layers=None, snr_db=20.0):
@@ -34,6 +35,14 @@ def random_unit_channels(rng, k, m):
     """K unit-norm complex Gaussian channel rows."""
     h = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) / np.sqrt(2)
     return h / np.linalg.norm(h, axis=1, keepdims=True)
+
+
+def assert_row_is(pool, row, selection):
+    """The sweep row holds the schedule's layer counts and fallback rank, and exactly its SE."""
+    counts = selection.per_layer_counts
+    assert (row.k_ground, row.k_aerial) == (counts[Layer.TERRESTRIAL], counts[Layer.AERIAL])
+    assert row.fallback_rank == selection.fallback_used_from
+    assert row.sum_se == evaluate_selection(pool, selection).sum_se
 
 
 # every text reader's fuzz test bounds its examples by this

@@ -3,8 +3,10 @@
 ``oracle_sus`` is the original single-shot engine, kept verbatim as the
 reference: one independent run per request, with the layer caps applied
 through an open-mask closure. The library's ``sus_select``,
-``sus_select_layered`` and the SUS rows of both sweeps must reproduce it
-exactly, fallback ranks included. With ``fail`` set, the oracle raises where
+``sus_select_layered`` and the shared-run drivers of both sweeps
+(``sched._prefix_schedules``, ``sched._layered_schedules``) must reproduce it
+exactly, fallback ranks included, and each SUS row of a sweep must hold the
+evaluation of its oracle schedule. With ``fail`` set, the oracle raises where
 pruning runs dry instead of falling back; the engine's recorded fallback rank
 must be that signal.
 """
@@ -13,7 +15,8 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import pool_from_vectors
+from conftest import assert_row_is, pool_from_vectors
+from mimoshare import sched
 from mimoshare.csi import CsiDataset, Layer
 from mimoshare.sched import (
     SelectionError,
@@ -216,16 +219,30 @@ def test_sus_prefix_property(pool, alpha):
         assert part.fallback_used_from == (f if f is not None and f < k else None)
 
 
+def assert_rows_are(pool, table, schedules):
+    """Row i holds schedule i's layer counts and fallback rank, and exactly its summed SE."""
+    assert len(table) == len(schedules)
+    for row, schedule in zip(table.rows, schedules):
+        assert_row_is(pool, row, schedule)
+
+
+def layered_oracle_schedules(pool, grounds, aerials, params):
+    """The oracle's layered schedule of every grid cell but (0, 0), in row order."""
+    return [oracle_sus(pool, g + a, params, {Layer.TERRESTRIAL: g, Layer.AERIAL: a},
+                       SelectionMethod.SUS_LAYERED)
+            for g in grounds for a in aerials if g or a]
+
+
 @HYPOTHESIS
 @given(pool=two_layer_pools(wide=True), alpha=ALPHAS)
 def test_total_sweep_sus_rows_match_oracle(pool, alpha):
     params = SusParams(alpha=alpha)
-    table = sweep_total_users(pool, range(1, len(pool) + 1), {SelectionMethod.SUS}, params=params)
-    assert [row.k_total for row in table.rows] == list(range(1, len(pool) + 1))
-    for i, row in enumerate(table.rows):
-        expected = oracle_sus(pool, row.k_total, params, None, SelectionMethod.SUS)
-        assert table.selection(i) == expected
-        assert row.fallback_rank == expected.fallback_used_from
+    ks = list(range(1, len(pool) + 1))
+    expected = [oracle_sus(pool, k, params, None, SelectionMethod.SUS) for k in ks]
+    assert list(sched._prefix_schedules(pool, ks, params)) == expected
+    table = sweep_total_users(pool, ks, {SelectionMethod.SUS}, params=params)
+    assert [row.k_total for row in table.rows] == ks
+    assert_rows_are(pool, table, expected)
 
 
 @HYPOTHESIS
@@ -233,26 +250,23 @@ def test_total_sweep_sus_rows_match_oracle(pool, alpha):
 def test_layer_grid_rows_match_oracle(pool, alpha, data):
     params = SusParams(alpha=alpha)
     counts = pool.layer_counts()
-    grounds = data.draw(st.sets(st.integers(0, counts[Layer.TERRESTRIAL]), min_size=1))
-    aerials = data.draw(st.sets(st.integers(0, counts[Layer.AERIAL]), min_size=1))
-    assume(grounds != {0} or aerials != {0})
+    grounds = sorted(data.draw(st.sets(st.integers(0, counts[Layer.TERRESTRIAL]), min_size=1)))
+    aerials = sorted(data.draw(st.sets(st.integers(0, counts[Layer.AERIAL]), min_size=1)))
+    assume(grounds != [0] or aerials != [0])
+    expected = layered_oracle_schedules(pool, grounds, aerials, params)
+    assert list(sched._layered_schedules(pool, grounds, aerials, params)) == expected
     table = sweep_layer_grid(pool, grounds, aerials, params)
-    cells = [(g, a) for g in sorted(grounds) for a in sorted(aerials) if g or a]
+    cells = [(g, a) for g in grounds for a in aerials if g or a]
     assert [(row.k_ground, row.k_aerial) for row in table.rows] == cells
-    for i, row in enumerate(table.rows):
-        caps = {Layer.TERRESTRIAL: row.k_ground, Layer.AERIAL: row.k_aerial}
-        expected = oracle_sus(pool, row.k_total, params, caps, SelectionMethod.SUS_LAYERED)
-        assert table.selection(i) == expected
-        assert row.fallback_rank == expected.fallback_used_from
+    assert_rows_are(pool, table, expected)
 
 
 def test_engine_matches_oracle_on_default_pool(default_pool):
     params = SusParams()
     full = sus_select(default_pool, len(default_pool), params)
     assert full == oracle_sus(default_pool, len(default_pool), params, None, SelectionMethod.SUS)
-    table = sweep_layer_grid(default_pool, range(0, 37, 6), range(0, 29, 7), params)
-    for i, row in enumerate(table.rows):
-        caps = {Layer.TERRESTRIAL: row.k_ground, Layer.AERIAL: row.k_aerial}
-        assert table.selection(i) == oracle_sus(
-            default_pool, row.k_total, params, caps, SelectionMethod.SUS_LAYERED
-        )
+    grounds, aerials = list(range(0, 37, 6)), list(range(0, 29, 7))
+    expected = layered_oracle_schedules(default_pool, grounds, aerials, params)
+    assert list(sched._layered_schedules(default_pool, grounds, aerials, params)) == expected
+    assert_rows_are(default_pool, sweep_layer_grid(default_pool, grounds, aerials, params),
+                    expected)

@@ -9,11 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FUZZ_EXAMPLES, pool_from_vectors, random_unit_channels, text_file_bytes
-from mimoshare import csi
+from conftest import (
+    FUZZ_EXAMPLES,
+    assert_row_is,
+    pool_from_vectors,
+    random_unit_channels,
+    text_file_bytes,
+)
+from mimoshare import csi, zfmetrics
 from mimoshare.csi import Layer
 from mimoshare.sched import (
     SelectionMethod,
+    SelectionResult,
     SusParams,
     random_select,
     sus_select,
@@ -80,46 +87,34 @@ def test_sweep_is_reproducible():
     pool = two_layer_random_pool()
     a = sweep_total_users(pool, range(1, 6), trials=3, seed=4)
     b = sweep_total_users(pool, range(1, 6), trials=3, seed=4)
-    assert a == b  # every column, schedule and meta
+    assert a == b  # every column and meta
     assert a.csv_text() == b.csv_text()
 
 
-def test_tables_that_differ_only_in_a_schedule_are_unequal():
-    pool = two_layer_random_pool()
-    table = sweep_total_users(pool, [2], methods={SelectionMethod.SUS})
-    ids = table.ids.copy()
-    ids[[0, 1]] = ids[[1, 0]]
-    swapped = dataclasses.replace(table, ids=ids)
-    assert swapped.csv_text() == table.csv_text()
-    assert swapped != table
-    assert dataclasses.replace(table, ids=None, offsets=None) != table
-    assert table_of(table.rows) == table_of(table.rows)
+def replayed(pool, row, seed=0):
+    """Row's schedule, drawn again by the public selector of its method."""
+    if row.method is SelectionMethod.RANDOM:
+        return random_select(pool, row.k_total, _trial_seed(seed, row.k_total, row.trial))
+    if row.method is SelectionMethod.SUS:
+        return sus_select(pool, row.k_total)
+    return sus_select_layered(pool, {Layer.TERRESTRIAL: row.k_ground, Layer.AERIAL: row.k_aerial})
 
 
 def test_rows_reevaluate_exactly():
     pool = two_layer_random_pool(seed=6)
     table = sweep_total_users(pool, range(1, 8), trials=2, seed=0)
-    for i, row in enumerate(table.rows):
-        assert evaluate_selection(pool, table.selection(i)).sum_se == row.sum_se
+    for row in table.rows:
+        assert_row_is(pool, row, replayed(pool, row))
 
 
 def test_random_rows_are_random_selects_draws():
     pool = two_layer_random_pool(seed=6)
     seed = 5
     table = sweep_total_users(pool, range(1, 8), trials=3, seed=seed)
-    random_rows = [(i, row) for i, row in enumerate(table.rows)
-                   if row.method is SelectionMethod.RANDOM]
+    random_rows = [row for row in table.rows if row.method is SelectionMethod.RANDOM]
     assert len(random_rows) == 7 * 3
-    for i, row in random_rows:
-        expected = random_select(pool, row.k_total, _trial_seed(seed, row.k_total, row.trial))
-        assert table.selection(i) == expected
-        assert evaluate_selection(pool, expected).sum_se == row.sum_se
-
-
-def test_a_table_read_from_csv_holds_no_schedules():
-    table = table_of([manual_row(SelectionMethod.SUS, 1, 0, 0, 2.0)])
-    with pytest.raises(ValueError, match="no schedules"):
-        table.selection(0)
+    for row in random_rows:
+        assert_row_is(pool, row, replayed(pool, row, seed))
 
 
 def test_sus_rows_recorded_once_random_per_trial():
@@ -182,9 +177,12 @@ def test_grid_two_by_two_minus_origin():
 def test_grid_degenerate_rows_have_exact_counts():
     pool = two_layer_random_pool()
     table = sweep_layer_grid(pool, range(0, 4), range(0, 1))
-    for i, row in enumerate(table.rows):
+    assert [row.k_ground for row in table.rows] == [1, 2, 3]
+    for row in table.rows:
         assert row.k_aerial == 0
-        assert pool.layer_counts(table.selection(i).chosen)[Layer.TERRESTRIAL] == row.k_ground
+        selection = sus_select_layered(pool, {Layer.TERRESTRIAL: row.k_ground})
+        assert pool.layer_counts(selection.chosen)[Layer.TERRESTRIAL] == row.k_ground
+        assert_row_is(pool, row, selection)
 
 
 def test_grid_completeness():
@@ -366,11 +364,22 @@ def test_earliest_failing_row_wins_across_schedule_sizes():
     random = SelectionMethod.RANDOM
     scheduled = [(random, 0, (0, 1), None), (random, 1, (0, 1, 2), None), (random, 2, (0, 3), None)]
     with pytest.raises(IllConditionedError, match=r"^cell \(method=random, k=3, trial=1\): "):
-        _table(pool, iter(scheduled), 3, 7)
-    table = _table(pool, iter(scheduled[:1]), 1, 2)
-    [row] = table.rows
-    assert table.selection(0).chosen == (0, 1)
-    assert row.sum_se == evaluate_selection(pool, table.selection(0)).sum_se
+        _table(pool, iter(scheduled))
+    [row] = _table(pool, iter(scheduled[:1])).rows
+    assert_row_is(pool, row, SelectionResult((0, 1), pool.layer_counts((0, 1)), random))
+    # at 6 channel rows a stack, the size-2 stack fills at row 3 and is
+    # evaluated, failing at row 1, while row 0's size-3 stack is still partial
+    scheduled = [(random, 0, (0, 1, 2), None), (random, 1, (0, 3), None),
+                 (random, 2, (0, 1), None), (random, 3, (1, 4), None)]
+    screen = mock.patch.object(zfmetrics, "_screened_sinr", wraps=zfmetrics._screened_sinr)
+    with mock.patch.object(csi, "_ROW_BLOCK", 6), screen as spy:
+        with pytest.raises(IllConditionedError) as failed:
+            _table(pool, iter(scheduled))
+    assert [call.args[0].shape[:2] for call in spy.call_args_list] == [(3, 2), (1, 3)]
+    with pytest.raises(IllConditionedError) as alone:
+        _table(pool, iter(scheduled[:1]))
+    assert str(alone.value).startswith("cell (method=random, k=3, trial=0): ")
+    assert str(failed.value) == str(alone.value)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +422,11 @@ def test_a_schedules_result_does_not_depend_on_its_stack(seed, n, spare_antennas
     assert outcomes[0] == outcomes[1] == outcomes[2]  # tables compare schedules too
 
 
-# stacks of at most _ROW_BLOCK channel rows take ~0.7 MiB above the table
-# (tracemalloc); one stack of all 21 schedules of K = 64 with its copies takes
-# ~5.1 MiB, and the grid's one stack a size ~3.1 MiB
+# stacks of at most _ROW_BLOCK channel rows, each evaluated as it fills, take
+# ~1.0 MiB above the table on the total sweep and ~1.6 MiB on the grid, whose
+# SUS branch states coexist with the stack temporaries (tracemalloc); one
+# stack of all 21 schedules of K = 64 with its copies takes ~5.1 MiB, and the
+# grid's one stack a size ~3.1 MiB
 SWEEP_WORKING_SET_MARGIN_MB = 2
 
 
@@ -437,11 +448,12 @@ def test_a_sweeps_working_set_stays_near_its_table(default_pool, sweep):
         f"the sweep peaked {over_mb:.2f} MiB above its retained table")
 
 
-# the default total-users sweep at 100 trials holds 6,464 rows and 210,080
-# ids: ~1.96 MiB as columns and one id array (tracemalloc), ~11.5 MiB when
-# each row kept its schedule as objects; the sweep peaks ~0.9 MiB above it
-TABLE_AT_100_TRIALS_MB = 2
-SWEEP_PEAK_AT_100_TRIALS_MB = 5
+# the default total-users sweep at 100 trials holds 6,464 rows: ~0.32 MiB as
+# columns (tracemalloc), ~1.96 MiB when the table also kept its 210,080
+# schedule ids and ~11.5 MiB when each row kept its schedule as objects; the
+# sweep peaks at ~1.45 MiB, ~1.1 MiB above its table
+TABLE_AT_100_TRIALS_MB = 1
+SWEEP_PEAK_AT_100_TRIALS_MB = 3
 
 
 def test_a_sweeps_table_and_peak_do_not_grow_with_objects_per_row(default_pool):
@@ -540,6 +552,18 @@ def test_from_csv_reads_back_what_csv_text_writes(rows):
         path = Path(tmp) / "sweep.csv"
         path.write_text(text)
         assert SweepTable.from_csv(path).csv_text() == text
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda pool: sweep_total_users(pool, range(1, 9), trials=3, seed=2),
+    lambda pool: sweep_layer_grid(pool, range(5), range(5)),
+], ids=["total", "grid"])
+def test_a_sweeps_csv_reads_back_as_the_table_it_summarizes(tmp_path, sweep):
+    # a sweep summarizes _as_written(), and report what from_csv reads back
+    table = sweep(two_layer_random_pool(seed=6))
+    path = tmp_path / "sweep.csv"
+    path.write_text(table.csv_text())
+    assert dataclasses.replace(SweepTable.from_csv(path), meta=table.meta) == table._as_written()
 
 
 @pytest.mark.parametrize("line", ["sus,1,1,0,9223372036854775808,2,2,",
