@@ -82,29 +82,24 @@ def _check_finite(gains: np.ndarray) -> None:
         raise ValueError("channel vector contains NaN or Inf components")
 
 
-def _as_channel(gains) -> np.ndarray:
-    """Validate and coerce one channel vector to a read-only complex array."""
-    h = np.asarray(gains, dtype=np.complex128)
-    if h.ndim != 1 or h.shape[0] == 0:
-        raise ValueError(f"channel vector must be 1-D and non-empty, got shape {h.shape}")
-    _check_finite(h)
-    if h.flags.writeable:
-        h = h.copy()
-        h.flags.writeable = False
-    return h
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array; a TypeError names the first that is a bool or no integer."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        values = list(values)
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} {value!r} is not an integer")
+    return np.asarray(values, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class CsiRecord:
-    """One candidate user location: a timestamped channel snapshot."""
+    """One candidate user location: a timestamped channel, checked by the dataset it joins."""
 
     index: int
     layer: Layer
     timestep_ms: int
     channel: np.ndarray  # (M,) complex gains across the BS antennas
-
-    def __post_init__(self):
-        object.__setattr__(self, "channel", _as_channel(self.channel))
 
 
 class _RecordView(Sequence):
@@ -118,6 +113,8 @@ class _RecordView(Sequence):
 
     def __getitem__(self, pos):
         ds = self._dataset
+        if isinstance(pos, slice):
+            return _RecordView(ds.take(pos))
         return CsiRecord(int(ds.ids[pos]), list(Layer)[ds.layer_codes[pos]],
                          int(ds.timesteps_ms[pos]), ds.channels[pos])
 
@@ -129,10 +126,11 @@ class CsiDataset:
     Columnar: row p of each array belongs to the p-th record, and every array
     is read-only, so instances are immutable and safe to share across
     concurrent evaluations. ``CsiDataset(records, m_antennas, ...)`` builds
-    one from :class:`CsiRecord` objects; ``records`` builds them back, one
-    per access. ``noise_power`` is the linear noise variance implied by the
-    target SNR, set by :func:`normalize_to_snr`; until then the dataset is
-    un-normalized (``scale_applied`` 1, ``noise_power`` None).
+    one from :class:`CsiRecord` objects, the one place a record is checked;
+    ``records`` builds them back, one per access, each channel a read-only row.
+    ``noise_power`` is the linear noise variance implied by the target SNR,
+    set by :func:`normalize_to_snr`; until then the dataset is un-normalized
+    (``scale_applied`` 1, ``noise_power`` None).
     """
 
     m_antennas: int
@@ -148,17 +146,15 @@ class CsiDataset:
                  noise_power: float | None = None, snr_target_db: float | None = None):
         records = tuple(records)
         for rec in records:
-            if rec.channel.shape != (m_antennas,):
-                raise ValueError(
-                    f"record {rec.index}: channel length {rec.channel.shape[0]} "
-                    f"does not match dataset m_antennas={m_antennas}"
-                )
+            if np.shape(rec.channel) != (m_antennas,):
+                raise ValueError(f"record {rec.index}: channel shape {np.shape(rec.channel)} "
+                                 f"does not match dataset m_antennas={m_antennas}")
         self._set(
             m_antennas,
             np.array([r.channel for r in records], np.complex128).reshape(len(records), m_antennas),
-            np.array([r.index for r in records], dtype=np.int64),
+            _integers([r.index for r in records], "record index"),
             np.array([r.layer.code for r in records], dtype=np.int8),
-            np.array([r.timestep_ms for r in records], dtype=np.int64),
+            _integers([r.timestep_ms for r in records], "timestep_ms"),
             scale_applied, noise_power, snr_target_db,
         )
 
@@ -202,7 +198,7 @@ class CsiDataset:
 
     def _rows_of(self, indices: Iterable[int]) -> np.ndarray:
         """Row positions of the given record ids; KeyError names an unknown id."""
-        wanted = np.fromiter(indices, dtype=np.int64)
+        wanted = _integers(indices, "record id")
         ranks = np.searchsorted(self.ids, wanted, sorter=self._id_order)
         rows = self._id_order.take(ranks, mode="clip")
         unknown = wanted[self.ids[rows] != wanted]
@@ -326,12 +322,16 @@ def _capture_source(captures: Iterable[tuple]) -> tuple:
         if fmt.m_antennas != m:
             raise ValueError(f"captures disagree on antenna count: {path} has M={fmt.m_antennas}, "
                              f"but the first capture {plan[0][0]} has M={m}")
-    codes = np.concatenate([np.full(rows, layer.code, dtype=np.int8)
-                            for _, _, layer, _, rows in plan])
-    timesteps = np.concatenate([np.round(np.arange(rows) * interval).astype(np.int64)
-                                for _, _, _, interval, rows in plan])
-    columns = (np.arange(len(codes), dtype=np.int64), codes, timesteps)
+    columns = _columns([(layer, rows, interval) for _, _, layer, interval, rows in plan])
     return m, columns, functools.partial(_decoded_blocks, plan)
+
+
+def _columns(parts: list[tuple]) -> tuple:
+    """A source's (ids, layer codes, timesteps) of consecutive (layer, rows, interval) parts."""
+    codes = np.concatenate([np.full(rows, layer.code, dtype=np.int8) for layer, rows, _ in parts])
+    timesteps = np.concatenate([np.round(np.arange(rows) * interval).astype(np.int64)
+                                for _, rows, interval in parts])
+    return np.arange(len(codes), dtype=np.int64), codes, timesteps
 
 
 def _decoded_blocks(plan: list[tuple]) -> Iterator[np.ndarray]:
@@ -636,11 +636,8 @@ def generate_synthetic(config: ScenarioConfig) -> CsiDataset:
 
 def _generated_source(config: ScenarioConfig) -> tuple:
     """``generate_synthetic``'s rows as a block source (see ``_capture_source``)."""
-    n = config.samples_per_layer
-    codes = np.repeat(np.array([layer.code for layer in Layer], dtype=np.int8), n)
-    timesteps = np.round(np.tile(np.arange(n), 2) * config.sample_interval_ms).astype(np.int64)
-    return (config.m_antennas, (np.arange(2 * n), codes, timesteps),
-            functools.partial(_generated_blocks, config))
+    parts = [(layer, config.samples_per_layer, config.sample_interval_ms) for layer in Layer]
+    return config.m_antennas, _columns(parts), functools.partial(_generated_blocks, config)
 
 
 def _dataset(source: tuple) -> CsiDataset:

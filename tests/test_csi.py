@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -269,11 +271,13 @@ def test_dataset_rejects_duplicate_ids():
         CsiDataset(records=(r0, r1), m_antennas=4)
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (0,)], ids=str)
-def test_record_rejects_a_channel_that_is_not_one_vector(shape):
-    with pytest.raises(ValueError, match=r"channel vector must be 1-D and non-empty") as info:
-        CsiRecord(0, Layer.TERRESTRIAL, 0, np.ones(shape))
-    assert f"got shape {shape}" in str(info.value)
+# a record is checked where it joins a dataset, not where it is made
+@pytest.mark.parametrize("shape", [(2, 2), (0,), ()], ids=str)
+def test_dataset_rejects_a_record_channel_that_is_not_one_vector(shape):
+    record = CsiRecord(0, Layer.TERRESTRIAL, 0, np.ones(shape))
+    with pytest.raises(ValueError, match=r"^record 0: channel shape ") as info:
+        CsiDataset(records=(record,), m_antennas=2)
+    assert f"channel shape {shape} does not match dataset m_antennas=2" in str(info.value)
 
 
 def test_dataset_rejects_a_nonpositive_antenna_count():
@@ -281,9 +285,59 @@ def test_dataset_rejects_a_nonpositive_antenna_count():
         CsiDataset(records=(), m_antennas=0)
 
 
-def test_record_rejects_nonfinite_gains():
-    with pytest.raises(ValueError):
-        CsiRecord(0, Layer.TERRESTRIAL, 0, np.array([np.nan + 0j, 1.0]))
+def test_dataset_rejects_a_record_with_nonfinite_gains():
+    record = CsiRecord(0, Layer.TERRESTRIAL, 0, np.array([np.nan + 0j, 1.0]))
+    with pytest.raises(ValueError, match="^channel vector contains NaN or Inf components$"):
+        CsiDataset(records=(record,), m_antennas=2)
+
+
+def test_a_list_channel_joins_as_a_read_only_complex_row():
+    dataset = CsiDataset(records=(CsiRecord(0, Layer.AERIAL, 0, [1, 2.5]),), m_antennas=2)
+    channel = dataset.records[0].channel
+    assert channel.dtype == np.complex128 and not channel.flags.writeable
+    np.testing.assert_array_equal(channel, [1, 2.5])
+
+
+NOT_INTEGERS = [1.7, 1.0, "1", True, np.float64(1.0), np.bool_(True)]
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("field", ["index", "timestep_ms"])
+def test_dataset_rejects_a_record_index_or_timestep_that_is_not_an_integer(field, value):
+    record = dataclasses.replace(CsiRecord(1, Layer.TERRESTRIAL, 2, np.ones(2)), **{field: value})
+    name = "record index" if field == "index" else field
+    with pytest.raises(TypeError, match=f"^{name} {re.escape(repr(value))} is not an integer$"):
+        CsiDataset(records=(record,), m_antennas=2)
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_a_lookup_rejects_an_id_that_is_not_an_integer(value):
+    ds = make_dataset([[1, 0], [0, 1]])
+    for lookup in (ds.channels_for, ds.layer_counts):
+        with pytest.raises(TypeError, match=f"^record id {re.escape(repr(value))} is not"):
+            lookup([0, value])
+
+
+def test_a_lookup_takes_ids_of_any_integer_type_or_none():
+    ds = make_dataset([[1, 0], [0, 1]], [Layer.TERRESTRIAL, Layer.AERIAL])
+    for ids in ([1, 0], (np.int64(1), np.int32(0)), np.array([1, 0]), np.array([1, 0], np.uint8)):
+        np.testing.assert_array_equal(ds.channels_for(ids), ds.channels[::-1])
+        assert ds.layer_counts(ids) == {Layer.TERRESTRIAL: 1, Layer.AERIAL: 1}
+    assert ds.channels_for([]).shape == (0, 2)
+    assert ds.layer_counts(()) == {Layer.TERRESTRIAL: 0, Layer.AERIAL: 0}
+
+
+@pytest.mark.parametrize("rows", [slice(0, 2), slice(None, None, -2), slice(5, 9)], ids=str)
+def test_a_slice_of_records_holds_the_records_of_those_rows(rows):
+    ds = CsiDataset(records=[CsiRecord(i, layer, 10 * i, [i, 1j])
+                             for i, layer in zip((4, 2, 9), (Layer.AERIAL, Layer.TERRESTRIAL,
+                                                             Layer.AERIAL))], m_antennas=2)
+    got = ds.records[rows]
+    want = [ds.records[p] for p in range(len(ds))[rows]]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.index, g.layer, g.timestep_ms) == (w.index, w.layer, w.timestep_ms)
+        np.testing.assert_array_equal(g.channel, w.channel)
 
 
 # ---------------------------------------------------------------------------
