@@ -65,7 +65,11 @@ class Layer(enum.Enum):
     @property
     def code(self) -> int:
         """This layer's value in ``CsiDataset.layer_codes``: its declaration rank."""
-        return list(Layer).index(self)
+        return _LAYERS.index(self)
+
+
+# the layers in declaration order, so _LAYERS[code] is the layer of a code
+_LAYERS = tuple(Layer)
 
 
 class CaptureError(ValueError):
@@ -115,7 +119,7 @@ class _RecordView(Sequence):
         ds = self._dataset
         if isinstance(pos, slice):
             return _RecordView(ds.take(pos))
-        return CsiRecord(int(ds.ids[pos]), list(Layer)[ds.layer_codes[pos]],
+        return CsiRecord(int(ds.ids[pos]), _LAYERS[ds.layer_codes[pos]],
                          int(ds.timesteps_ms[pos]), ds.channels[pos])
 
 
@@ -199,6 +203,8 @@ class CsiDataset:
     def _rows_of(self, indices: Iterable[int]) -> np.ndarray:
         """Row positions of the given record ids; KeyError names an unknown id."""
         wanted = _integers(indices, "record id")
+        if wanted.size and not len(self):
+            raise KeyError(int(wanted[0]))  # nothing to take a row from
         ranks = np.searchsorted(self.ids, wanted, sorter=self._id_order)
         rows = self._id_order.take(ranks, mode="clip")
         unknown = wanted[self.ids[rows] != wanted]

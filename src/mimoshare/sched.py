@@ -15,7 +15,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .csi import CsiDataset, Layer
+from .csi import _LAYERS, CsiDataset, Layer
 
 __all__ = [
     "SelectionMethod",
@@ -150,7 +150,7 @@ class _SusRun:
         g = self.residuals[pick].copy()
         self.chosen.append(int(self.ids[pick]))
         self.unselected[pick] = False
-        self.counts[list(Layer)[self.pool.layer_codes[pick]]] += 1
+        self.counts[_LAYERS[self.pool.layer_codes[pick]]] += 1
 
         norm_sq = float(np.vdot(g, g).real)
         if norm_sq > 0.0:

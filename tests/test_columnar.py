@@ -172,6 +172,16 @@ def test_lookup_by_id_follows_the_requested_order():
         dataset.channels_for([5, 1000])
 
 
+def test_an_empty_dataset_names_the_first_unknown_id():
+    empty = CsiDataset(records=(), m_antennas=2)
+    with pytest.raises(KeyError, match="^0$"):
+        empty.channels_for([0])
+    with pytest.raises(KeyError, match="^3$"):
+        empty.layer_counts([3, 4])
+    assert empty.channels_for([]).shape == (0, 2)
+    assert empty.layer_counts([]) == {Layer.TERRESTRIAL: 0, Layer.AERIAL: 0}
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
 def test_array_built_dataset_rejects_nonfinite_gains(bad):
     channels = np.ones((3, 4), dtype=np.complex128)

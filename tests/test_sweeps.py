@@ -422,6 +422,19 @@ def test_a_schedules_result_does_not_depend_on_its_stack(seed, n, spare_antennas
     assert outcomes[0] == outcomes[1] == outcomes[2]  # tables compare schedules too
 
 
+def test_the_sweeps_run_no_lu_inverse_or_solve(default_pool, monkeypatch):
+    # R^-1 is inverted as a triangle; zf_combiner's LU inverse is reached only
+    # to word a rejected schedule, and these sweeps clear every schedule
+    def refused(*args, **kwargs):
+        raise AssertionError("an LU inverse or solve ran on the sweep path")
+
+    monkeypatch.setattr(np.linalg, "inv", refused)
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    assert len(sweep_total_users(default_pool, range(1, 65), trials=1).rows) == 64 * 2
+    grid = sweep_layer_grid(default_pool, range(0, 37, 3), (*range(0, 28, 3), 28))
+    assert len(grid.rows) == 13 * 11 - 1
+
+
 # stacks of at most _ROW_BLOCK channel rows, each evaluated as it fills, take
 # ~1.0 MiB above the table on the total sweep and ~1.6 MiB on the grid, whose
 # SUS branch states coexist with the stack temporaries (tracemalloc); one

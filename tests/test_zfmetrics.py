@@ -17,7 +17,13 @@ from mimoshare.zfmetrics import (
     sum_se,
     zf_combiner,
 )
-from mimoshare.zfmetrics import _gram, _gram_condition, _rejection, _screened_sinr
+from mimoshare.zfmetrics import (
+    _gram,
+    _gram_condition,
+    _rejection,
+    _screened_sinr,
+    _triangular_inverse,
+)
 
 LOG2_101 = math.log2(101.0)  # SE of a single user at 20 dB: 6.65821...
 
@@ -257,14 +263,14 @@ HYPOTHESIS = settings(derandomize=True, deadline=None, max_examples=80)
 
 
 @st.composite
-def schedule_stacks(draw):
+def schedule_stacks(draw, antennas=st.integers(1, 12)):
     """(B, K, M) channel stacks, K = M included, some schedules near the condition cap.
 
     A near-cap schedule repeats its first channel plus a perturbation of size
     eps, which puts its Gram condition number near 1 / eps^2 (1e7 .. 1e12,
     either side of the 1e10 cap).
     """
-    m = draw(st.integers(1, 12))
+    m = draw(antennas)
     k = m if draw(st.booleans()) else draw(st.integers(1, m))
     b = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -389,6 +395,22 @@ def test_closed_form_row_does_not_depend_on_its_stack(stack, noise_power):
         assert alone_cleared == cleared[b]
         if alone_cleared:
             assert np.array_equal(stacked[b], alone)
+
+
+# M, and so K half the time: a one-user leaf, the largest leaf, the first
+# split, even and odd splits, and the largest schedule the default array nulls
+@pytest.mark.parametrize("m", [1, 8, 9, 16, 17, 33, 63, 64])
+@settings(HYPOTHESIS, max_examples=10)
+@given(data=st.data())
+def test_triangular_inverse_matches_the_lu_inverse(m, data):
+    stack = data.draw(schedule_stacks(antennas=st.just(m)))
+    factor = np.linalg.qr(stack.transpose(0, 2, 1), mode="r")  # the closed form's R
+    inverse = _triangular_inverse(factor)
+    assert not np.tril(inverse, -1).any()
+    # diag(G^-1)_j, the one thing the closed form takes from R^-1
+    rows = np.sum(np.abs(inverse) ** 2, axis=2)
+    lu_rows = np.sum(np.abs(np.linalg.inv(factor)) ** 2, axis=2)
+    assert np.abs(rows / lu_rows - 1.0).max() < 1e-12
 
 
 def _gram_cond(channels):
