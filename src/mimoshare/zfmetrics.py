@@ -164,8 +164,7 @@ def _back_substitution(upper: np.ndarray) -> np.ndarray:
     inverse = np.zeros_like(upper)
     inverse[:, range(n), range(n)] = 1.0 / diag
     for j in range(n - 1, 0, -1):
-        head = inverse[:, :j, j:]
-        np.subtract(head, unit[:, :j, j, None] * inverse[:, None, j, j:], out=head)
+        inverse[:, :j, j:] -= unit[:, :j, j, None] * inverse[:, None, j, j:]
     return inverse
 
 
