@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -202,31 +202,19 @@ def _source(cfg: dict) -> tuple:
     """Data source resolution: the block source of the named captures, else the generator."""
     if not cfg["csi"]:
         return _generated_source(_scenario_from(cfg))
-    return _capture_source(_captures(cfg))
-
-
-def _captures(cfg: dict) -> Iterator[tuple]:
-    """(path, format, layer, interval) of each named capture, its sidecar read as it is reached."""
     bins, sidecars = cfg["csi"], cfg["format"]
     if sidecars and len(sidecars) != len(bins):
         raise ValueError("number of --format sidecars must match --csi captures")
     sidecars = sidecars or [None] * len(bins)  # None: load_capture's <capture>.cfg default
-    # each capture's sidecar is read just before its length is checked
-    return ((path, *read_sidecar(_sidecar_of(path, sidecar)))
-            for path, sidecar in zip(bins, sidecars))
+    # each capture's sidecar is read once, just before its length is checked
+    return _capture_source((path, *read_sidecar(_sidecar_of(path, sidecar)))
+                           for path, sidecar in zip(bins, sidecars))
 
 
-def _antenna_count(cfg: dict) -> int:
-    """M as the scenario or the first capture's sidecar fixes it, before any dataset work."""
-    if not cfg["csi"]:
-        return _scenario_from(cfg).m_antennas
-    return next(_captures(cfg))[1].m_antennas
-
-
-def _build_pool(cfg: dict) -> CsiDataset:
-    """The sweep's pool, reduced from the resolved source's blocks."""
+def _build_pool(cfg: dict, source: tuple) -> CsiDataset:
+    """The sweep's pool, reduced from a resolved source's blocks."""
     per_layer = (cfg["pool_terrestrial"], cfg["pool_aerial"])
-    return _streamed_pool(_source(cfg), cfg["snr_db"], per_layer, cfg["pool_policy"], cfg["seed"])
+    return _streamed_pool(source, cfg["snr_db"], per_layer, cfg["pool_policy"], cfg["seed"])
 
 
 def _write_outputs(out_dir: Path, files: dict[str, bytes | Callable[[BinaryIO], None]]) -> None:
@@ -353,13 +341,16 @@ def _cmd_ingest(cfg: dict) -> int:
 def _cmd_sweep(cfg: dict, kind: str) -> int:
     params = SusParams(alpha=cfg["alpha"])
     keys = ("k_range",) if kind == "total" else ("ground_range", "aerial_range")
-    # M and the explicit pool counts are known before any dataset work; a -1
-    # count (the whole layer) is checked by the sweep once the pool is built
-    populations = tuple(math.inf if count is None else count
-                        for count in (cfg["pool_terrestrial"], cfg["pool_aerial"]))
+    source = _source(cfg)
+    m, (_, codes, _), _ = source
+    # each layer's pool population: its count, or its whole layer's for -1
+    counts = (cfg["pool_terrestrial"], cfg["pool_aerial"])
+    populations = tuple(np.count_nonzero(codes == layer.code) if count is None else count
+                        for layer, count in zip(Layer, counts))
     try:
-        _sweep_ranges(populations, _antenna_count(cfg), **{key: cfg[key] for key in keys})
-        pool = _build_pool(cfg)
+        _sweep_ranges(populations, m, **{key: cfg[key] for key in keys})
+        pool = _build_pool(cfg, source)
+        del source, codes  # the sweep holds none of the source's columns
         if kind == "total":
             table = sweep_total_users(pool, cfg["k_range"], methods=cfg["methods"],
                                       trials=cfg["trials"], seed=cfg["seed"], params=params)

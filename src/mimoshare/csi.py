@@ -49,10 +49,12 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # temporaries stay small, and the bits do not depend on the size
 _ROW_BLOCK = 256
 
-# the largest whole dataset a scenario may describe, in bytes of complex128
-# gains: 4 GiB, ~70x the default's 58 MB. generate holds the whole matrix and
-# every sweep generates every row, so a larger scenario would exhaust memory
-# or run for minutes before failing; it fails as it is built instead
+# the most a run may hold of a scenario's whole dataset, in bytes: 16 a gain,
+# 17 a row of columns (ids, layer codes, timesteps) and 9 a row of a sweep's
+# row energies and keep mask: 4 GiB, ~70x the default's 59 MB. generate holds
+# the whole matrix and every sweep generates every row, so a larger scenario
+# would exhaust memory or run for minutes before failing; it fails as it is
+# built instead
 _MAX_DATASET_BYTES = 4 * 2**30
 
 
@@ -569,13 +571,13 @@ class ScenarioConfig:
         if not all(k > -math.inf for k in self.rician_k_db):
             raise ValueError(f"rician_k_db must not be NaN or -inf, got {self.rician_k_db}")
         try:
-            dataset_bytes = 2.0 * self.samples_per_layer * self.m_antennas * 16
+            dataset_bytes = 2.0 * self.samples_per_layer * (self.m_antennas * 16 + 17 + 9)
         except (ZeroDivisionError, OverflowError):  # a step of 0.0, or a count past float range
             dataset_bytes = math.inf
         if dataset_bytes > _MAX_DATASET_BYTES:
             raise ValueError(
-                f"the scenario's dataset is {dataset_bytes / 2**30:.4g} GiB, over the "
-                f"{_MAX_DATASET_BYTES / 2**30:.0f} GiB bound: lower m_rows, m_cols or "
+                f"a run holds {dataset_bytes / 2**30:.4g} GiB of the scenario's gains and columns, "
+                f"over the {_MAX_DATASET_BYTES / 2**30:.0f} GiB bound: lower m_rows, m_cols or "
                 "trajectory_length_m, or raise trajectory_speed_mps or sample_interval_ms"
             )
 

@@ -173,18 +173,16 @@ class _RangeError(ValueError):
         self.keys = keys
 
 
-def _sweep_ranges(populations: tuple[float, float], m_antennas: float = math.inf,
+def _sweep_ranges(populations: tuple[int, int], m_antennas: int,
                   **ranges: Iterable[int]) -> list[list[int]]:
     """The named ranges, ``k_range`` or ``ground_range`` and ``aerial_range``, checked.
 
     Each comes back as sorted distinct counts. ``populations`` are the
     pool's (terrestrial, aerial) record counts: k runs from 1 to their sum,
     and each layer's quota from 0 to its population. ZF nulls at most M
-    users, so a finite ``m_antennas`` also bounds k and a grid's largest
-    ``k_ground + k_aerial``; the sweeps leave it unbounded, so there a
-    K > M row fails as its cell, in row order. A population not yet known
-    is ``math.inf``. A grid also needs a cell other than (0, 0), which
-    schedules no user.
+    users, so ``m_antennas`` also bounds k and a grid's largest
+    ``k_ground + k_aerial``. A grid also needs a cell other than (0, 0),
+    which schedules no user.
     """
     bounds = {
         "k_range": (1, sum(populations), "pool size"),
@@ -254,6 +252,14 @@ def _table(pool: CsiDataset, schedules: Iterator[tuple], **meta) -> SweepTable:
             evaluate(stacks.pop(len(chosen)))
     for stack in stacks.values():
         evaluate(stack)
+    if failed:
+        n, chosen = failed
+        method = _METHODS[codes[n]]
+        cell = (f"k_ground={sizes[n] - k_aerial[n]}, k_aerial={k_aerial[n]}"
+                if method is SelectionMethod.SUS_LAYERED
+                else f"method={method.value}, k={sizes[n]}, trial={trials[n]}")
+        exc = zfmetrics._rejection(pool.channels_for(chosen))
+        raise IllConditionedError(f"cell ({cell}): {exc}") from exc
     counts = pool.layer_counts()
     pool_meta = {
         "snr_db": pool.snr_target_db,
@@ -264,15 +270,7 @@ def _table(pool: CsiDataset, schedules: Iterator[tuple], **meta) -> SweepTable:
     }
     sizes, k_aerial, sums = np.array(sizes), np.array(k_aerial), np.array(sums)
     columns = (codes, sizes - k_aerial, k_aerial, trials, sums, sums / sizes, ranks)
-    table = SweepTable(*map(np.asarray, columns, _COLUMNS.values()), meta={**pool_meta, **meta})
-    if failed:
-        row = table.rows[failed[0]]
-        cell = (f"k_ground={row.k_ground}, k_aerial={row.k_aerial}"
-                if row.method is SelectionMethod.SUS_LAYERED
-                else f"method={row.method.value}, k={row.k_total}, trial={row.trial}")
-        exc = zfmetrics._rejection(pool.channels_for(failed[1]))
-        raise IllConditionedError(f"cell ({cell}): {exc}") from exc
-    return table
+    return SweepTable(*map(np.asarray, columns, _COLUMNS.values()), meta={**pool_meta, **meta})
 
 
 def _trial_seed(seed: int, k: int, trial: int) -> int:
@@ -306,7 +304,7 @@ def sweep_total_users(
     Random selection is drawn ``trials`` times per k; SUS is deterministic and
     recorded once (trial 0).
     """
-    [ks] = _sweep_ranges(tuple(pool.layer_counts().values()), k_range=k_range)
+    [ks] = _sweep_ranges(tuple(pool.layer_counts().values()), pool.m_antennas, k_range=k_range)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     methods = set(methods)
@@ -332,7 +330,7 @@ def sweep_layer_grid(
 
     A grid whose only pair is (0, 0) raises ValueError.
     """
-    grounds, aerials = _sweep_ranges(tuple(pool.layer_counts().values()),
+    grounds, aerials = _sweep_ranges(tuple(pool.layer_counts().values()), pool.m_antennas,
                                      ground_range=ground_range, aerial_range=aerial_range)
 
     schedules = ((SelectionMethod.SUS_LAYERED, 0, selection.chosen, selection.fallback_used_from)

@@ -2,10 +2,14 @@
 # effect if numpy has not been imported yet
 import mimoshare  # noqa: F401
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from mimoshare import sched
 from mimoshare.csi import (
     CsiDataset,
     CsiRecord,
@@ -43,6 +47,18 @@ def assert_row_is(pool, row, selection):
     assert (row.k_ground, row.k_aerial) == (counts[Layer.TERRESTRIAL], counts[Layer.AERIAL])
     assert row.fallback_rank == selection.fallback_used_from
     assert row.sum_se == evaluate_selection(pool, selection).sum_se
+
+
+# the whole message of a range whose largest schedule holds {0} users, past M = {1}
+K_PAST_M = r"^{0} users in one schedule, more than {1} antennas can null \(K > M\)$"
+
+
+def unscheduled():
+    """A context in which a sweep that schedules any row fails with AssertionError."""
+    stack = contextlib.ExitStack()
+    for name in ("_random_ids", "_prefix_schedules", "_layered_schedules"):
+        stack.enter_context(mock.patch.object(sched, name, side_effect=AssertionError("scheduled")))
+    return stack
 
 
 # every text reader's fuzz test bounds its examples by this

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -12,8 +14,9 @@ from mimoshare import cli, csi
 from mimoshare.cli import _CONFIG_SPEC, _build_parser, _flag, _merge_config, main
 from mimoshare.csi import (CsiDataset, FixedPointFormat, Layer, encode_csi_binary, load_capture,
                            sidecar_text)
-from mimoshare.sched import SelectionMethod
-from mimoshare.sweeps import CSV_HEADER, SweepRow, SweepTable
+from mimoshare.sched import SelectionMethod, SusParams
+from mimoshare.sweeps import (CSV_HEADER, SweepRow, SweepTable, _RangeError, sweep_layer_grid,
+                              sweep_total_users)
 from mimoshare.zfmetrics import IllConditionedError, zf_combiner
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -423,17 +426,23 @@ BAD_SWEEP_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("command, key, value", BAD_SWEEP_VALUES)
-def test_bad_sweep_value_fails_before_any_dataset_work(command, key, value, tmp_path,
-                                                       monkeypatch, capsys):
-    import mimoshare.cli as cli
+@pytest.fixture
+def no_dataset_work(monkeypatch):
+    """Any generated or decoded block fails the command that asks for it.
 
-    def no_dataset_work(*args, **kwargs):
+    These are the only ways to a dataset's rows: resolving a source only
+    reads sidecars and builds its columns.
+    """
+    def dataset_work(*args, **kwargs):
         raise AssertionError("dataset work started")
 
-    # the CLI's only ways to a dataset: the generator's and the captures' block sources
-    for name in ("_generated_source", "_capture_source"):
-        monkeypatch.setattr(cli, name, no_dataset_work)
+    for name in ("_generated_blocks", "_decoded_blocks"):
+        monkeypatch.setattr(csi, name, dataset_work)
+
+
+@pytest.mark.parametrize("command, key, value", BAD_SWEEP_VALUES)
+def test_bad_sweep_value_fails_before_any_dataset_work(command, key, value, tmp_path, capsys,
+                                                       no_dataset_work):
     out = tmp_path / "x"
     code = run_cli(command, "--config", MINI_CFG, "--out", out,
                    "--" + key.replace("_", "-"), value)
@@ -444,16 +453,9 @@ def test_bad_sweep_value_fails_before_any_dataset_work(command, key, value, tmp_
 
 
 @pytest.mark.parametrize("command", ["generate", "sweep-total", "sweep-grid"])
-def test_an_oversized_scenario_fails_before_generating(command, tmp_path, monkeypatch, capsys):
-    import mimoshare.cli as cli
-    import mimoshare.csi as csi
-
-    def no_dataset_work(*args, **kwargs):
-        raise AssertionError("dataset work started")
-
+def test_an_oversized_scenario_fails_before_generating(command, tmp_path, capsys,
+                                                        no_dataset_work):
     # a 10^10-antenna array: its 8.4 million GiB dataset is never allocated
-    for module, name in ((cli, "_generated_source"), (csi, "_generated_blocks")):
-        monkeypatch.setattr(module, name, no_dataset_work)
     out = tmp_path / "x"
     assert run_cli(command, "--m-rows", 100_000, "--m-cols", 100_000, "--out", out) == 1
     err = capsys.readouterr().err
@@ -516,14 +518,7 @@ def test_an_ill_conditioned_cell_fails_the_sweep_by_name(command, flags, cell, t
     ids=["total", "total-whole-layers", "grid"],
 )
 def test_a_schedule_past_the_antenna_count_fails_before_any_dataset_work(
-        command, flags, message, tmp_path, monkeypatch, capsys):
-    import mimoshare.cli as cli
-
-    def no_dataset_work(*args, **kwargs):
-        raise AssertionError("dataset work started")
-
-    for name in ("_generated_source", "_capture_source"):
-        monkeypatch.setattr(cli, name, no_dataset_work)
+        command, flags, message, tmp_path, capsys, no_dataset_work):
     # mini_grid.cfg's 4 x 4 array nulls at most 16 users, though its pools hold 20
     out = tmp_path / "x"
     assert run_cli(command, "--config", MINI_CFG, "--out", out, *flags) == 1
@@ -533,14 +528,8 @@ def test_a_schedule_past_the_antenna_count_fails_before_any_dataset_work(
 
 
 def test_a_capture_schedule_past_the_antenna_count_fails_before_decoding(
-        tmp_path, monkeypatch, capsys, same_channel_captures):
-    import mimoshare.cli as cli
-
-    def no_dataset_work(*args, **kwargs):
-        raise AssertionError("dataset work started")
-
-    # M comes from the first capture's sidecar
-    monkeypatch.setattr(cli, "_capture_source", no_dataset_work)
+        tmp_path, capsys, same_channel_captures, no_dataset_work):
+    # M comes from the captures' sidecars
     out = tmp_path / "x"
     assert run_cli("sweep-total", "--csi", same_channel_captures, "--pool-terrestrial", 3,
                    "--pool-aerial", 3, "--k-range", "5", "--out", out) == 1
@@ -548,6 +537,119 @@ def test_a_capture_schedule_past_the_antenna_count_fails_before_decoding(
     assert err == ("error: --k-range: 5 users in one schedule, more than 4 antennas can null "
                    "(K > M)\n")
     assert not out.exists()
+
+
+def test_a_whole_layer_pool_names_its_range_before_decoding(tmp_path, capsys, no_dataset_work):
+    # one all-zero terrestrial record: a -1 pool holds exactly it, so a range
+    # past it is named by its flag, not as the all-zero dataset it decodes to
+    fmt = FixedPointFormat(m_antennas=4)
+    path = tmp_path / "m4.bin"
+    path.write_bytes(bytes(fmt.bytes_per_record))
+    (tmp_path / "m4.bin.cfg").write_text(sidecar_text(fmt, Layer.TERRESTRIAL))
+    out = tmp_path / "x"
+    assert run_cli("sweep-grid", "--csi", path, "--pool-terrestrial", -1, "--pool-aerial", -1,
+                   "--ground-range", "0:2", "--aerial-range", 0, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        "error: --ground-range: ground range 0..2 outside layer population 1\n")
+    assert not out.exists()
+
+
+def test_a_capture_error_comes_before_a_range_error(tmp_path, capsys, same_channel_captures):
+    # the source is resolved, every capture checked, before any range
+    first = same_channel_captures.split(",")[0]
+    with open(first, "ab") as fh:
+        fh.write(b"\0")
+    out = tmp_path / "x"
+    assert run_cli("sweep-total", "--csi", same_channel_captures, "--k-range", 99,
+                   "--out", out) == 1
+    assert capsys.readouterr().err.startswith(f"error: {first}: length ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("sweep-total", ("--k-range", "1", "--trials", "1")),
+    ("sweep-grid", ("--ground-range", "0:1", "--aerial-range", "0")),
+])
+def test_a_capture_sweep_reads_each_sidecar_once(command, flags, tmp_path, monkeypatch,
+                                                 same_channel_captures):
+    reads = []
+    read_sidecar = cli.read_sidecar
+    monkeypatch.setattr(cli, "read_sidecar", lambda path: reads.append(str(path))
+                        or read_sidecar(path))
+    assert run_cli(command, "--csi", same_channel_captures, "--pool-terrestrial", 3,
+                   "--pool-aerial", 3, "--out", tmp_path / "x", *flags) == 0
+    assert reads == [f"{path}.cfg" for path in same_channel_captures.split(",")]
+
+
+@st.composite
+def sweep_cases(draw):
+    """(command, flags) of a sweep on a small generated scenario.
+
+    M = m_rows x m_cols is 1 to 9, a layer holds 2 to 6 samples one second
+    apart, and each pool count is -1 (the whole layer) or at most the layer.
+    Each range ends near the smaller of its pool and M, inside or past it; a
+    grid's cells may add up past M, and its only cell is sometimes (0, 0).
+    """
+    samples, rows, cols = draw(st.integers(2, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    counts = [draw(st.just(-1) | st.integers(1, samples) | st.just(0)) for _ in Layer]
+    flags = ["--m-rows", rows, "--m-cols", cols, "--trajectory-length-m", samples - 1,
+             "--trajectory-speed-mps", 1, "--sample-interval-ms", 1000,
+             "--pool-terrestrial", counts[0], "--pool-aerial", counts[1],
+             "--trials", draw(st.integers(1, 2)), "--seed", draw(st.integers(0, 3))]
+    populations = [samples if count == -1 else count for count in counts]
+
+    def span(lo, population):
+        # an end at most 3 inside, or 2 past, the smaller of the pool and M
+        end = min(population, rows * cols) + draw(st.integers(-3, 2))
+        return f"{lo}:{max(lo, end)}"
+
+    if draw(st.booleans()):
+        lo = 0 if draw(st.integers(0, 5)) == 3 else 1
+        return "sweep-total", [*flags, "--k-range", span(lo, sum(populations))]
+    if draw(st.integers(0, 5)) == 3:
+        return "sweep-grid", [*flags, "--ground-range", "0", "--aerial-range", "0"]
+    return "sweep-grid", [*flags, "--ground-range", span(0, populations[0]),
+                          "--aerial-range", span(0, populations[1])]
+
+
+def library_sweep(command, cfg):
+    """The library sweep of a CLI sweep's config on the CLI's own pool: a table or its error."""
+    pool = cli._build_pool(cfg, cli._source(cfg))
+    params = SusParams(alpha=cfg["alpha"])
+    try:
+        if command == "sweep-total":
+            return sweep_total_users(pool, cfg["k_range"], methods=cfg["methods"],
+                                     trials=cfg["trials"], seed=cfg["seed"], params=params)
+        return sweep_layer_grid(pool, cfg["ground_range"], cfg["aerial_range"], params=params,
+                                seed=cfg["seed"])
+    except ValueError as exc:
+        return exc
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=sweep_cases())
+def test_one_range_rule_for_the_cli_and_the_library(tmp_path_factory, case):
+    command, flags = case
+    args = [str(flag) for flag in flags]
+    out = tmp_path_factory.mktemp("rule") / "out"
+    blocks = []
+    generated_blocks = csi._generated_blocks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csi, "_generated_blocks",
+                      lambda config: blocks.append(config) or generated_blocks(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, *args, "--out", str(out)])
+    expected = library_sweep(command, _merge_config(_build_parser().parse_args([command, *args])))
+    if isinstance(expected, SweepTable):
+        assert code == 0
+        assert (out / "sweep.csv").read_text() == expected.csv_text()
+        return
+    # no drawn range within M is ill-conditioned: the library fails on a range,
+    # and the CLI fails on it before it generates a block, naming its flags
+    assert isinstance(expected, _RangeError)
+    assert code == 1 and not out.exists() and blocks == []
+    assert err.getvalue() == f"error: {', '.join(map(_flag, expected.keys))}: {expected}\n"
 
 
 def test_report_names_a_bad_threshold(tmp_path, capsys):
@@ -760,7 +862,7 @@ def test_report_repeats_the_summary_of_a_table_with_written_ties(tied_dir, table
     # the sweep is stubbed to return the table; summary.txt must follow from sweep.csv alone
     sweep_dir, report_dir = tied_dir / "sweep", tied_dir / "report"
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_build_pool", lambda cfg: None)
+        patch.setattr(cli, "_build_pool", lambda cfg, source: None)
         patch.setattr(cli, "sweep_total_users", lambda pool, k_range, **kwargs: table)
         assert run_cli("sweep-total", "--out", sweep_dir, "--thresholds", TIED_THRESHOLDS) == 0
     assert run_cli("report", "--table", sweep_dir / "sweep.csv", "--out", report_dir,

@@ -489,9 +489,10 @@ def test_a_sample_on_an_element_is_rejected():
 
 
 # the default trajectory's samples per layer, and the most antennas whose
-# dataset (2 x 28321 x M x 16 bytes) fits the 4 GiB bound
+# run (2 x 28321 rows of M x 16 bytes of gains and 26 bytes of columns)
+# fits the 4 GiB bound
 DEFAULT_SAMPLES = 28321
-MOST_ANTENNAS = 4 * 2**30 // (2 * DEFAULT_SAMPLES * 16)
+MOST_ANTENNAS = (4 * 2**30 // (2 * DEFAULT_SAMPLES) - 26) // 16
 
 
 @pytest.mark.parametrize("overrides", [
@@ -499,6 +500,10 @@ MOST_ANTENNAS = 4 * 2**30 // (2 * DEFAULT_SAMPLES * 16)
     dict(m_rows=100_000, m_cols=100_000),
     dict(trajectory_length_m=1e300),  # more samples than a float counts
     dict(trajectory_speed_mps=1e-300, sample_interval_ms=1e-300),  # a step of 0.0
+    # 2**27 - 1 samples a layer, 1 m apart, on one antenna: the gains alone,
+    # 2 x (2**27 - 1) x 16 bytes, are just under the bound, but not with the columns
+    dict(m_rows=1, m_cols=1, trajectory_length_m=2**27 - 2, trajectory_speed_mps=1.0,
+         sample_interval_ms=1000.0),
 ], ids=str)
 def test_scenario_past_the_size_bound_is_rejected_by_its_keys(overrides):
     with pytest.raises(ValueError, match="over the 4 GiB bound") as rejected:

@@ -373,7 +373,7 @@ def expected_pool(dataset, cfg):
 @pytest.mark.parametrize("case", sorted(POOL_CASES))
 def test_generated_pool_is_normalize_then_thin(case):
     cfg = cli_config(*MINI_FLAGS, *POOL_CASES[case])
-    pool = cli._build_pool(cfg)
+    pool = cli._build_pool(cfg, cli._source(cfg))
     assert json.loads(cli._meta_json({}, cfg, "sweep-grid"))["mode"] == "generate"
     assert_same_dataset(pool, expected_pool(generate_synthetic(cli._scenario_from(cfg)), cfg))
 
@@ -389,13 +389,14 @@ def test_ingested_pool_is_normalize_then_thin(case, tmp_path):
     # one row, a block that does not divide a capture's rows, and one larger than them
     for block in (1, n - 1, n + 1):
         with mock.patch.object(csi, "_ROW_BLOCK", block):
-            pool = cli._build_pool(cfg)
+            pool = cli._build_pool(cfg, cli._source(cfg))
         assert json.loads(cli._meta_json({}, cfg, "sweep-grid"))["mode"] == "ingest"
         assert_same_dataset(pool, want)
 
 
 def test_default_pool_is_normalize_then_thin(default_pool):
-    pool = cli._build_pool(cli_config())
+    cfg = cli_config()
+    pool = cli._build_pool(cfg, cli._source(cfg))
     assert_same_dataset(pool, default_pool)
     assert pool.fingerprint() == "29b278189045c8f6"
 

@@ -12,10 +12,11 @@ must be that signal.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_row_is, pool_from_vectors
+from conftest import K_PAST_M, assert_row_is, pool_from_vectors, unscheduled
 from mimoshare import sched
 from mimoshare.csi import CsiDataset, Layer
 from mimoshare.sched import (
@@ -26,7 +27,7 @@ from mimoshare.sched import (
     sus_select,
     sus_select_layered,
 )
-from mimoshare.sweeps import sweep_layer_grid, sweep_total_users
+from mimoshare.sweeps import _RangeError, sweep_layer_grid, sweep_total_users
 from mimoshare.zfmetrics import IllConditionedError
 
 
@@ -194,17 +195,27 @@ def test_fallback_rank_is_where_a_failing_oracle_stops(pool, alpha):
 def test_full_range_sweeps_fail_only_on_ill_conditioning(pool, alpha):
     params = SusParams(alpha=alpha)
     counts = pool.layer_counts()
-    sweeps = [
-        lambda: sweep_total_users(pool, range(1, len(pool) + 1), trials=2, params=params),
-        lambda: sweep_layer_grid(
-            pool, range(counts[Layer.TERRESTRIAL] + 1), range(counts[Layer.AERIAL] + 1), params
-        ),
-    ]
-    for sweep in sweeps:
+
+    def sweeps(users):
+        """Both sweeps of the full ranges, each schedule cut to ``users``."""
+        grounds = range(min(counts[Layer.TERRESTRIAL], users) + 1)
+        aerials = range(min(counts[Layer.AERIAL], users - grounds[-1]) + 1)
+        return [
+            lambda: sweep_total_users(pool, range(1, min(len(pool), users) + 1), trials=2,
+                                      params=params),
+            lambda: sweep_layer_grid(pool, grounds, aerials, params),
+        ]
+
+    for sweep in sweeps(pool.m_antennas):
         try:
             sweep()
         except IllConditionedError:
             pass
+    if len(pool) > pool.m_antennas:  # past M, the full ranges fail before scheduling
+        for sweep in sweeps(len(pool)):
+            with unscheduled(), pytest.raises(_RangeError,
+                                              match=K_PAST_M.format(len(pool), pool.m_antennas)):
+                sweep()
 
 
 @HYPOTHESIS

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     FUZZ_EXAMPLES,
+    K_PAST_M,
     assert_row_is,
     pool_from_vectors,
     random_unit_channels,
     text_file_bytes,
+    unscheduled,
 )
 from mimoshare import csi, zfmetrics
 from mimoshare.csi import Layer
@@ -30,6 +32,7 @@ from mimoshare.sweeps import (
     CSV_HEADER,
     SweepRow,
     SweepTable,
+    _RangeError,
     _table,
     _trial_seed,
     find_peak,
@@ -344,6 +347,10 @@ def test_total_sweep_names_an_earlier_singular_row_before_a_later_scheduling_err
     assert sus_select(pool, 5, STRICT_WIDE).fallback_used_from == 4
     # row by row, k = 4 (e0, e1, e2, s) is evaluated before k = 5 is scheduled
     with pytest.raises(IllConditionedError, match=r"method=sus, k=4, trial=0"):
+        sweep_total_users(pool, [1, 2, 3, 4], methods=only_sus, params=STRICT_WIDE)
+    # but 5 users are more than the 4 antennas can null: that range fails
+    # before any row is scheduled
+    with unscheduled(), pytest.raises(_RangeError, match=K_PAST_M.format(5, 4)):
         sweep_total_users(pool, [1, 2, 3, 4, 5], methods=only_sus, params=STRICT_WIDE)
     # every random row is evaluated before the first SUS row is scheduled
     with pytest.raises(IllConditionedError, match=r"method=random, k=3, trial=0"):
@@ -355,6 +362,8 @@ def test_grid_names_an_earlier_singular_cell_before_a_later_scheduling_error():
     quota = {Layer.TERRESTRIAL: 4, Layer.AERIAL: 0}
     assert sus_select_layered(pool, quota, STRICT_WIDE).fallback_used_from == 3
     with pytest.raises(IllConditionedError, match=r"k_ground=3, k_aerial=0"):
+        sweep_layer_grid(pool, [3, 4], [0], params=STRICT_WIDE)
+    with unscheduled(), pytest.raises(_RangeError, match=K_PAST_M.format(5, 4)):
         sweep_layer_grid(pool, [3, 4], [0, 1], params=STRICT_WIDE)
 
 
@@ -400,26 +409,31 @@ def sweep_outcome(sweep):
        trials=st.integers(1, 3), rows_per_stack=st.integers(2, 40))
 def test_a_schedules_result_does_not_depend_on_its_stack(seed, n, spare_antennas, duplicate, grid,
                                                          trials, rows_per_stack):
-    # n users a layer and 2n + spare_antennas antennas, so the K > M rows
-    # fail where that is negative; a copied record makes every schedule that
-    # holds both copies singular
+    # n users a layer and 2n + spare_antennas antennas: the ranges stop at M,
+    # and where that is below 2n the full ranges fail as ranges; a copied
+    # record makes every schedule that holds both copies singular
     m = max(1, 2 * n + spare_antennas)
     vectors = random_unit_channels(np.random.default_rng(seed), 2 * n, m)
     if duplicate:
         vectors[1] = vectors[0]
     pool = pool_from_vectors(vectors, [Layer.TERRESTRIAL] * n + [Layer.AERIAL] * n)
-    if grid:
-        def sweep():
-            return sweep_layer_grid(pool, range(n + 1), range(n + 1))
-    else:
-        def sweep():
-            return sweep_total_users(pool, range(1, 2 * n + 1), trials=trials, seed=seed)
+
+    def sweep(users):
+        """The sweep of the ranges whose largest schedule holds ``min(users, 2n)``."""
+        if grid:
+            grounds = range(min(n, users) + 1)
+            return sweep_layer_grid(pool, grounds, range(min(n, users - grounds[-1]) + 1))
+        return sweep_total_users(pool, range(1, min(2 * n, users) + 1), trials=trials, seed=seed)
+
     outcomes = []
     # one schedule a stack, some schedules a stack, and one stack a size
     for bound in (1, rows_per_stack, 10**9):
         with mock.patch.object(csi, "_ROW_BLOCK", bound):
-            outcomes.append(sweep_outcome(sweep))
+            outcomes.append(sweep_outcome(lambda: sweep(m)))
     assert outcomes[0] == outcomes[1] == outcomes[2]  # tables compare schedules too
+    if m < 2 * n:
+        with unscheduled(), pytest.raises(_RangeError, match=K_PAST_M.format(2 * n, m)):
+            sweep(2 * n)
 
 
 def test_the_sweeps_run_no_lu_inverse_or_solve(default_pool, monkeypatch):
