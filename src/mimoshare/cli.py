@@ -311,7 +311,7 @@ def _cmd_generate(cfg: dict) -> int:
             layer,
             altitude_m=altitude,
             sample_interval_ms=scenario.sample_interval_ms,
-            extra={"snr_db": f"{cfg['snr_db']:g}", "scale_applied": f"{dataset.scale_applied:.12g}"},
+            extra={"snr_db": cfg["snr_db"], "scale_applied": f"{dataset.scale_applied:.12g}"},
         ).encode()
     meta = _dataset_meta(dataset.m_antennas, dataset.layer_codes, dataset.fingerprint())
     files["meta.json"] = _meta_json(meta, cfg, "generate")

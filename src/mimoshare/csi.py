@@ -400,7 +400,7 @@ def sidecar_text(
     sample_interval_ms: float = 1.0,
     extra: dict | None = None,
 ) -> str:
-    """Render the flat key-value metadata accompanying a capture binary."""
+    """Render the flat key-value metadata of a capture binary; a float reads back exactly."""
     lines = [
         f"m_antennas = {fmt.m_antennas}",
         f"frac_bits = {fmt.frac_bits}",
@@ -411,7 +411,7 @@ def sidecar_text(
     if altitude_m is not None:
         lines.append(f"altitude_m = {_float_text(altitude_m)}")
     for key, value in (extra or {}).items():
-        lines.append(f"{key} = {value}")
+        lines.append(f"{key} = {_float_text(value) if isinstance(value, float) else value}")
     return "\n".join(lines) + "\n"
 
 

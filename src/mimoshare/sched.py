@@ -81,40 +81,46 @@ class SelectionResult:
         return len(self.chosen)
 
 
-def _random_ids(pool: CsiDataset, k: int, seed: int) -> np.ndarray:
-    """The ids of k distinct records drawn uniformly without replacement from ``seed``'s stream."""
-    return pool.ids[np.random.default_rng(seed).choice(len(pool), size=k, replace=False)]
+def _selection(pool: CsiDataset, rows: np.ndarray, method: SelectionMethod,
+               fallback_from: int | None = None) -> SelectionResult:
+    """The result of a schedule of pool rows: their record ids and per-layer counts."""
+    counts = np.bincount(pool.layer_codes[rows], minlength=len(_LAYERS)).tolist()
+    return SelectionResult(tuple(pool.ids[rows].tolist()), dict(zip(_LAYERS, counts)), method,
+                           fallback_from)
+
+
+def _random_rows(n: int, k: int, seed: int) -> np.ndarray:
+    """k distinct rows of n drawn uniformly without replacement from ``seed``'s stream."""
+    return np.random.default_rng(seed).choice(n, size=k, replace=False)
 
 
 def random_select(pool: CsiDataset, k: int, seed: int) -> SelectionResult:
     """Draw k distinct records uniformly without replacement."""
     if not 1 <= k <= len(pool):
         raise ValueError(f"k must be in 1..{len(pool)}, got {k}")
-    chosen = tuple(_random_ids(pool, k, seed).tolist())
-    return SelectionResult(chosen, pool.layer_counts(chosen), SelectionMethod.RANDOM)
+    return _selection(pool, _random_rows(len(pool), k, seed), SelectionMethod.RANDOM)
 
 
 class _SusRun:
     """Resumable SUS state over one pool: one call to ``step`` adds one pick.
 
-    The state after n picks depends only on those picks, so a run for k users
-    is the first k picks of any longer run over the same pool and params, and
+    Picks are pool rows, and ``counts`` is indexed by layer code. The state
+    after n picks depends only on those picks, so a run for k users is the
+    first k picks of any longer run over the same pool and params, and
     ``clone`` lets several continuations share one common prefix.
     """
 
     def __init__(self, pool: CsiDataset, params: SusParams):
-        self.pool = pool
         self.params = params
         self.channels = pool.channels  # (N, M)
         self.ids = pool.ids
-        aerial = pool.layer_codes == Layer.AERIAL.code
-        self.layer_mask = {Layer.TERRESTRIAL: ~aerial, Layer.AERIAL: aerial}
+        self.codes = pool.layer_codes
         self.norms = np.linalg.norm(self.channels, axis=1)
         self.residuals = self.channels.copy()
         self.unpruned = np.ones(len(pool), dtype=bool)
         self.unselected = np.ones(len(pool), dtype=bool)
-        self.counts = {Layer.TERRESTRIAL: 0, Layer.AERIAL: 0}
-        self.chosen: list[int] = []
+        self.counts = [0] * len(_LAYERS)
+        self.rows: list[int] = []
         self.fallback_from: int | None = None
 
     def clone(self) -> _SusRun:
@@ -123,18 +129,18 @@ class _SusRun:
         twin.residuals = self.residuals.copy()
         twin.unpruned = self.unpruned.copy()
         twin.unselected = self.unselected.copy()
-        twin.counts = dict(self.counts)
-        twin.chosen = list(self.chosen)
+        twin.counts = list(self.counts)
+        twin.rows = list(self.rows)
         return twin
 
-    def step(self, open_mask: np.ndarray | None = None) -> None:
-        """Pick one user among the unselected records where ``open_mask`` is set."""
-        eligible = self.unselected if open_mask is None else self.unselected & open_mask
+    def step(self, code: int | None = None) -> None:
+        """Pick one user among the unselected records, of the layer of ``code`` when given."""
+        eligible = self.unselected if code is None else self.unselected & (self.codes == code)
         if self.fallback_from is None:
             candidates = eligible & self.unpruned
             if not candidates.any():
                 # pruning ran dry: from this rank on, pick by residual norm alone
-                self.fallback_from = len(self.chosen)
+                self.fallback_from = len(self.rows)
                 candidates = eligible
         else:
             candidates = eligible
@@ -148,9 +154,9 @@ class _SusRun:
         pick = tied[np.argmin(self.ids[tied])]  # deterministic tie-break: lowest record id
 
         g = self.residuals[pick].copy()
-        self.chosen.append(int(self.ids[pick]))
+        self.rows.append(int(pick))
         self.unselected[pick] = False
-        self.counts[_LAYERS[self.pool.layer_codes[pick]]] += 1
+        self.counts[self.codes[pick]] += 1
 
         norm_sq = float(np.vdot(g, g).real)
         if norm_sq > 0.0:
@@ -163,61 +169,51 @@ class _SusRun:
                 drop = np.flatnonzero(live)[corr >= self.params.alpha]
                 self.unpruned[drop] = False
 
-    def result(self, method: SelectionMethod) -> SelectionResult:
-        """The schedule picked so far."""
-        return SelectionResult(tuple(self.chosen), dict(self.counts), method, self.fallback_from)
-
 
 def _prefix_schedules(pool: CsiDataset, ks: list[int],
-                      params: SusParams) -> Iterator[SelectionResult]:
-    """The SUS schedule of each k in ascending ``ks``: the first k picks of one shared run."""
+                      params: SusParams) -> Iterator[tuple[np.ndarray, int | None]]:
+    """SUS (rows, fallback rank) of each k in ascending ``ks``: the first k picks of one run."""
     run = _SusRun(pool, params)
     for k in ks:
-        while len(run.chosen) < k:
+        while len(run.rows) < k:
             run.step()
-        yield run.result(SelectionMethod.SUS)
-
-
-def _record_branches(run: _SusRun, quotas: dict, branches: dict) -> None:
-    """Clone ``run`` at each per-layer grid quota it meets for the first time."""
-    for layer in Layer:
-        key = (layer, run.counts[layer])
-        if key[1] in quotas[layer] and key not in branches:
-            branches[key] = run.clone()
+        yield np.array(run.rows), run.fallback_from
 
 
 def _layered_schedules(pool: CsiDataset, grounds: list[int], aerials: list[int],
-                       params: SusParams) -> Iterator[SelectionResult]:
-    """The layered SUS schedule of each (k_ground, k_aerial) cell but (0, 0), in row order."""
+                       params: SusParams) -> Iterator[tuple[np.ndarray, int | None]]:
+    """Layered SUS (rows, fallback rank) of each (k_ground, k_aerial) but (0, 0), in row order."""
     # A layered run follows the unconstrained run until one layer meets its
     # quota, then picks from the other layer only. So one shared unconstrained
     # run, cloned where it first meets each grid quota, plus one single-layer
     # continuation per clone, serves every cell. Cells run in ascending order,
     # so the shared run never reaches a cell's second quota before the cell
     # is served: exactly one of its two quotas has a clone.
-    quotas = {Layer.TERRESTRIAL: set(grounds), Layer.AERIAL: set(aerials)}
+    quotas = (set(grounds), set(aerials))  # in _LAYERS order: indexed by layer code
     shared = _SusRun(pool, params)
-    branches: dict[tuple[Layer, int], _SusRun] = {}
-    _record_branches(shared, quotas, branches)
+    branches: dict[tuple[int, int], _SusRun] = {}  # (code, count) -> the run cloned there
     for k_ground in grounds:
         for k_aerial in aerials:
             if k_ground == 0 and k_aerial == 0:
                 continue
-            quota = {Layer.TERRESTRIAL: k_ground, Layer.AERIAL: k_aerial}
-            keys = [(layer, quota[layer]) for layer in Layer]
-            while not any(key in branches for key in keys):
+            keys = list(enumerate((k_ground, k_aerial)))  # (code, quota)
+            while True:
+                for code, count in enumerate(shared.counts):
+                    if count in quotas[code] and (code, count) not in branches:
+                        branches[code, count] = shared.clone()
+                if any(key in branches for key in keys):
+                    break
                 shared.step()
-                _record_branches(shared, quotas, branches)
             [full] = [key for key in keys if key in branches]
             branch = branches[full]
-            open_layer = next(layer for layer in Layer if layer is not full[0])
-            while branch.counts[open_layer] < quota[open_layer]:
-                branch.step(branch.layer_mask[open_layer])
-            yield branch.result(SelectionMethod.SUS_LAYERED)
+            open_code, quota = keys[1 - full[0]]
+            while branch.counts[open_code] < quota:
+                branch.step(open_code)
+            yield np.array(branch.rows), branch.fallback_from
         # the row is done, and no later cell has its terrestrial quota: its
         # branch goes, and the shared run clones it no more
-        quotas[Layer.TERRESTRIAL].discard(k_ground)
-        branches.pop((Layer.TERRESTRIAL, k_ground), None)
+        quotas[Layer.TERRESTRIAL.code].discard(k_ground)
+        branches.pop((Layer.TERRESTRIAL.code, k_ground), None)
 
 
 def sus_select(pool: CsiDataset, k: int, params: SusParams = SusParams()) -> SelectionResult:
@@ -235,7 +231,8 @@ def sus_select(pool: CsiDataset, k: int, params: SusParams = SusParams()) -> Sel
     """
     if not 1 <= k <= len(pool):
         raise ValueError(f"k must be in 1..{len(pool)}, got {k}")
-    return next(_prefix_schedules(pool, [k], params))
+    rows, fallback_from = next(_prefix_schedules(pool, [k], params))
+    return _selection(pool, rows, SelectionMethod.SUS, fallback_from)
 
 
 def sus_select_layered(
@@ -261,5 +258,6 @@ def sus_select_layered(
                 f"quota {cap} exceeds the {populations[layer]} available "
                 f"{layer.value} records"
             )
-    return next(_layered_schedules(pool, [caps[Layer.TERRESTRIAL]], [caps[Layer.AERIAL]],
-                                   params))
+    rows, fallback_from = next(_layered_schedules(pool, [caps[Layer.TERRESTRIAL]],
+                                                  [caps[Layer.AERIAL]], params))
+    return _selection(pool, rows, SelectionMethod.SUS_LAYERED, fallback_from)

@@ -211,7 +211,7 @@ def _sweep_ranges(populations: tuple[int, int], m_antennas: int,
 def _table(pool: CsiDataset, schedules: Iterator[tuple], **meta) -> SweepTable:
     """The table of the schedules the iterator yields, one row each, in order.
 
-    Each schedule is (method, trial, record ids, fallback rank or None). The
+    Each schedule is (method, trial, pool rows, fallback rank or None). The
     schedules of each size K are gathered into a (B, K, M) stack, which is
     evaluated as soon as it holds ``csi._ROW_BLOCK // K`` schedules, and at
     least one; the stacks still partial are evaluated at the end. A
@@ -222,43 +222,43 @@ def _table(pool: CsiDataset, schedules: Iterator[tuple], **meta) -> SweepTable:
     """
     noise_power = zfmetrics._noise_power(pool)
     codes, trials, ranks, sizes, k_aerial, sums = [], [], [], [], [], []
-    stacks: dict[int, list[tuple]] = {}  # K -> the (row, ids) of its stack being filled
-    failed = None  # (row, ids) of the earliest row not cleared
+    stacks: dict[int, list[tuple]] = {}  # K -> the (row, pool rows) of its stack being filled
+    failed = None  # (row, pool rows) of the earliest row not cleared
 
     def evaluate(stack: list[tuple]) -> None:
         nonlocal failed
-        rows = pool._rows_of(np.concatenate([chosen for _, chosen in stack]))
-        channels = pool.channels[rows].reshape(len(stack), -1, pool.m_antennas)
-        aerial = pool.layer_codes[rows].reshape(len(stack), -1) == Layer.AERIAL.code
-        sinr, cleared = zfmetrics._screened_sinr(channels, noise_power)
-        for (n, chosen), count, ok, row_se in zip(stack, np.count_nonzero(aerial, axis=1).tolist(),
-                                                  cleared, zfmetrics.spectral_efficiency(sinr)):
+        numbers, rows = zip(*stack)
+        rows = np.array(rows)  # (B, K)
+        aerial = np.count_nonzero(pool.layer_codes[rows] == Layer.AERIAL.code, axis=1)
+        sinr, cleared = zfmetrics._screened_sinr(pool.channels[rows], noise_power)
+        for n, schedule, count, ok, row_se in zip(numbers, rows, aerial.tolist(), cleared,
+                                                  zfmetrics.spectral_efficiency(sinr)):
             k_aerial[n] = count
             if ok:
                 sums[n] = zfmetrics.sum_se(row_se)
             elif failed is None or n < failed[0]:
-                failed = n, chosen
+                failed = n, schedule
 
-    for n, (method, trial, chosen, rank) in enumerate(schedules):
+    for n, (method, trial, rows, rank) in enumerate(schedules):
         codes.append(_METHODS.index(method))
         trials.append(trial)
         ranks.append(-1 if rank is None else rank)
-        sizes.append(len(chosen))
+        sizes.append(len(rows))
         k_aerial.append(0)
         sums.append(0.0)
-        stack = stacks.setdefault(len(chosen), [])
-        stack.append((n, chosen))
-        if len(stack) == max(1, csi._ROW_BLOCK // len(chosen)):
-            evaluate(stacks.pop(len(chosen)))
+        stack = stacks.setdefault(len(rows), [])
+        stack.append((n, rows))
+        if len(stack) == max(1, csi._ROW_BLOCK // len(rows)):
+            evaluate(stacks.pop(len(rows)))
     for stack in stacks.values():
         evaluate(stack)
     if failed:
-        n, chosen = failed
+        n, rows = failed
         method = _METHODS[codes[n]]
         cell = (f"k_ground={sizes[n] - k_aerial[n]}, k_aerial={k_aerial[n]}"
                 if method is SelectionMethod.SUS_LAYERED
                 else f"method={method.value}, k={sizes[n]}, trial={trials[n]}")
-        exc = zfmetrics._rejection(pool.channels_for(chosen))
+        exc = zfmetrics._rejection(pool.channels[rows])
         raise IllConditionedError(f"cell ({cell}): {exc}") from exc
     counts = pool.layer_counts()
     pool_meta = {
@@ -284,11 +284,11 @@ def _total_schedules(pool: CsiDataset, ks: list[int], methods: set[SelectionMeth
     if SelectionMethod.RANDOM in methods:
         for k in ks:
             for trial in range(trials):
-                ids = sched._random_ids(pool, k, _trial_seed(seed, k, trial))
-                yield SelectionMethod.RANDOM, trial, ids, None
+                rows = sched._random_rows(len(pool), k, _trial_seed(seed, k, trial))
+                yield SelectionMethod.RANDOM, trial, rows, None
     if SelectionMethod.SUS in methods:
-        for selection in sched._prefix_schedules(pool, ks, params):
-            yield SelectionMethod.SUS, 0, selection.chosen, selection.fallback_used_from
+        for rows, rank in sched._prefix_schedules(pool, ks, params):
+            yield SelectionMethod.SUS, 0, rows, rank
 
 
 def sweep_total_users(
@@ -333,8 +333,8 @@ def sweep_layer_grid(
     grounds, aerials = _sweep_ranges(tuple(pool.layer_counts().values()), pool.m_antennas,
                                      ground_range=ground_range, aerial_range=aerial_range)
 
-    schedules = ((SelectionMethod.SUS_LAYERED, 0, selection.chosen, selection.fallback_used_from)
-                 for selection in sched._layered_schedules(pool, grounds, aerials, params))
+    schedules = ((SelectionMethod.SUS_LAYERED, 0, rows, rank)
+                 for rows, rank in sched._layered_schedules(pool, grounds, aerials, params))
     return _table(pool, schedules, sweep="layer_grid", seed=seed,
                   alpha=params.alpha, ground_min=grounds[0], ground_max=grounds[-1],
                   aerial_min=aerials[0], aerial_max=aerials[-1])

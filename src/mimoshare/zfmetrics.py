@@ -204,22 +204,20 @@ def _screened_sinr(channels, noise_power: float) -> tuple[np.ndarray, np.ndarray
     factoring H, not G, keeps the relative error near sqrt(cond_2(G)) eps
     (1e-12 at cond_2(G) = 1e9, where a Cholesky factor of G gives 1e-6). R^-1
     comes from ``_triangular_inverse``, so no LU inverse or solve runs. A
-    schedule clears, as ``zf_combiner`` would accept it, when K <= M, R has no
-    zero on its diagonal and G is within DEFAULT_COND_CAP: by the bound
+    stack with K > M is no input: no schedule of it could clear. A schedule
+    clears, as ``zf_combiner`` would accept it, when R has no zero on its
+    diagonal and G is within DEFAULT_COND_CAP: by the bound
     cond_2(G) <= tr(G) tr(G^-1) where it is _BOUND_MARGIN below the cap, else
     by the exact SVD. A row that does not clear holds no SINR.
     """
     a = np.asarray(channels, dtype=np.complex128)
-    if a.ndim != 3 or 0 in a.shape:
-        raise ValueError(f"expected a (B, K, M) stack of schedules, got shape {a.shape}")
+    if a.ndim != 3 or 0 in a.shape or a.shape[1] > a.shape[2]:
+        raise ValueError(f"expected a (B, K, M) stack of schedules, K <= M, got shape {a.shape}")
     _check_powers(1.0, noise_power)
-    _, k_users, m_antennas = a.shape
-    if k_users > m_antennas:
-        return np.zeros(a.shape[:2]), np.zeros(len(a), dtype=bool)
     factor = np.linalg.qr(a.transpose(0, 2, 1), mode="r")  # (B, K, K), G = R^H R
     singular = np.any(np.diagonal(factor, axis1=1, axis2=2) == 0.0, axis=1)
     if singular.any():
-        factor[singular] = np.eye(k_users)  # stand-ins, so that the others are inverted
+        factor[singular] = np.eye(a.shape[1])  # stand-ins, so that the others are inverted
     factor = _triangular_inverse(factor)  # R^-1 from here on; R is dropped
     re, im = factor.real, factor.imag
     # squared in place, as x**2 is np.square(x) bit for bit; nothing below needs R^-1
@@ -235,7 +233,7 @@ def _screened_sinr(channels, noise_power: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _rejection(channels) -> IllConditionedError:
-    """``zf_combiner``'s error on a (K, M) schedule that ``_screened_sinr`` did not clear."""
+    """``zf_combiner``'s error on a (K, M) schedule ``_screened_sinr`` cannot clear."""
     try:
         zf_combiner(channels)
     except IllConditionedError as exc:
@@ -272,6 +270,8 @@ def evaluate_selection(pool: CsiDataset, selection: SelectionResult) -> SeReport
     """ZF SINR and SE, at unit transmit power, of the scheduled users of a normalized pool."""
     noise_power = _noise_power(pool)
     channels = pool.channels_for(selection.chosen)
+    if len(channels) > pool.m_antennas:  # K > M: zf_combiner's error, unscreened
+        raise _rejection(channels)
     [sinr_values], [cleared] = _screened_sinr(channels[None], noise_power)
     if not cleared:
         raise _rejection(channels)

@@ -22,14 +22,16 @@ from mimoshare.csi import (
 from mimoshare.zfmetrics import evaluate_selection
 
 
-def pool_from_vectors(vectors, layers=None, snr_db=20.0):
-    """Build a normalized dataset from raw channel vectors (index i = record id i)."""
+def pool_from_vectors(vectors, layers=None, snr_db=20.0, ids=None):
+    """A normalized dataset of raw channel vectors; row i has record id ``ids[i]``, or i."""
     vectors = [np.asarray(v, dtype=np.complex128) for v in vectors]
     if layers is None:
         layers = [Layer.TERRESTRIAL] * len(vectors)
+    if ids is None:
+        ids = range(len(vectors))
     records = tuple(
-        CsiRecord(index=i, layer=layer, timestep_ms=i, channel=v)
-        for i, (v, layer) in enumerate(zip(vectors, layers))
+        CsiRecord(index=int(record_id), layer=layer, timestep_ms=i, channel=v)
+        for i, (v, layer, record_id) in enumerate(zip(vectors, layers, ids))
     )
     dataset = CsiDataset(records=records, m_antennas=vectors[0].shape[0])
     return normalize_to_snr(dataset, snr_db)
@@ -56,7 +58,7 @@ K_PAST_M = r"^{0} users in one schedule, more than {1} antennas can null \(K > M
 def unscheduled():
     """A context in which a sweep that schedules any row fails with AssertionError."""
     stack = contextlib.ExitStack()
-    for name in ("_random_ids", "_prefix_schedules", "_layered_schedules"):
+    for name in ("_random_rows", "_prefix_schedules", "_layered_schedules"):
         stack.enter_context(mock.patch.object(sched, name, side_effect=AssertionError("scheduled")))
     return stack
 

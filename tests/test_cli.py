@@ -130,6 +130,18 @@ def test_generated_captures_keep_the_generators_timesteps(tmp_path):
         np.testing.assert_array_equal(captured.timesteps_ms, timesteps[codes == layer.code])
 
 
+def test_generated_sidecars_keep_the_snr_target_exactly(tmp_path):
+    # written as :g writes it, 20.123456789 dB read back as 20.1235 while
+    # meta.json kept it whole
+    assert run_cli("generate", "--config", MINI_CFG, "--snr-db", "20.123456789",
+                   "--out", tmp_path) == 0
+    assert json.loads((tmp_path / "meta.json").read_text())["snr_db"] == 20.123456789
+    for layer in Layer:
+        lines = (tmp_path / f"{layer.value}.bin.cfg").read_text().splitlines()
+        values = dict(line.split(" = ") for line in lines)
+        assert float(values["snr_db"]) == 20.123456789
+
+
 def test_truncated_capture_fails_without_partial_outputs(tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(bytes(255))

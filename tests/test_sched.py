@@ -247,11 +247,10 @@ def test_a_step_with_no_open_record_raises_and_picks_nothing():
         run.step()
     # a step open to one layer only, once that layer's one record is picked
     run = _SusRun(pool, SusParams())
-    aerial = run.layer_mask[Layer.AERIAL]
-    run.step(aerial)
+    run.step(Layer.AERIAL.code)
     with pytest.raises(SelectionError, match="pool exhausted"):
-        run.step(aerial)
-    assert run.chosen == [3] and run.counts == {Layer.TERRESTRIAL: 0, Layer.AERIAL: 1}
+        run.step(Layer.AERIAL.code)
+    assert run.rows == [3] and run.counts == [0, 1]  # counts by layer code
 
 
 def test_layered_published_peak_quota_shape(default_pool):

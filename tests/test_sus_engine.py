@@ -128,11 +128,14 @@ HYPOTHESIS = settings(derandomize=True, deadline=None, max_examples=60)
 
 
 @st.composite
-def two_layer_pools(draw, wide=False):
+def two_layer_pools(draw, wide=False, sparse_ids=False):
     """Small random two-layer pools; ``wide`` keeps M >= N so every schedule is well conditioned.
 
     Narrow pools have more users than antennas, so residuals vanish and the
     fallback engages; some rows repeat an earlier channel to force exact ties.
+    With ``sparse_ids`` the record ids are distinct integers up to 1000 N in
+    no order, so the lowest id of a tie is often not its first row, and no
+    row is its own id.
     """
     n_ground = draw(st.integers(0, 5))
     n_aerial = draw(st.integers(0 if n_ground else 1, 5))
@@ -146,7 +149,8 @@ def two_layer_pools(draw, wide=False):
             vectors[row] = vectors[row - 1]
     layers = [Layer.TERRESTRIAL] * n_ground + [Layer.AERIAL] * n_aerial
     order = rng.permutation(n)  # interleave the layers in record order
-    return pool_from_vectors(vectors[order], [layers[i] for i in order])
+    ids = rng.choice(1000 * n, size=n, replace=False) if sparse_ids else None
+    return pool_from_vectors(vectors[order], [layers[i] for i in order], ids=ids)
 
 
 def dominant_direction_pool():
@@ -230,6 +234,16 @@ def test_sus_prefix_property(pool, alpha):
         assert part.fallback_used_from == (f if f is not None and f < k else None)
 
 
+def driven(pool, schedules):
+    """A driver's (pool rows, fallback rank) schedules as (record ids, fallback rank)."""
+    return [(tuple(pool.ids[rows].tolist()), rank) for rows, rank in schedules]
+
+
+def selected(selections):
+    """The (record ids, fallback rank) of each selection."""
+    return [(selection.chosen, selection.fallback_used_from) for selection in selections]
+
+
 def assert_rows_are(pool, table, schedules):
     """Row i holds schedule i's layer counts and fallback rank, and exactly its summed SE."""
     assert len(table) == len(schedules)
@@ -250,7 +264,7 @@ def test_total_sweep_sus_rows_match_oracle(pool, alpha):
     params = SusParams(alpha=alpha)
     ks = list(range(1, len(pool) + 1))
     expected = [oracle_sus(pool, k, params, None, SelectionMethod.SUS) for k in ks]
-    assert list(sched._prefix_schedules(pool, ks, params)) == expected
+    assert driven(pool, sched._prefix_schedules(pool, ks, params)) == selected(expected)
     table = sweep_total_users(pool, ks, {SelectionMethod.SUS}, params=params)
     assert [row.k_total for row in table.rows] == ks
     assert_rows_are(pool, table, expected)
@@ -265,11 +279,28 @@ def test_layer_grid_rows_match_oracle(pool, alpha, data):
     aerials = sorted(data.draw(st.sets(st.integers(0, counts[Layer.AERIAL]), min_size=1)))
     assume(grounds != [0] or aerials != [0])
     expected = layered_oracle_schedules(pool, grounds, aerials, params)
-    assert list(sched._layered_schedules(pool, grounds, aerials, params)) == expected
+    schedules = sched._layered_schedules(pool, grounds, aerials, params)
+    assert driven(pool, schedules) == selected(expected)
     table = sweep_layer_grid(pool, grounds, aerials, params)
     cells = [(g, a) for g in grounds for a in aerials if g or a]
     assert [(row.k_ground, row.k_aerial) for row in table.rows] == cells
     assert_rows_are(pool, table, expected)
+
+
+# the oracle picks the lowest record id of a tie; on these pools that is
+# often not the lowest row, and the drivers' rows must map to the same ids
+@HYPOTHESIS
+@given(pool=two_layer_pools(sparse_ids=True), alpha=ALPHAS)
+def test_selectors_break_ties_by_lowest_record_id(pool, alpha):
+    test_sus_select_matches_oracle.hypothesis.inner_test(pool, alpha)
+    test_sus_select_layered_matches_oracle.hypothesis.inner_test(pool, alpha)
+
+
+@HYPOTHESIS
+@given(pool=two_layer_pools(wide=True, sparse_ids=True), alpha=ALPHAS, data=st.data())
+def test_sweep_sus_rows_match_oracle_on_sparse_ids(pool, alpha, data):
+    test_total_sweep_sus_rows_match_oracle.hypothesis.inner_test(pool, alpha)
+    test_layer_grid_rows_match_oracle.hypothesis.inner_test(pool, alpha, data)
 
 
 def test_engine_matches_oracle_on_default_pool(default_pool):
@@ -278,6 +309,7 @@ def test_engine_matches_oracle_on_default_pool(default_pool):
     assert full == oracle_sus(default_pool, len(default_pool), params, None, SelectionMethod.SUS)
     grounds, aerials = list(range(0, 37, 6)), list(range(0, 29, 7))
     expected = layered_oracle_schedules(default_pool, grounds, aerials, params)
-    assert list(sched._layered_schedules(default_pool, grounds, aerials, params)) == expected
+    schedules = sched._layered_schedules(default_pool, grounds, aerials, params)
+    assert driven(default_pool, schedules) == selected(expected)
     assert_rows_are(default_pool, sweep_layer_grid(default_pool, grounds, aerials, params),
                     expected)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import tempfile
 import tracemalloc
@@ -19,7 +20,7 @@ from conftest import (
     unscheduled,
 )
 from mimoshare import csi, zfmetrics
-from mimoshare.csi import Layer
+from mimoshare.csi import CsiDataset, Layer
 from mimoshare.sched import (
     SelectionMethod,
     SelectionResult,
@@ -118,6 +119,23 @@ def test_random_rows_are_random_selects_draws():
     assert len(random_rows) == 7 * 3
     for row in random_rows:
         assert_row_is(pool, row, replayed(pool, row, seed))
+
+
+def test_rows_replay_on_sparse_record_ids():
+    # ids distinct, gapped and in no order: no pool row is its own record id
+    rng = np.random.default_rng(8)
+    layers = [Layer.TERRESTRIAL] * 10 + [Layer.AERIAL] * 10
+    ids = rng.choice(10**6, size=20, replace=False)
+    pool = pool_from_vectors(random_unit_channels(rng, 20, 8), layers, ids=ids)
+    drawn = np.random.default_rng(11).choice(20, size=5, replace=False)
+    assert random_select(pool, 5, 11).chosen == tuple(ids[drawn].tolist())
+    seed = 5
+    table = sweep_total_users(pool, range(1, 8), trials=3, seed=seed)
+    for row in table.rows:
+        assert_row_is(pool, row, replayed(pool, row, seed))
+    grid = sweep_layer_grid(pool, range(4), range(4))
+    for row in grid.rows:
+        assert_row_is(pool, row, replayed(pool, row))
 
 
 def test_sus_rows_recorded_once_random_per_trial():
@@ -365,6 +383,33 @@ def test_grid_names_an_earlier_singular_cell_before_a_later_scheduling_error():
         sweep_layer_grid(pool, [3, 4], [0], params=STRICT_WIDE)
     with unscheduled(), pytest.raises(_RangeError, match=K_PAST_M.format(5, 4)):
         sweep_layer_grid(pool, [3, 4], [0, 1], params=STRICT_WIDE)
+
+
+def record_lookups_fail():
+    """A context in which a record-id lookup or a SelectionResult fails with AssertionError."""
+    stack = contextlib.ExitStack()
+    for owner, name in ((CsiDataset, "_rows_of"), (CsiDataset, "channels_for"),
+                        (SelectionResult, "__post_init__")):
+        stack.enter_context(mock.patch.object(owner, name, side_effect=AssertionError(name)))
+    return stack
+
+
+def test_the_sweeps_schedule_and_evaluate_in_pool_rows(mini_pool):
+    # from the scheduler to the table a schedule stays pool rows: no record
+    # id is looked up and no SelectionResult is built, failing cells included
+    pool = collinear_pool()
+    sweeps = [
+        lambda: sweep_total_users(mini_pool, range(1, 25), trials=3, seed=2),
+        lambda: sweep_layer_grid(mini_pool, range(0, 13, 2), range(0, 13, 3)),
+        lambda: sweep_total_users(pool, [1, 2, 3, 4], methods={SelectionMethod.SUS},
+                                  params=STRICT_WIDE),
+        lambda: sweep_layer_grid(pool, [3, 4], [0], params=STRICT_WIDE),
+    ]
+    expected = [sweep_outcome(sweep) for sweep in sweeps]
+    assert expected[2].startswith("cell (method=sus, k=4, trial=0): Gram condition number ")
+    assert expected[3].startswith("cell (k_ground=3, k_aerial=0): Gram condition number ")
+    with record_lookups_fail():
+        assert [sweep_outcome(sweep) for sweep in sweeps] == expected
 
 
 def test_earliest_failing_row_wins_across_schedule_sizes():
