@@ -359,10 +359,12 @@ def _cmd_sweep(cfg: dict, kind: str) -> int:
                                      params=params, seed=cfg["seed"])
     except _RangeError as exc:
         raise ValueError(f"{', '.join(map(_flag, exc.keys))}: {exc}") from None
+    csv = table.csv_text()
+    # summarized from the table sweep.csv reads back as, so report rebuilds the same lines
+    written = SweepTable._from_lines(csv.splitlines(), "sweep.csv", table.meta)
     files = {
-        "sweep.csv": table.csv_text().encode(),
-        # summarized from what sweep.csv holds, so report rebuilds the same lines
-        "summary.txt": _summary_text(table._as_written(), cfg["thresholds"]).encode(),
+        "sweep.csv": csv.encode(),
+        "summary.txt": _summary_text(written, cfg["thresholds"]).encode(),
         "meta.json": _meta_json(table.meta, cfg, f"sweep-{kind}"),
     }
     _write_outputs(Path(cfg["out"]), files)

@@ -37,7 +37,6 @@ __all__ = [
     "merge_datasets",
     "generate_synthetic",
     "element_positions",
-    "trajectory_points",
     "normalize_to_snr",
     "subsample_pool",
 ]
@@ -202,8 +201,8 @@ class CsiDataset:
             self.timesteps_ms[rows], self.scale_applied, self.noise_power, self.snr_target_db,
         )
 
-    def _rows_of(self, indices: Iterable[int]) -> np.ndarray:
-        """Row positions of the given record ids; KeyError names an unknown id."""
+    def channels_for(self, indices: Iterable[int]) -> np.ndarray:
+        """The read-only (K, M) channels of the given record ids; KeyError names an unknown id."""
         wanted = _integers(indices, "record id")
         if wanted.size and not len(self):
             raise KeyError(int(wanted[0]))  # nothing to take a row from
@@ -212,18 +211,13 @@ class CsiDataset:
         unknown = wanted[self.ids[rows] != wanted]
         if unknown.size:
             raise KeyError(int(unknown[0]))
-        return rows
-
-    def channels_for(self, indices: Iterable[int]) -> np.ndarray:
-        """Channels of the given record ids as a read-only (K, M) array."""
-        channels = self.channels[self._rows_of(indices)]
+        channels = self.channels[rows]
         channels.flags.writeable = False
         return channels
 
-    def layer_counts(self, indices: Iterable[int] | None = None) -> dict[Layer, int]:
-        """Records per layer, in the whole dataset or among the given record ids."""
-        codes = self.layer_codes if indices is None else self.layer_codes[self._rows_of(indices)]
-        return dict(zip(Layer, np.bincount(codes, minlength=len(Layer)).tolist()))
+    def layer_counts(self) -> dict[Layer, int]:
+        """Records per layer."""
+        return dict(zip(Layer, np.bincount(self.layer_codes, minlength=len(Layer)).tolist()))
 
     def fingerprint(self) -> str:
         """Short content hash covering ids, layers, timesteps and gains."""
@@ -609,16 +603,6 @@ def element_positions(config: ScenarioConfig) -> np.ndarray:
     pos[:, :, 0] = cols[None, :]
     pos[:, :, 2] = config.bs_height_m + rows[:, None]
     return pos.reshape(-1, 3)
-
-
-def trajectory_points(config: ScenarioConfig, altitude_m: float) -> np.ndarray:
-    """(N, 3) sampling positions along one constant-altitude pass."""
-    n = config.samples_per_layer
-    pts = np.empty((n, 3))
-    pts[:, 0] = _along_pass(config, 0, n)
-    pts[:, 1] = config.standoff_distance_m
-    pts[:, 2] = altitude_m
-    return pts
 
 
 def _along_pass(config: ScenarioConfig, start: int, stop: int) -> np.ndarray:

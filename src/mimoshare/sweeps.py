@@ -135,12 +135,6 @@ class SweepTable:
         mine = self.method_codes == _METHODS.index(method)
         return SweepTable(*(getattr(self, name)[mine] for name in _COLUMNS), meta=self.meta)
 
-    def _as_written(self) -> SweepTable:
-        """The table its CSV reads back as: each SE at the 6 significant digits written."""
-        return dataclasses.replace(self, **{
-            name: np.array([float(f"{se:.6g}") for se in getattr(self, name).tolist()])
-            for name in ("sum_se", "mean_individual_se")})
-
     def csv_text(self) -> str:
         lines = [CSV_HEADER]
         lines.extend(f"{method.value},{k_total},{k_ground},{k_aerial},{trial},{sum_se:.6g},"
@@ -152,17 +146,22 @@ class SweepTable:
     @classmethod
     def from_csv(cls, path) -> SweepTable:
         """The table ``csv_text`` wrote; a bad row names its file and line."""
-        lines = csi._text_lines(path)
+        return cls._from_lines(csi._text_lines(path), path,
+                               meta={"sweep": "from_csv", "source": str(path)})
+
+    @classmethod
+    def _from_lines(cls, lines: list[str], source, meta: dict) -> SweepTable:
+        """The table of a CSV's lines, with this meta; a bad row names ``source`` and its line."""
         if not lines or lines[0] != CSV_HEADER:
-            raise ValueError(f"{path}: not a sweep table (unexpected header)")
+            raise ValueError(f"{source}: not a sweep table (unexpected header)")
         rows = []
         for lineno, line in enumerate(lines[1:], start=2):
             if line.strip():
                 try:
                     rows.append(_csv_row(line))
                 except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-        return cls.from_rows(rows, meta={"sweep": "from_csv", "source": str(path)})
+                    raise ValueError(f"{source}:{lineno}: {exc}") from None
+        return cls.from_rows(rows, meta)
 
 
 class _RangeError(ValueError):

@@ -15,6 +15,7 @@ from mimoshare.csi import (
     CsiRecord,
     Layer,
     ScenarioConfig,
+    _along_pass,
     generate_synthetic,
     normalize_to_snr,
     subsample_pool,
@@ -37,6 +38,23 @@ def pool_from_vectors(vectors, layers=None, snr_db=20.0, ids=None):
     return normalize_to_snr(dataset, snr_db)
 
 
+def layer_counts_of(pool, ids):
+    """Records per layer among the given record ids: the layer codes of their rows, counted."""
+    row_of = dict(zip(pool.ids.tolist(), range(len(pool))))
+    codes = pool.layer_codes[[row_of[record_id] for record_id in ids]]
+    return dict(zip(Layer, np.bincount(codes, minlength=len(Layer)).tolist()))
+
+
+def trajectory_points(config, altitude_m):
+    """(N, 3) sampling positions along one constant-altitude pass: the generator's geometry."""
+    n = config.samples_per_layer
+    pts = np.empty((n, 3))
+    pts[:, 0] = _along_pass(config, 0, n)
+    pts[:, 1] = config.standoff_distance_m
+    pts[:, 2] = altitude_m
+    return pts
+
+
 def random_unit_channels(rng, k, m):
     """K unit-norm complex Gaussian channel rows."""
     h = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) / np.sqrt(2)
@@ -49,6 +67,11 @@ def assert_row_is(pool, row, selection):
     assert (row.k_ground, row.k_aerial) == (counts[Layer.TERRESTRIAL], counts[Layer.AERIAL])
     assert row.fallback_rank == selection.fallback_used_from
     assert row.sum_se == evaluate_selection(pool, selection).sum_se
+
+
+def method_lines(path):
+    """The ``method=`` lines of a summary.txt: its peaks and capacities."""
+    return [line for line in path.read_text().splitlines() if line.startswith("method=")]
 
 
 # the whole message of a range whose largest schedule holds {0} users, past M = {1}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from conftest import layer_counts_of
 from mimoshare.csi import CsiDataset
 from mimoshare.sched import SelectionMethod, SelectionResult
 from mimoshare.zfmetrics import IllConditionedError, evaluate_selection
@@ -33,7 +34,7 @@ def per_subset_oracle(
     best_sum = -math.inf
     for combo in itertools.combinations(pool.ids.tolist(), k):
         # the method tag plays no part in the evaluation
-        selection = SelectionResult(combo, pool.layer_counts(combo), SelectionMethod.RANDOM)
+        selection = SelectionResult(combo, layer_counts_of(pool, combo), SelectionMethod.RANDOM)
         try:
             report = evaluate_selection(pool, selection)
         except IllConditionedError:

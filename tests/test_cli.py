@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FUZZ_EXAMPLES, VALUE_TEXT, text_file_bytes
+from conftest import FUZZ_EXAMPLES, VALUE_TEXT, method_lines, text_file_bytes
 from mimoshare import cli, csi
 from mimoshare.cli import _CONFIG_SPEC, _build_parser, _flag, _merge_config, main
 from mimoshare.csi import (CsiDataset, FixedPointFormat, Layer, encode_csi_binary, load_capture,
@@ -303,10 +303,6 @@ def test_report_from_existing_table(tmp_path, capsys):
     assert ">= 2 bits/s/Hz" in text
     captured = capsys.readouterr().out
     assert "peak sum_se=" in captured
-
-
-def method_lines(path):
-    return [line for line in path.read_text().splitlines() if line.startswith("method=")]
 
 
 @pytest.mark.parametrize("seed", [7, 0, 1, 2, 3])  # 7 is mini_grid.cfg's own seed

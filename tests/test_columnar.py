@@ -177,9 +177,8 @@ def test_an_empty_dataset_names_the_first_unknown_id():
     with pytest.raises(KeyError, match="^0$"):
         empty.channels_for([0])
     with pytest.raises(KeyError, match="^3$"):
-        empty.layer_counts([3, 4])
+        empty.channels_for([3, 4])
     assert empty.channels_for([]).shape == (0, 2)
-    assert empty.layer_counts([]) == {Layer.TERRESTRIAL: 0, Layer.AERIAL: 0}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])

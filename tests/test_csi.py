@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FUZZ_EXAMPLES, VALUE_TEXT, text_file_bytes
+from conftest import FUZZ_EXAMPLES, VALUE_TEXT, text_file_bytes, trajectory_points
 from mimoshare.csi import (
     CaptureError,
     CsiDataset,
@@ -28,7 +28,6 @@ from mimoshare.csi import (
     read_sidecar,
     sidecar_text,
     subsample_pool,
-    trajectory_points,
 )
 from mimoshare.csi import _keep_rows, _parse_keyvalues
 
@@ -313,18 +312,15 @@ def test_dataset_rejects_a_record_index_or_timestep_that_is_not_an_integer(field
 @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
 def test_a_lookup_rejects_an_id_that_is_not_an_integer(value):
     ds = make_dataset([[1, 0], [0, 1]])
-    for lookup in (ds.channels_for, ds.layer_counts):
-        with pytest.raises(TypeError, match=f"^record id {re.escape(repr(value))} is not"):
-            lookup([0, value])
+    with pytest.raises(TypeError, match=f"^record id {re.escape(repr(value))} is not"):
+        ds.channels_for([0, value])
 
 
 def test_a_lookup_takes_ids_of_any_integer_type_or_none():
     ds = make_dataset([[1, 0], [0, 1]], [Layer.TERRESTRIAL, Layer.AERIAL])
     for ids in ([1, 0], (np.int64(1), np.int32(0)), np.array([1, 0]), np.array([1, 0], np.uint8)):
         np.testing.assert_array_equal(ds.channels_for(ids), ds.channels[::-1])
-        assert ds.layer_counts(ids) == {Layer.TERRESTRIAL: 1, Layer.AERIAL: 1}
     assert ds.channels_for([]).shape == (0, 2)
-    assert ds.layer_counts(()) == {Layer.TERRESTRIAL: 0, Layer.AERIAL: 0}
 
 
 @pytest.mark.parametrize("rows", [slice(0, 2), slice(None, None, -2), slice(5, 9)], ids=str)

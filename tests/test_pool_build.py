@@ -26,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import trajectory_points
 import mimoshare
 from mimoshare import cli, csi
 from mimoshare.csi import (
@@ -43,7 +44,6 @@ from mimoshare.csi import (
     normalize_to_snr,
     read_sidecar,
     subsample_pool,
-    trajectory_points,
 )
 
 HYPOTHESIS = settings(derandomize=True, deadline=None, max_examples=40)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import K_PAST_M, assert_row_is, pool_from_vectors, unscheduled
+from conftest import K_PAST_M, assert_row_is, layer_counts_of, pool_from_vectors, unscheduled
 from mimoshare import sched
 from mimoshare.csi import CsiDataset, Layer
 from mimoshare.sched import (
@@ -100,7 +100,7 @@ def oracle_sus(
                 drop = np.flatnonzero(live)[corr >= params.alpha]
                 unpruned[drop] = False
 
-    return SelectionResult(tuple(chosen), pool.layer_counts(chosen), method, fallback_from)
+    return SelectionResult(tuple(chosen), layer_counts_of(pool, chosen), method, fallback_from)
 
 
 def oracle_stops(pool, total, params, caps, method) -> bool:

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -14,12 +13,15 @@ from conftest import (
     FUZZ_EXAMPLES,
     K_PAST_M,
     assert_row_is,
+    layer_counts_of,
+    method_lines,
     pool_from_vectors,
     random_unit_channels,
     text_file_bytes,
     unscheduled,
 )
 from mimoshare import csi, zfmetrics
+from mimoshare.cli import main
 from mimoshare.csi import CsiDataset, Layer
 from mimoshare.sched import (
     SelectionMethod,
@@ -202,7 +204,7 @@ def test_grid_degenerate_rows_have_exact_counts():
     for row in table.rows:
         assert row.k_aerial == 0
         selection = sus_select_layered(pool, {Layer.TERRESTRIAL: row.k_ground})
-        assert pool.layer_counts(selection.chosen)[Layer.TERRESTRIAL] == row.k_ground
+        assert layer_counts_of(pool, selection.chosen)[Layer.TERRESTRIAL] == row.k_ground
         assert_row_is(pool, row, selection)
 
 
@@ -388,8 +390,7 @@ def test_grid_names_an_earlier_singular_cell_before_a_later_scheduling_error():
 def record_lookups_fail():
     """A context in which a record-id lookup or a SelectionResult fails with AssertionError."""
     stack = contextlib.ExitStack()
-    for owner, name in ((CsiDataset, "_rows_of"), (CsiDataset, "channels_for"),
-                        (SelectionResult, "__post_init__")):
+    for owner, name in ((CsiDataset, "channels_for"), (SelectionResult, "__post_init__")):
         stack.enter_context(mock.patch.object(owner, name, side_effect=AssertionError(name)))
     return stack
 
@@ -420,7 +421,7 @@ def test_earliest_failing_row_wins_across_schedule_sizes():
     with pytest.raises(IllConditionedError, match=r"^cell \(method=random, k=3, trial=1\): "):
         _table(pool, iter(scheduled))
     [row] = _table(pool, iter(scheduled[:1])).rows
-    assert_row_is(pool, row, SelectionResult((0, 1), pool.layer_counts((0, 1)), random))
+    assert_row_is(pool, row, SelectionResult((0, 1), layer_counts_of(pool, (0, 1)), random))
     # at 6 channel rows a stack, the size-2 stack fills at row 3 and is
     # evaluated, failing at row 1, while row 0's size-3 stack is still partial
     scheduled = [(random, 0, (0, 1, 2), None), (random, 1, (0, 3), None),
@@ -626,16 +627,41 @@ def test_from_csv_reads_back_what_csv_text_writes(rows):
         assert SweepTable.from_csv(path).csv_text() == text
 
 
-@pytest.mark.parametrize("sweep", [
-    lambda pool: sweep_total_users(pool, range(1, 9), trials=3, seed=2),
-    lambda pool: sweep_layer_grid(pool, range(5), range(5)),
-], ids=["total", "grid"])
-def test_a_sweeps_csv_reads_back_as_the_table_it_summarizes(tmp_path, sweep):
-    # a sweep summarizes _as_written(), and report what from_csv reads back
-    table = sweep(two_layer_random_pool(seed=6))
-    path = tmp_path / "sweep.csv"
-    path.write_text(table.csv_text())
-    assert dataclasses.replace(SweepTable.from_csv(path), meta=table.meta) == table._as_written()
+# the scenario of tests/data/mini_grid.cfg: 41 records per layer
+MINI_SCENARIO = ["--m-rows", "4", "--m-cols", "4", "--trajectory-length-m", "4",
+                 "--trajectory-speed-mps", "1", "--sample-interval-ms", "100",
+                 "--pool-terrestrial", "10", "--pool-aerial", "10"]
+
+
+@st.composite
+def small_sweeps(draw):
+    """CLI arguments of a small sweep of either kind: a 4 x 4 array, 10 users per layer."""
+    if draw(st.booleans()):
+        lo = draw(st.integers(1, 16))
+        args = ["sweep-total", "--k-range", f"{lo}:{draw(st.integers(lo, 16))}",
+                "--trials", draw(st.integers(1, 3))]
+    else:
+        ground = draw(st.integers(0, 8))
+        args = ["sweep-grid", "--ground-range", f"0:{ground}",
+                "--aerial-range", f"0:{draw(st.integers(0 if ground else 1, 8))}"]
+    thresholds = draw(st.lists(st.sampled_from("12468"), min_size=1, max_size=3))
+    return [*args, "--seed", draw(st.integers(0, 99)),
+            "--alpha", draw(st.sampled_from(["0.3", "0.6", "1"])),
+            "--thresholds", ",".join(thresholds), *MINI_SCENARIO]
+
+
+# each example runs two commands, so it takes a third of the fuzz budget
+@settings(derandomize=True, deadline=None, max_examples=FUZZ_EXAMPLES // 3)
+@given(args=small_sweeps())
+def test_a_sweeps_summary_is_what_report_reads_from_its_csv(args):
+    thresholds = args[args.index("--thresholds") + 1]
+    with tempfile.TemporaryDirectory() as tmp:
+        sweep_dir, report_dir = Path(tmp) / "sweep", Path(tmp) / "report"
+        assert main([*map(str, args), "--out", str(sweep_dir)]) == 0
+        assert main(["report", "--table", str(sweep_dir / "sweep.csv"), "--out", str(report_dir),
+                     "--thresholds", thresholds]) == 0
+        expected = method_lines(sweep_dir / "summary.txt")
+        assert expected and method_lines(report_dir / "summary.txt") == expected
 
 
 @pytest.mark.parametrize("line", ["sus,1,1,0,9223372036854775808,2,2,",
