@@ -87,13 +87,19 @@ def _check_finite(gains: np.ndarray) -> None:
         raise ValueError("channel vector contains NaN or Inf components")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a TypeError names it if it is a bool or no integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 def _integers(values, name: str) -> np.ndarray:
     """``values`` as an int64 array; a TypeError names the first that is a bool or no integer."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
         values = list(values)
         for value in values:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} {value!r} is not an integer")
+            _integer(value, name)
     return np.asarray(values, dtype=np.int64)
 
 
@@ -795,7 +801,7 @@ def _keep_rows(
         if count is None:
             keep[positions] = True
             continue
-        if count < 0:
+        if _integer(count, f"{layer.value} count") < 0:
             raise ValueError(f"requested {count} {layer.value} records; counts must be >= 0")
         population = len(positions)
         if count > population:

@@ -15,7 +15,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .csi import _LAYERS, CsiDataset, Layer
+from .csi import _LAYERS, CsiDataset, Layer, _integer
 
 __all__ = [
     "SelectionMethod",
@@ -96,7 +96,7 @@ def _random_rows(n: int, k: int, seed: int) -> np.ndarray:
 
 def random_select(pool: CsiDataset, k: int, seed: int) -> SelectionResult:
     """Draw k distinct records uniformly without replacement."""
-    if not 1 <= k <= len(pool):
+    if not 1 <= _integer(k, "k") <= len(pool):
         raise ValueError(f"k must be in 1..{len(pool)}, got {k}")
     return _selection(pool, _random_rows(len(pool), k, seed), SelectionMethod.RANDOM)
 
@@ -229,7 +229,7 @@ def sus_select(pool: CsiDataset, k: int, params: SusParams = SusParams()) -> Sel
     first k picks of the schedule for any larger k, and its fallback rank is
     the larger run's rank when that rank is below k (None otherwise).
     """
-    if not 1 <= k <= len(pool):
+    if not 1 <= _integer(k, "k") <= len(pool):
         raise ValueError(f"k must be in 1..{len(pool)}, got {k}")
     rows, fallback_from = next(_prefix_schedules(pool, [k], params))
     return _selection(pool, rows, SelectionMethod.SUS, fallback_from)
@@ -246,7 +246,10 @@ def sus_select_layered(
     Fallback works as in :func:`sus_select`; only a quota beyond a layer's
     population raises :class:`SelectionError`.
     """
-    caps = {layer: int(quota.get(layer, 0)) for layer in Layer}
+    for key in quota:
+        if key not in _LAYERS:
+            raise TypeError(f"quota key {key!r} is not a Layer")
+    caps = {layer: _integer(quota.get(layer, 0), f"{layer.value} quota") for layer in Layer}
     if any(c < 0 for c in caps.values()):
         raise ValueError("quotas must be nonnegative")
     if sum(caps.values()) < 1:

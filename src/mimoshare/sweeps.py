@@ -190,9 +190,9 @@ def _sweep_ranges(populations: tuple[int, int], m_antennas: int,
     }
     checked = []
     for key, values in ranges.items():
-        ks = sorted(set(int(k) for k in values))
-        lo, hi, bound = bounds[key]
         name = key.replace("_", " ")
+        ks = sorted({csi._integer(k, name) for k in values})
+        lo, hi, bound = bounds[key]
         if not ks:
             raise _RangeError(f"empty {name}", key)
         if ks[0] < lo or ks[-1] > hi:
@@ -304,6 +304,7 @@ def sweep_total_users(
     recorded once (trial 0).
     """
     [ks] = _sweep_ranges(tuple(pool.layer_counts().values()), pool.m_antennas, k_range=k_range)
+    trials = csi._integer(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     methods = set(methods)

@@ -3,6 +3,7 @@
 import mimoshare  # noqa: F401
 
 import contextlib
+import re
 from unittest import mock
 
 import numpy as np
@@ -72,6 +73,15 @@ def assert_row_is(pool, row, selection):
 def method_lines(path):
     """The ``method=`` lines of a summary.txt: its peaks and capacities."""
     return [line for line in path.read_text().splitlines() if line.startswith("method=")]
+
+
+# values that are no integer count or id: floats (integral ones too), a str and bools
+NOT_INTEGERS = [1.7, 1.0, "1", True, np.float64(1.0), np.bool_(True)]
+
+
+def not_an_integer(name, value):
+    """The pattern of the whole TypeError that names ``value`` as no integer ``name``."""
+    return rf"^{re.escape(name)} {re.escape(repr(value))} is not an integer$"
 
 
 # the whole message of a range whose largest schedule holds {0} users, past M = {1}

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FUZZ_EXAMPLES, VALUE_TEXT, text_file_bytes, trajectory_points
+from conftest import (FUZZ_EXAMPLES, NOT_INTEGERS, VALUE_TEXT, not_an_integer, text_file_bytes,
+                      trajectory_points)
 from mimoshare.csi import (
     CaptureError,
     CsiDataset,
@@ -297,22 +298,19 @@ def test_a_list_channel_joins_as_a_read_only_complex_row():
     np.testing.assert_array_equal(channel, [1, 2.5])
 
 
-NOT_INTEGERS = [1.7, 1.0, "1", True, np.float64(1.0), np.bool_(True)]
-
-
 @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
 @pytest.mark.parametrize("field", ["index", "timestep_ms"])
 def test_dataset_rejects_a_record_index_or_timestep_that_is_not_an_integer(field, value):
     record = dataclasses.replace(CsiRecord(1, Layer.TERRESTRIAL, 2, np.ones(2)), **{field: value})
     name = "record index" if field == "index" else field
-    with pytest.raises(TypeError, match=f"^{name} {re.escape(repr(value))} is not an integer$"):
+    with pytest.raises(TypeError, match=not_an_integer(name, value)):
         CsiDataset(records=(record,), m_antennas=2)
 
 
 @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
 def test_a_lookup_rejects_an_id_that_is_not_an_integer(value):
     ds = make_dataset([[1, 0], [0, 1]])
-    with pytest.raises(TypeError, match=f"^record id {re.escape(repr(value))} is not"):
+    with pytest.raises(TypeError, match=not_an_integer("record id", value)):
         ds.channels_for([0, value])
 
 
@@ -651,6 +649,17 @@ def test_subsample_rejects_negative_count():
     ds = hundred_record_dataset()
     with pytest.raises(ValueError, match="-3"):
         subsample_pool(ds, (-3, None))
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("layer", Layer, ids=lambda layer: layer.value)
+@pytest.mark.parametrize("policy", PoolPolicy, ids=lambda policy: policy.value)
+def test_subsample_rejects_a_count_that_is_not_an_integer(policy, layer, value):
+    ds = make_dataset(np.eye(6), [Layer.TERRESTRIAL] * 3 + [Layer.AERIAL] * 3)
+    counts = [3, 3]
+    counts[layer.code] = value
+    with pytest.raises(TypeError, match=not_an_integer(f"{layer.value} count", value)):
+        subsample_pool(ds, tuple(counts), policy)
 
 
 def test_subsample_rejects_counts_that_are_not_a_pair():

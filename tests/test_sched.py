@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import pool_from_vectors, random_unit_channels
+from conftest import NOT_INTEGERS, not_an_integer, pool_from_vectors, random_unit_channels
 from sus_reference import correlation, orthogonal_residual
 from mimoshare.csi import Layer
 from mimoshare.sched import (
@@ -179,6 +179,18 @@ def test_sus_rejects_bad_k():
         sus_select(pool, 4)
 
 
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_random_select_rejects_a_k_that_is_not_an_integer(value):
+    with pytest.raises(TypeError, match=not_an_integer("k", value)):
+        random_select(pool_from_vectors(np.eye(3)), value, seed=1)
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_sus_select_rejects_a_k_that_is_not_an_integer(value):
+    with pytest.raises(TypeError, match=not_an_integer("k", value)):
+        sus_select(pool_from_vectors(np.eye(3)), value)
+
+
 # ---------------------------------------------------------------------------
 # layered quota variant
 # ---------------------------------------------------------------------------
@@ -234,6 +246,21 @@ def test_layered_rejects_quota_beyond_population():
 def test_layered_rejects_a_negative_quota():
     with pytest.raises(ValueError, match="quotas must be nonnegative"):
         sus_select_layered(two_layer_pool(), {Layer.TERRESTRIAL: -1, Layer.AERIAL: 2})
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("layer", Layer, ids=lambda layer: layer.value)
+def test_layered_rejects_a_quota_that_is_not_an_integer(layer, value):
+    quota = {Layer.TERRESTRIAL: 1, Layer.AERIAL: 1, layer: value}
+    with pytest.raises(TypeError, match=not_an_integer(f"{layer.value} quota", value)):
+        sus_select_layered(two_layer_pool(), quota)
+
+
+@pytest.mark.parametrize("key", ["aerial", Layer.AERIAL.code, None])
+def test_layered_rejects_a_quota_key_that_is_not_a_layer(key):
+    # a quota under any other key would count no user of its layer
+    with pytest.raises(TypeError, match=rf"^quota key {key!r} is not a Layer$"):
+        sus_select_layered(two_layer_pool(), {Layer.TERRESTRIAL: 2, key: 1})
 
 
 def test_a_step_with_no_open_record_raises_and_picks_nothing():

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from conftest import (
     FUZZ_EXAMPLES,
     K_PAST_M,
+    NOT_INTEGERS,
     assert_row_is,
     layer_counts_of,
     method_lines,
+    not_an_integer,
     pool_from_vectors,
     random_unit_channels,
     text_file_bytes,
@@ -220,6 +222,24 @@ def test_grid_rejects_range_beyond_population():
         sweep_layer_grid(pool, range(0, 7), range(0, 2))
     with pytest.raises(ValueError):
         sweep_layer_grid(pool, range(0, 2), range(0, 7))
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("key", ["ground_range", "aerial_range"])
+def test_grid_rejects_a_quota_that_is_not_an_integer(key, value):
+    ranges = {"ground_range": [0, 1], "aerial_range": [0, 1], key: [1, value]}
+    name = key.replace("_", " ")
+    with unscheduled(), pytest.raises(TypeError, match=not_an_integer(name, value)):
+        sweep_layer_grid(two_layer_random_pool(), **ranges)
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_total_sweep_rejects_a_k_or_trial_count_that_is_not_an_integer(value):
+    pool = two_layer_random_pool()
+    with unscheduled(), pytest.raises(TypeError, match=not_an_integer("k range", value)):
+        sweep_total_users(pool, [2, value])
+    with unscheduled(), pytest.raises(TypeError, match=not_an_integer("trials", value)):
+        sweep_total_users(pool, [2], trials=value)
 
 
 def test_grid_with_only_the_origin_cell_is_rejected():
