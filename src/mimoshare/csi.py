@@ -400,19 +400,25 @@ def sidecar_text(
     sample_interval_ms: float = 1.0,
     extra: dict | None = None,
 ) -> str:
-    """Render the flat key-value metadata of a capture binary; a float reads back exactly."""
-    lines = [
-        f"m_antennas = {fmt.m_antennas}",
-        f"frac_bits = {fmt.frac_bits}",
-        f"byteorder = {'little' if fmt.little_endian else 'big'}",
-        f"layer = {layer.value}",
-        f"sample_interval_ms = {_float_text(sample_interval_ms)}",
-    ]
+    """Render the flat key-value metadata of a capture binary; a float reads back exactly.
+
+    An ``extra`` key that repeats a key written here raises ValueError, as
+    :func:`read_sidecar` would on reading it.
+    """
+    fields = {
+        "m_antennas": fmt.m_antennas,
+        "frac_bits": fmt.frac_bits,
+        "byteorder": "little" if fmt.little_endian else "big",
+        "layer": layer.value,
+        "sample_interval_ms": _float_text(sample_interval_ms),
+    }
     if altitude_m is not None:
-        lines.append(f"altitude_m = {_float_text(altitude_m)}")
+        fields["altitude_m"] = _float_text(altitude_m)
     for key, value in (extra or {}).items():
-        lines.append(f"{key} = {_float_text(value) if isinstance(value, float) else value}")
-    return "\n".join(lines) + "\n"
+        if key in fields:
+            raise ValueError(f"extra key {key!r} repeats a key the sidecar writes")
+        fields[key] = _float_text(value) if isinstance(value, float) else value
+    return "".join(f"{key} = {value}\n" for key, value in fields.items())
 
 
 def _float_text(value: float) -> str:
@@ -435,9 +441,10 @@ def _text_lines(path) -> list[str]:
 def _parse_keyvalues(path, casters: Mapping[str, Callable], strict: bool = False) -> dict:
     """Read a flat UTF-8 ``key = value`` file (``#`` comments), casting the keys ``casters`` names.
 
-    ``strict`` rejects every other key. Errors name the file and line.
+    ``strict`` rejects every other key, and a key set twice is rejected.
+    Errors name the file and line.
     """
-    values = {}
+    values, first_lines = {}, {}
     for lineno, line in enumerate(_text_lines(path), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -445,6 +452,10 @@ def _parse_keyvalues(path, casters: Mapping[str, Callable], strict: bool = False
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        if key in first_lines:
+            raise ValueError(f"{path}:{lineno}: {key!r} is set again; line {first_lines[key]} "
+                             "set it first")
+        first_lines[key] = lineno
         if key in casters:
             try:
                 value = casters[key](value)

@@ -282,6 +282,15 @@ def test_negative_flag_value_reaches_its_caster(value, tmp_path):
     assert json.loads((out / "meta.json").read_text())["snr_db"] == float(value)
 
 
+def test_a_config_file_that_sets_a_key_twice_names_both_lines(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("seed = 1\nalpha = 0.5\nseed = 2\n")
+    out = tmp_path / "x"
+    assert run_cli("sweep-grid", "--config", cfg, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: 'seed' is set again; line 1 set it first\n"
+    assert not out.exists()
+
+
 def test_bad_config_file_snr_names_the_file_line_and_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed = 1\nsnr_db = nan\n")

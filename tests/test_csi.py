@@ -199,6 +199,28 @@ def test_sidecar_without_a_valid_format_names_the_file(tmp_path, text, message):
     assert str(info.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize("text, lineno, first", [
+    ("m_antennas = 16\nm_antennas = 8\n", 2, 1),
+    ("m_antennas = 16\n# a comment\nlayer = aerial\n\nm_antennas=16\n", 5, 1),
+    ("m_antennas = 16\nsnr_db = 20\nsnr_db = 21 # a key no caster reads\n", 3, 2),
+])
+def test_a_sidecar_that_sets_a_key_twice_names_both_lines(tmp_path, text, lineno, first):
+    path = tmp_path / "s.cfg"
+    path.write_text(text)
+    key = text.splitlines()[lineno - 1].partition("=")[0].strip()
+    with pytest.raises(CaptureError) as info:
+        read_sidecar(path)
+    assert str(info.value) == f"{path}:{lineno}: {key!r} is set again; line {first} set it first"
+
+
+@pytest.mark.parametrize("key", ["m_antennas", "frac_bits", "byteorder", "layer",
+                                 "sample_interval_ms", "altitude_m"])
+def test_a_sidecar_extra_key_that_repeats_a_written_key_is_refused(key):
+    with pytest.raises(ValueError, match=rf"^extra key '{key}' repeats a key the sidecar writes$"):
+        sidecar_text(FixedPointFormat(m_antennas=4), Layer.AERIAL, altitude_m=24.0,
+                     extra={"snr_db": 20.0, key: 1})
+
+
 SIDECAR_LINES = st.tuples(
     st.sampled_from(["m_antennas", "frac_bits", "layer", "sample_interval_ms", "byteorder",
                      "altitude_m"]),
