@@ -441,8 +441,8 @@ def _text_lines(path) -> list[str]:
 def _parse_keyvalues(path, casters: Mapping[str, Callable], strict: bool = False) -> dict:
     """Read a flat UTF-8 ``key = value`` file (``#`` comments), casting the keys ``casters`` names.
 
-    ``strict`` rejects every other key, and a key set twice is rejected.
-    Errors name the file and line.
+    ``strict`` rejects every other key. A key set twice is rejected, and
+    every error names the file and line.
     """
     values, first_lines = {}, {}
     for lineno, line in enumerate(_text_lines(path), 1):

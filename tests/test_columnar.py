@@ -168,8 +168,11 @@ def test_lookup_by_id_follows_the_requested_order():
     wanted = [5, 40, 99]
     by_record = np.array([r.channel for i in wanted for r in dataset.records if r.index == i])
     assert np.array_equal(dataset.channels_for(wanted), by_record)
-    with pytest.raises(KeyError):
-        dataset.channels_for([5, 1000])
+    # ids 1, 5, 7, 23, 40, 99: the first unknown one, below, between or above them
+    for ids, first_unknown in (([5, 1000], 1000), ([0, 5], 0), ([5, 6, 1000], 6),
+                               ([40, 41, 39], 41), ([-1], -1)):
+        with pytest.raises(KeyError, match=f"^{first_unknown}$"):
+            dataset.channels_for(ids)
 
 
 def test_an_empty_dataset_names_the_first_unknown_id():

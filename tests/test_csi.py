@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import re
 import tempfile
 from pathlib import Path
 

@@ -684,6 +684,15 @@ def test_a_sweeps_summary_is_what_report_reads_from_its_csv(args):
         assert expected and method_lines(report_dir / "summary.txt") == expected
 
 
+@pytest.mark.parametrize("text", ["", "\n", "sus,1,1,0,0,2,2,\n", f"\n{CSV_HEADER}\nsus,1,1,0,0,2,2,\n",
+                                  f"{CSV_HEADER.upper()}\nsus,1,1,0,0,2,2,\n"])
+def test_a_file_that_does_not_start_with_the_header_is_no_sweep_table(tmp_path, text):
+    path = tmp_path / "sweep.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"^{path}: not a sweep table \(unexpected header\)$"):
+        SweepTable.from_csv(path)
+
+
 @pytest.mark.parametrize("line", ["sus,1,1,0,9223372036854775808,2,2,",
                                   "sus,9223372036854775808,9223372036854775808,0,0,2,2,"])
 def test_a_count_beyond_the_int64_columns_is_named(tmp_path, line):
