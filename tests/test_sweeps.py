@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -645,6 +646,24 @@ def test_from_csv_reads_back_what_csv_text_writes(rows):
         path = Path(tmp) / "sweep.csv"
         path.write_text(text)
         assert SweepTable.from_csv(path).csv_text() == text
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda pool: sweep_total_users(pool, range(1, 9), trials=3, seed=2),
+    lambda pool: sweep_layer_grid(pool, range(5), range(5)),
+], ids=["total", "grid"])
+def test_a_sweeps_csv_reads_back_as_the_table_it_summarizes(tmp_path, sweep):
+    # the sweep summarizes its CSV text read back, and report what from_csv reads: both
+    # are the sweep's table with its SE rounded as the CSV writes it
+    table = sweep(two_layer_random_pool(seed=6))
+    as_written = dataclasses.replace(table, **{
+        name: np.array([float(f"{se:.6g}") for se in getattr(table, name).tolist()])
+        for name in ("sum_se", "mean_individual_se")})
+    text = table.csv_text()
+    assert SweepTable._from_lines(text.splitlines(), "sweep.csv", table.meta) == as_written
+    path = tmp_path / "sweep.csv"
+    path.write_text(text)
+    assert dataclasses.replace(SweepTable.from_csv(path), meta=table.meta) == as_written
 
 
 # the scenario of tests/data/mini_grid.cfg: 41 records per layer
