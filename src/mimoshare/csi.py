@@ -13,6 +13,7 @@ import enum
 import functools
 import hashlib
 import math
+import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -665,12 +666,15 @@ def _generated_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
 
     Each layer builds its rows in blocks of ``_ROW_BLOCK``, with the same
     stream and the same bits as one whole-array pass, without its full-size
-    temporaries. A second ``Generator`` starts from the stream's state at the
-    layer's real Gaussian parts, the stream draws past them block by block,
-    and each block then takes its real parts from the copy and its imaginary
-    parts from the stream: numpy draws normals one at a time from the bit
-    generator, so chunked draws and a restored state continue one stream
-    (``test_pool_build`` guards both). No draw is held past its block.
+    temporaries. The stream draws the layer's real Gaussian parts first,
+    block by block, and spills them to an unnamed temporary file (n * M * 8
+    bytes, 14.5 MB a layer at the default, in ``tempfile``'s directory:
+    ``TMPDIR`` if it is usable); each block then reads its real parts back
+    and draws its imaginary parts from the stream. numpy draws normals one at
+    a time from the bit generator, so chunked draws continue one stream
+    (``test_pool_build`` guards it), and each normal is drawn once. The
+    spilled parts sit in the page cache, not in the process's RSS, and the
+    file is gone once the layer is done or the generator is closed.
 
     A block is built in real arithmetic, straight into the parts of a new
     complex block, with the bits of ``amps * np.exp(-2j * np.pi * dists / lam)
@@ -683,8 +687,9 @@ def _generated_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
     lam = config.wavelength_m
 
     n, m = config.samples_per_layer, config.m_antennas
-    # one block's distances (then phases, then real draws), amplitudes and
-    # imaginary draws, reused
+    # one block's distances (then phases, then real parts read back),
+    # amplitudes and imaginary draws (and the real parts as they are spilled),
+    # reused
     buffers = np.empty((3, min(n, _ROW_BLOCK), m))
     layer_plan = zip(
         (Layer.TERRESTRIAL, Layer.AERIAL), config.layer_altitudes_m, config.rician_k_db
@@ -694,30 +699,36 @@ def _generated_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
         dy2, dz2 = np.square(np.array([[config.standoff_distance_m], [altitude]])
                              - elems[:, 1:].T)
         k_lin = 10.0 ** (k_db / 10.0)
-        replay = np.random.default_rng(config.seed)
-        replay.bit_generator.state = rng.bit_generator.state
-        for start in range(0, n, _ROW_BLOCK):
-            rng.standard_normal(out=buffers[2, :min(_ROW_BLOCK, n - start)])
-        for start in range(0, n, _ROW_BLOCK):
-            x = _along_pass(config, start, min(start + _ROW_BLOCK, n))
-            dists, amps, imag = buffers[:, :len(x)]
-            # squares summed x, y, z in turn, as np.linalg.norm does, bit for
-            # bit, without its (B, M, 3) temporary
-            np.square(np.subtract(x[:, None], elems[:, 0], out=dists), out=dists)
-            dists += dy2
-            dists += dz2
-            np.sqrt(dists, out=dists)  # (B, M)
-            np.divide(lam, np.multiply(dists, 4.0 * np.pi, out=amps), out=amps)
-            phase = np.multiply(np.multiply(dists, -2.0 * np.pi, out=dists), 1.0 / lam, out=dists)
-            gains = np.empty((len(x), m), dtype=np.complex128)
-            re, im = gains.real, gains.imag
-            np.multiply(np.cos(phase, out=re), amps, out=re)
-            np.multiply(np.sin(phase, out=im), amps, out=im)
-            diffuse_power = np.mean(np.square(amps, out=amps), axis=1) / k_lin  # 0 when K=inf
-            scale = np.sqrt(diffuse_power / 2.0)[:, None]
-            re += np.multiply(scale, replay.standard_normal(out=dists), out=dists)
-            im += np.multiply(scale, rng.standard_normal(out=imag), out=imag)
-            yield gains
+        with tempfile.TemporaryFile() as spill:
+            for start in range(0, n, _ROW_BLOCK):
+                spill.write(rng.standard_normal(out=buffers[2, :min(_ROW_BLOCK, n - start)]))
+            spill.seek(0)
+            for start in range(0, n, _ROW_BLOCK):
+                x = _along_pass(config, start, min(start + _ROW_BLOCK, n))
+                dists, amps, imag = buffers[:, :len(x)]
+                # squares summed x, y, z in turn, as np.linalg.norm does, bit
+                # for bit, without its (B, M, 3) temporary
+                np.square(np.subtract(x[:, None], elems[:, 0], out=dists), out=dists)
+                dists += dy2
+                dists += dz2
+                np.sqrt(dists, out=dists)  # (B, M)
+                np.divide(lam, np.multiply(dists, 4.0 * np.pi, out=amps), out=amps)
+                phase = np.multiply(np.multiply(dists, -2.0 * np.pi, out=dists), 1.0 / lam,
+                                    out=dists)
+                gains = np.empty((len(x), m), dtype=np.complex128)
+                re, im = gains.real, gains.imag
+                np.multiply(np.cos(phase, out=re), amps, out=re)
+                np.multiply(np.sin(phase, out=im), amps, out=im)
+                diffuse_power = np.mean(np.square(amps, out=amps), axis=1) / k_lin  # 0 when K=inf
+                scale = np.sqrt(diffuse_power / 2.0)[:, None]
+                # the phases are spent: their buffer takes the block's real parts
+                read = spill.readinto(dists)
+                if read != dists.nbytes:  # the file lost its tail: dists holds stale values
+                    raise OSError(f"generator spill file ended early: read {read} of "
+                                  f"{dists.nbytes} bytes of a {layer.value} block at row {start}")
+                re += np.multiply(scale, dists, out=dists)
+                im += np.multiply(scale, rng.standard_normal(out=imag), out=imag)
+                yield gains
 
 
 # ---------------------------------------------------------------------------

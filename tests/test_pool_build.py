@@ -8,6 +8,7 @@ generated or decoded block and scales them by the whole dataset's factor; it
 must give exactly ``subsample_pool(normalize_to_snr(dataset, snr), ...)``.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -182,9 +183,12 @@ def test_blocked_generator_reproduces_the_whole_array_oracle(config):
 
 
 def test_the_replay_rests_on_chunked_and_restored_normal_draws():
-    # the generator holds none of a layer's real draws: it draws past them in
-    # blocks, then replays them from a Generator rebuilt from the stream's
-    # state, and both steps must leave the stream as one whole draw
+    # the generator rests on the first half: it draws a layer's real parts in
+    # blocks, spilling each, then each block's imaginary parts, and chunked
+    # draws must leave the stream as one whole draw. The second half, a
+    # Generator rebuilt from the stream's state continuing it, is what a
+    # replay of drawn parts would rest on; the generator restores no state, as
+    # it draws each normal once
     whole = np.random.default_rng(11).standard_normal((600, 5))
     for chunk in (1, 7, 256):
         rng = np.random.default_rng(11)
@@ -194,7 +198,7 @@ def test_the_replay_rests_on_chunked_and_restored_normal_draws():
         np.testing.assert_array_equal(
             bits(got), bits(whole),
             err_msg=f"standard_normal(out=) in chunks of {chunk} rows is not one whole draw, "
-                    "so skipping past a layer's real draws moves the replayed stream")
+                    "so the spilled real parts and the imaginary draws leave the stream")
     rng = np.random.default_rng(11)
     rng.standard_normal((200, 5))
     replay = np.random.default_rng(0)
@@ -203,7 +207,133 @@ def test_the_replay_rests_on_chunked_and_restored_normal_draws():
         np.testing.assert_array_equal(
             bits(source.standard_normal((400, 5))), bits(whole[200:]),
             err_msg="a Generator rebuilt from bit_generator.state does not continue the "
-                    "stream, so the replay of a layer's real draws changes the bits")
+                    "stream, so a replay of drawn parts would change the bits")
+
+
+# ---------------------------------------------------------------------------
+# the spilled real parts
+# ---------------------------------------------------------------------------
+
+# 41 rows a layer at M = 4, in blocks of 8 under SPILL_BLOCK: 6 blocks a layer
+SPILL_SCENARIO = ScenarioConfig(m_rows=2, m_cols=2, trajectory_length_m=4.0,
+                                trajectory_speed_mps=1.0, sample_interval_ms=100.0, seed=3)
+SPILL_BLOCK = 8
+
+
+class CountingGenerator:
+    """A ``Generator`` that counts the normals ``standard_normal`` draws."""
+
+    def __init__(self, rng):
+        self.rng, self.normals = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        drawn = self.rng.standard_normal(*args, **kwargs)
+        self.normals += np.size(drawn)
+        return drawn
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_a_generator_pass_draws_each_normal_once():
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(*args, **kwargs):
+        made.append(CountingGenerator(default_rng(*args, **kwargs)))
+        return made[-1]
+
+    n, m = SPILL_SCENARIO.samples_per_layer, SPILL_SCENARIO.m_antennas
+    per_layer = math.ceil(n / SPILL_BLOCK)
+    with (mock.patch.object(csi, "_ROW_BLOCK", SPILL_BLOCK),
+          mock.patch.object(csi.np.random, "default_rng", counting_rng)):
+        drawn = [sum(rng.normals for rng in made)
+                 for _ in csi._generated_blocks(SPILL_SCENARIO)]
+    # a real and an imaginary part a gain, once each: a redraw of the real
+    # parts would read 3 * n * M a layer
+    assert len(drawn) == 2 * per_layer
+    assert (drawn[per_layer - 1], drawn[-1]) == (2 * n * m, 2 * 2 * n * m)
+
+
+@contextlib.contextmanager
+def spill_files(wrap=None):
+    """The temporary files the generator opens, as it opens them, each in ``wrap`` if given."""
+    opened = []
+    temporary_file = tempfile.TemporaryFile
+
+    def recording(*args, **kwargs):
+        spill = temporary_file(*args, **kwargs)
+        opened.append(wrap(spill) if wrap else spill)
+        return opened[-1]
+
+    with mock.patch.object(csi.tempfile, "TemporaryFile", recording):
+        yield opened
+
+
+def test_a_generator_closed_after_its_first_block_closes_its_spill(tmp_path):
+    with (mock.patch.object(csi, "_ROW_BLOCK", SPILL_BLOCK),
+          mock.patch.object(tempfile, "tempdir", str(tmp_path)), spill_files() as opened):
+        blocks = csi._generated_blocks(SPILL_SCENARIO)
+        next(blocks)
+        assert len(opened) == 1 and not opened[0].closed
+        if os.name == "posix":  # the file has no name while it is open
+            assert os.listdir(tmp_path) == []
+        blocks.close()
+        assert opened[0].closed
+        for _ in csi._generated_blocks(SPILL_SCENARIO):
+            pass
+    assert len(opened) == 3 and all(spill.closed for spill in opened)
+    assert os.listdir(tmp_path) == []
+
+
+class LosingTail:
+    """A temporary file that loses its last float when it is rewound to be read."""
+
+    def __init__(self, file):
+        self.file, self.closed = file, False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+        self.closed = True
+
+    def write(self, data):
+        return self.file.write(data)
+
+    def seek(self, offset):
+        self.file.truncate(self.file.tell() - 8)
+        return self.file.seek(offset)
+
+    def readinto(self, buffer):
+        return self.file.readinto(buffer)
+
+
+def test_a_short_read_from_the_spill_raises():
+    n, m = SPILL_SCENARIO.samples_per_layer, SPILL_SCENARIO.m_antennas
+    last = (n - 1) // SPILL_BLOCK * SPILL_BLOCK  # the first row of the layer's last block
+    last_bytes = (n - last) * m * 8
+    with (mock.patch.object(csi, "_ROW_BLOCK", SPILL_BLOCK), spill_files(LosingTail) as opened):
+        blocks = csi._generated_blocks(SPILL_SCENARIO)
+        for _ in range(last // SPILL_BLOCK):  # the whole blocks before it
+            next(blocks)
+        message = (f"generator spill file ended early: read {last_bytes - 8} of "
+                   f"{last_bytes} bytes of a terrestrial block at row {last}")
+        with pytest.raises(OSError, match=f"^{message}$"):
+            next(blocks)
+    assert opened[0].closed
+
+
+def test_a_sweep_with_no_temporary_directory_fails_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    missing = tmp_path / "missing"
+    with mock.patch.object(tempfile, "tempdir", str(missing)):
+        assert cli.main(["sweep-total", *MINI_FLAGS, "--k-range", "1:2", "--trials", "1",
+                         "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0], err
+    assert not out.exists() and not missing.exists()
 
 
 COMPONENTS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

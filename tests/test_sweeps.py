@@ -38,6 +38,7 @@ from mimoshare.sweeps import (
     CSV_HEADER,
     SweepRow,
     SweepTable,
+    _METHODS,
     _RangeError,
     _table,
     _trial_seed,
@@ -689,16 +690,37 @@ def small_sweeps(draw):
             "--thresholds", ",".join(thresholds), *MINI_SCENARIO]
 
 
-# each example runs two commands, so it takes a third of the fuzz budget
+def k_mean_individual_se(table):
+    """Each method's and k's mean individual SE, as ``max_users_for_min_se`` averages it."""
+    means = []
+    for code in sorted(set(table.method_codes.tolist())):
+        mine = table._only(_METHODS[code])
+        k_total = mine.k_ground + mine.k_aerial
+        means += [float(np.mean(mine.mean_individual_se[k_total == k]))
+                  for k in sorted(set(k_total.tolist()))]
+    return means
+
+
+# each example runs three commands, so it takes a third of the fuzz budget
 @settings(derandomize=True, deadline=None, max_examples=FUZZ_EXAMPLES // 3)
 @given(args=small_sweeps())
 def test_a_sweeps_summary_is_what_report_reads_from_its_csv(args):
-    thresholds = args[args.index("--thresholds") + 1]
+    args = [str(arg) for arg in args]
+    at = args.index("--thresholds") + 1
     with tempfile.TemporaryDirectory() as tmp:
-        sweep_dir, report_dir = Path(tmp) / "sweep", Path(tmp) / "report"
-        assert main([*map(str, args), "--out", str(sweep_dir)]) == 0
+        first_dir, sweep_dir, report_dir = (Path(tmp) / name
+                                            for name in ("first", "sweep", "report"))
+        # a first run's written table gives each k's mean individual SE as a
+        # threshold: k meets it in the rounded table and misses it in the
+        # unrounded one where its values rounded up, and no larger k makes up
+        # for the sweep's largest, so a summary of the unrounded table differs
+        assert main([*args, "--out", str(first_dir)]) == 0
+        written = SweepTable.from_csv(first_dir / "sweep.csv")
+        args[at] = ",".join([args[at], *map(repr, k_mean_individual_se(written))])
+        assert main([*args, "--out", str(sweep_dir)]) == 0
+        assert (sweep_dir / "sweep.csv").read_bytes() == (first_dir / "sweep.csv").read_bytes()
         assert main(["report", "--table", str(sweep_dir / "sweep.csv"), "--out", str(report_dir),
-                     "--thresholds", thresholds]) == 0
+                     "--thresholds", args[at]]) == 0
         expected = method_lines(sweep_dir / "summary.txt")
         assert expected and method_lines(report_dir / "summary.txt") == expected
 
