@@ -699,7 +699,12 @@ def _generated_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
         dy2, dz2 = np.square(np.array([[config.standoff_distance_m], [altitude]])
                              - elems[:, 1:].T)
         k_lin = 10.0 ** (k_db / 10.0)
-        with tempfile.TemporaryFile() as spill:
+        try:
+            spill = tempfile.TemporaryFile()
+        except OSError as exc:  # its message names a random file that was never made
+            raise OSError(f"temporary directory {tempfile.gettempdir()} is missing or "
+                          f"unwritable: {exc.strerror}") from exc
+        with spill:
             for start in range(0, n, _ROW_BLOCK):
                 spill.write(rng.standard_normal(out=buffers[2, :min(_ROW_BLOCK, n - start)]))
             spill.seek(0)
@@ -735,53 +740,17 @@ def _generated_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
 # Normalization and pool subsampling
 # ---------------------------------------------------------------------------
 
-def _row_energies(gains: np.ndarray) -> np.ndarray:
-    """||h||^2 of each row, summed ``_ROW_BLOCK`` rows at a time.
-
-    A row's energy does not depend on the block it is summed in, so the mean
-    of these has the bits of the whole-array sum's, however the rows were
-    grouped.
-    """
-    energies = np.empty(len(gains))
-    for start in range(0, len(gains), _ROW_BLOCK):
-        block = gains[start:start + _ROW_BLOCK]
-        energies[start:start + len(block)] = np.sum(np.abs(block) ** 2, axis=1)
-    return energies
-
-
-def _scale_of(energies: np.ndarray) -> float:
-    """The global factor that makes the mean of these row energies 1."""
-    if len(energies) == 0:
-        raise ValueError("cannot normalize an empty dataset")
-    mean_sq_norm = float(np.mean(energies))
-    if mean_sq_norm == 0.0:
-        raise ValueError("cannot normalize an all-zero dataset")
-    return 1.0 / math.sqrt(mean_sq_norm)
-
-
-def _noise_power_of(snr_db: float) -> float:
-    """The linear noise power that puts unit mean channel energy at ``snr_db``."""
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db}")
-    return 10.0 ** (-snr_db / 10.0)
-
-
 def normalize_to_snr(dataset: CsiDataset, snr_db: float) -> CsiDataset:
     """Rescale all gains by one global factor so mean ||h||^2 over records is 1.
 
     With unit transmit power this makes the dataset-average SNR equal to
     ``snr_db``; the implied linear noise power 10^(-snr_db/10) is recorded.
-    Re-applying is a no-op up to floating-point roundoff. Row energies are
-    summed in blocks of rows, with the same bits as a whole-array sum.
+    Re-applying is a no-op up to floating-point roundoff. This is the streamed
+    pool build over the dataset's own row blocks, keeping every row.
     """
-    scale = _scale_of(_row_energies(dataset.channels))
-    return CsiDataset._of(
-        dataset.m_antennas, dataset.channels * scale, dataset.ids, dataset.layer_codes,
-        dataset.timesteps_ms,
-        scale_applied=dataset.scale_applied * scale,
-        noise_power=_noise_power_of(snr_db),
-        snr_target_db=snr_db,
-    )
+    columns = (dataset.ids, dataset.layer_codes, dataset.timesteps_ms)
+    source = (dataset.m_antennas, columns, functools.partial(_row_blocks, dataset.channels))
+    return _streamed_pool(source, snr_db, prior_scale=dataset.scale_applied)
 
 
 class PoolPolicy(enum.Enum):
@@ -801,7 +770,8 @@ def subsample_pool(
 
     ``per_layer_count`` is (terrestrial, aerial); None keeps a layer whole.
     STRIDE takes evenly spaced timesteps; SEEDED_UNIFORM draws without
-    replacement from the given seed. Record ids and order are preserved.
+    replacement from the given seed; a policy may be given by its value, e.g.
+    "uniform". Record ids and order are preserved.
     """
     return dataset.take(_keep_rows(dataset.layer_codes, per_layer_count, policy, seed))
 
@@ -815,6 +785,7 @@ def _keep_rows(
     """The (N,) mask of the rows ``subsample_pool`` keeps of rows with these layer codes."""
     if len(per_layer_count) != 2:
         raise ValueError("per_layer_count must be a (terrestrial, aerial) pair")
+    policy = PoolPolicy(policy)  # a ValueError names a value that is no policy
     rng = None  # one stream across layers, made at the first uniform draw
     keep = np.zeros(len(layer_codes), dtype=bool)
     requested = dict(zip((Layer.TERRESTRIAL, Layer.AERIAL), per_layer_count))
@@ -847,13 +818,16 @@ def _streamed_pool(
     per_layer_count: tuple[int | None, int | None] = (None, None),
     policy: PoolPolicy = PoolPolicy.STRIDE,
     seed: int = 0,
+    prior_scale: float = 1.0,
 ) -> CsiDataset:
     """``subsample_pool(normalize_to_snr(dataset, snr_db), ...)`` of a block source, bit for bit.
 
     The counts are checked before any block is made. Each block adds its
     row energies to one (N,) vector and hands over its kept rows, and
     ``CsiDataset`` never sees the rest, so this checks them for NaN and Inf.
-    The whole dataset's factor then scales the pool.
+    The whole dataset's factor then scales the pool; its ``scale_applied``
+    is ``prior_scale``, the scale the source's rows already carry, times
+    that factor.
     """
     m, (ids, codes, timesteps), blocks = source
     keep = _keep_rows(codes, per_layer_count, policy, seed)
@@ -863,7 +837,8 @@ def _streamed_pool(
     for block in blocks():
         rows = slice(stop, stop + len(block))
         stop = rows.stop
-        energies[rows] = _row_energies(block)
+        # a row's energy, and so their mean, does not depend on the block it is in
+        energies[rows] = np.sum(np.abs(block) ** 2, axis=1)
         if not np.isfinite(energies[rows]).all():  # as any NaN or Inf component makes them
             _check_finite(block)
         pool_rows = channels[kept:kept + np.count_nonzero(keep[rows])]
@@ -872,8 +847,15 @@ def _streamed_pool(
         else:
             np.compress(keep[rows], block, axis=0, out=pool_rows)
         kept += len(pool_rows)
-    scale = _scale_of(energies)
+    if len(energies) == 0:
+        raise ValueError("cannot normalize an empty dataset")
+    mean_sq_norm = float(np.mean(energies))
+    if mean_sq_norm == 0.0:
+        raise ValueError("cannot normalize an all-zero dataset")
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db}")
+    scale = 1.0 / math.sqrt(mean_sq_norm)  # makes the mean row energy 1
     channels *= scale
     return CsiDataset._of(m, channels, ids[keep], codes[keep], timesteps[keep],
-                          scale_applied=scale, noise_power=_noise_power_of(snr_db),
-                          snr_target_db=snr_db)
+                          scale_applied=prior_scale * scale,
+                          noise_power=10.0 ** (-snr_db / 10.0), snr_target_db=snr_db)

@@ -43,6 +43,8 @@ __all__ = [
 CSV_HEADER = "method,k_total,k_ground,k_aerial,trial,sum_se,mean_individual_se,fallback_rank"
 # the methods sweep_total_users runs; the layered grid has its own sweep
 _SWEEP_METHODS = frozenset({SelectionMethod.RANDOM, SelectionMethod.SUS})
+# each of them by itself and by its value, as SelectionMethod(...) casts both
+_SWEEP_METHOD_OF = {key: method for method in _SWEEP_METHODS for key in (method, method.value)}
 # a table's method codes index this
 _METHODS = tuple(SelectionMethod)
 # SweepTable's (R,) columns, in the order of its fields, and their types
@@ -301,7 +303,7 @@ def sweep_total_users(
     """Schedule and evaluate every k for each method.
 
     Random selection is drawn ``trials`` times per k; SUS is deterministic and
-    recorded once (trial 0).
+    recorded once (trial 0). A method may be given by its value, e.g. "sus".
     """
     [ks] = _sweep_ranges(tuple(pool.layer_counts().values()), pool.m_antennas, k_range=k_range)
     trials = csi._integer(trials, "trials")
@@ -310,9 +312,11 @@ def sweep_total_users(
     methods = set(methods)
     if not methods:
         raise ValueError("no sweep methods")
-    unsupported = methods - _SWEEP_METHODS
+    unsupported = methods - _SWEEP_METHOD_OF.keys()
     if unsupported:
-        raise ValueError(f"unsupported sweep methods: {sorted(m.value for m in unsupported)}")
+        names = sorted(str(getattr(m, "value", m)) for m in unsupported)
+        raise ValueError(f"unsupported sweep methods: {names}")
+    methods = {_SWEEP_METHOD_OF[m] for m in methods}
 
     return _table(pool, _total_schedules(pool, ks, methods, trials, seed, params),
                   sweep="total_users", seed=seed, alpha=params.alpha, trials=trials, k_min=ks[0],

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -642,6 +643,27 @@ def test_subsample_uniform_is_seeded():
     assert ids_a == [r.index for r in b.records]
     assert ids_a == sorted(ids_a)
     assert ids_a != [r.index for r in c.records]
+
+
+@pytest.mark.parametrize("policy", [*PoolPolicy, *(policy.value for policy in PoolPolicy)],
+                         ids=repr)
+def test_subsample_takes_a_policy_or_its_value(policy):
+    ds = hundred_record_dataset()
+    want = subsample_pool(ds, (10, None), PoolPolicy(policy), seed=5)
+    got = subsample_pool(ds, (10, None), policy, seed=5)
+    np.testing.assert_array_equal(got.ids, want.ids)
+    # the two policies pick different rows here, so a value read as the other one shows
+    other, = set(PoolPolicy) - {PoolPolicy(policy)}
+    assert not np.array_equal(got.ids, subsample_pool(ds, (10, None), other, seed=5).ids)
+
+
+@pytest.mark.parametrize("policy", ["bogus", None, "STRIDE", "SEEDED_UNIFORM", 0, ""], ids=repr)
+def test_subsample_rejects_a_value_that_is_no_policy(policy):
+    # a count of None draws nothing, and still the policy is checked
+    for counts in [(10, None), (None, None)]:
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(policy))} is not a valid "
+                                             "PoolPolicy$"):
+            subsample_pool(hundred_record_dataset(), counts, policy)
 
 
 def test_uniform_pools_draw_every_layer_from_one_stream():

@@ -177,6 +177,27 @@ def test_sweep_validates_inputs():
         sweep_total_users(pool, [1], methods=())
 
 
+@pytest.mark.parametrize("methods", [["random"], ["sus"], ["sus", "random"],
+                                     ["random", SelectionMethod.RANDOM, SelectionMethod.SUS]],
+                         ids=repr)
+def test_total_sweep_takes_a_method_or_its_value(methods):
+    pool = two_layer_random_pool()
+    want = sweep_total_users(pool, [1, 3], {SelectionMethod(m) for m in methods}, trials=2, seed=4)
+    got = sweep_total_users(pool, [1, 3], methods, trials=2, seed=4)
+    assert got.csv_text() == want.csv_text()
+    assert {row.method for row in got.rows} == {SelectionMethod(m) for m in methods}
+
+
+@pytest.mark.parametrize("methods, named", [
+    (["bogus"], "bogus"), (["sus_layered"], "sus_layered"),
+    ([SelectionMethod.SUS_LAYERED], "sus_layered"), ([None], "None"), ([1], "1"),
+    (["random", "SUS"], "SUS"),
+], ids=repr)
+def test_total_sweep_rejects_a_method_it_does_not_run(methods, named):
+    with pytest.raises(ValueError, match=rf"^unsupported sweep methods: \['{named}'\]$"):
+        sweep_total_users(two_layer_random_pool(), [1], methods)
+
+
 def test_sus_never_below_random_mean_on_small_pool():
     pool = two_layer_random_pool(seed=9, n_per_layer=8, m=16)
     table = sweep_total_users(pool, range(1, 17), trials=10, seed=2)
